@@ -1,190 +1,35 @@
-"""Hot numeric kernels with optional numba acceleration.
+"""Hot numeric kernels, vectorized with numpy.
 
-Every kernel exists twice: a scalar-loop version compiled with numba when
-it is importable, and a vectorized numpy fallback.  The public wrappers
-pick the path at call time from HAS_NUMBA, so tests can monkeypatch the
-flag; setting the environment variable RHO_CALC_DISABLE_NUMBA (to
-anything but "" or "0") forces the fallback before import.
+Only float verification paths import this module (lazily, from inside
+the functions that need it), so exact commands never load numpy.
 
-Summation order is fixed per path (row-major over the lattice), so
-repeated calls are bit-for-bit reproducible.  The Dedekind batch kernel
-works in int64 throughout: results are exact numerators over the common
-denominator 4 m^2, never floats.
+Summation order is fixed (row-major over the lattice), so repeated calls
+are bit-for-bit reproducible.  The Dedekind batch kernel works in int64
+throughout: results are exact numerators over the common denominator
+4 m^2, never floats.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 __all__ = [
-    "HAS_NUMBA",
     "dedekind_batch_exact",
     "dedekind_batch_cot",
     "f_direct_sum",
     "f_poisson_sum",
 ]
 
-_DISABLED = os.environ.get("RHO_CALC_DISABLE_NUMBA", "0") not in ("", "0")
-
-if _DISABLED:
-    HAS_NUMBA = False
-else:
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
-
-
-# -- numpy fallback implementations ----------------------------------------
-
-
-def _dedekind_batch_exact_np(a_arr: np.ndarray, m: int) -> np.ndarray:
-    # numerator of 4 m^2 s(a, m): sum_k (2((a k) mod m) - m)(2 k - m)
-    k = np.arange(1, m, dtype=np.int64)
-    lhs = 2 * ((a_arr[:, None] * k[None, :]) % m) - m
-    return lhs @ (2 * k - m)
-
-
-def _dedekind_batch_cot_np(d_arr: np.ndarray, m: int, cotbase: np.ndarray) -> np.ndarray:
-    p = np.arange(1, m, dtype=np.int64)
-    gathered = cotbase[(d_arr[:, None] * p[None, :]) % m]
-    return (gathered @ cotbase[1:m]) / (4.0 * m)
-
-
-def _f_direct_np(
-    sigma1: float,
-    sigma2: float,
-    u: float,
-    nu1: float,
-    nu2: float,
-    n1_lo: int,
-    n1_hi: int,
-    x_max: float,
-) -> complex:
-    gamma = u * math.pi * math.pi / sigma2
-    scale = math.pi / sigma2
-    total = 0.0 + 0.0j
-    for n1 in range(n1_lo, n1_hi + 1):
-        m1 = n1 - nu1
-        c2 = nu2 + sigma1 * m1
-        n2 = np.arange(math.floor(c2 - x_max - 1.0), math.ceil(c2 + x_max + 1.0) + 1)
-        t = (n2 - nu2) - sigma1 * m1
-        w_re = scale * t
-        w_im = -math.pi * m1
-        norm2 = w_re * w_re + w_im * w_im
-        wbar2 = (w_re * w_re - w_im * w_im) - 2j * w_re * w_im
-        total += np.sum(wbar2 * np.exp(-u * sigma2 * norm2))
-    return complex(total)
-
-
-def _f_poisson_np(
-    sigma1: float,
-    sigma2: float,
-    u: float,
-    nu1: float,
-    nu2: float,
-    n2_lo: int,
-    n2_hi: int,
-    x_max: float,
-) -> complex:
-    inv = 1.0 / (u * sigma2)
-    total = 0.0 + 0.0j
-    for n2 in range(n2_lo, n2_hi + 1):
-        c1 = -sigma1 * n2
-        n1 = np.arange(math.floor(c1 - x_max - 1.0), math.ceil(c1 + x_max + 1.0) + 1)
-        if n2 == 0:
-            n1 = n1[n1 != 0]
-        re = n1 + sigma1 * n2
-        im = sigma2 * n2
-        norm2 = re * re + im * im
-        wbar2 = (re * re - im * im) - 2j * re * im
-        phase = np.exp(-2j * math.pi * (nu1 * n1 + nu2 * n2))
-        total += np.sum(phase * wbar2 * np.exp(-norm2 * inv))
-    return complex(total)
-
-
-# -- numba scalar-loop implementations -------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _dedekind_batch_exact_nb(a_arr, m):  # pragma: no cover - compiled
-        out = np.zeros(a_arr.shape[0], dtype=np.int64)
-        for j in range(a_arr.shape[0]):
-            a = a_arr[j]
-            acc = 0
-            for k in range(1, m):
-                acc += (2 * ((a * k) % m) - m) * (2 * k - m)
-            out[j] = acc
-        return out
-
-    @njit(cache=True)
-    def _dedekind_batch_cot_nb(d_arr, m, cotbase):  # pragma: no cover - compiled
-        out = np.zeros(d_arr.shape[0], dtype=np.float64)
-        for j in range(d_arr.shape[0]):
-            d = d_arr[j]
-            acc = 0.0
-            for p in range(1, m):
-                acc += cotbase[(d * p) % m] * cotbase[p]
-            out[j] = acc / (4.0 * m)
-        return out
-
-    @njit(cache=True)
-    def _f_direct_nb(
-        sigma1, sigma2, u, nu1, nu2, n1_lo, n1_hi, x_max
-    ):  # pragma: no cover - compiled
-        scale = np.pi / sigma2
-        total = 0.0 + 0.0j
-        for n1 in range(n1_lo, n1_hi + 1):
-            m1 = n1 - nu1
-            c2 = nu2 + sigma1 * m1
-            lo = int(np.floor(c2 - x_max - 1.0))
-            hi = int(np.ceil(c2 + x_max + 1.0))
-            w_im = -np.pi * m1
-            for n2 in range(lo, hi + 1):
-                w_re = scale * ((n2 - nu2) - sigma1 * m1)
-                norm2 = w_re * w_re + w_im * w_im
-                wbar2 = complex(w_re * w_re - w_im * w_im, -2.0 * w_re * w_im)
-                total += wbar2 * np.exp(-u * sigma2 * norm2)
-        return total
-
-    @njit(cache=True)
-    def _f_poisson_nb(
-        sigma1, sigma2, u, nu1, nu2, n2_lo, n2_hi, x_max
-    ):  # pragma: no cover - compiled
-        inv = 1.0 / (u * sigma2)
-        total = 0.0 + 0.0j
-        for n2 in range(n2_lo, n2_hi + 1):
-            c1 = -sigma1 * n2
-            lo = int(np.floor(c1 - x_max - 1.0))
-            hi = int(np.ceil(c1 + x_max + 1.0))
-            im = sigma2 * n2
-            for n1 in range(lo, hi + 1):
-                if n1 == 0 and n2 == 0:
-                    continue
-                re = n1 + sigma1 * n2
-                norm2 = re * re + im * im
-                wbar2 = complex(re * re - im * im, -2.0 * re * im)
-                ang = -2.0 * np.pi * (nu1 * n1 + nu2 * n2)
-                phase = complex(np.cos(ang), np.sin(ang))
-                total += phase * wbar2 * np.exp(-norm2 * inv)
-        return total
-
-
-# -- call-time dispatch ----------------------------------------------------
-
 
 def dedekind_batch_exact(a_arr: np.ndarray, m: int) -> np.ndarray:
     """Numerators of 4 m^2 s(a, m) for every a in a_arr (0 <= a < m)."""
     a_arr = np.ascontiguousarray(a_arr, dtype=np.int64)
-    if HAS_NUMBA:
-        return _dedekind_batch_exact_nb(a_arr, m)
-    return _dedekind_batch_exact_np(a_arr, m)
+    # numerator of 4 m^2 s(a, m): sum_k (2((a k) mod m) - m)(2 k - m)
+    k = np.arange(1, m, dtype=np.int64)
+    lhs = 2 * ((a_arr[:, None] * k[None, :]) % m) - m
+    return lhs @ (2 * k - m)
 
 
 def dedekind_batch_cot(d_arr: np.ndarray, m: int, cotbase: np.ndarray) -> np.ndarray:
@@ -195,9 +40,9 @@ def dedekind_batch_cot(d_arr: np.ndarray, m: int, cotbase: np.ndarray) -> np.nda
     """
     d_arr = np.ascontiguousarray(d_arr, dtype=np.int64)
     cotbase = np.ascontiguousarray(cotbase, dtype=np.float64)
-    if HAS_NUMBA:
-        return _dedekind_batch_cot_nb(d_arr, m, cotbase)
-    return _dedekind_batch_cot_np(d_arr, m, cotbase)
+    p = np.arange(1, m, dtype=np.int64)
+    gathered = cotbase[(d_arr[:, None] * p[None, :]) % m]
+    return (gathered @ cotbase[1:m]) / (4.0 * m)
 
 
 def f_direct_sum(
@@ -216,9 +61,19 @@ def f_direct_sum(
     each row the n2 window of half-width x_max around nu2 + sigma1 (n1-nu1)
     outside which the Gaussian factor is below the caller's cutoff.
     """
-    if HAS_NUMBA:
-        return _f_direct_nb(sigma1, sigma2, u, nu1, nu2, n1_lo, n1_hi, x_max)
-    return _f_direct_np(sigma1, sigma2, u, nu1, nu2, n1_lo, n1_hi, x_max)
+    scale = math.pi / sigma2
+    total = 0.0 + 0.0j
+    for n1 in range(n1_lo, n1_hi + 1):
+        m1 = n1 - nu1
+        c2 = nu2 + sigma1 * m1
+        n2 = np.arange(math.floor(c2 - x_max - 1.0), math.ceil(c2 + x_max + 1.0) + 1)
+        t = (n2 - nu2) - sigma1 * m1
+        w_re = scale * t
+        w_im = -math.pi * m1
+        norm2 = w_re * w_re + w_im * w_im
+        wbar2 = (w_re * w_re - w_im * w_im) - 2j * w_re * w_im
+        total += np.sum(wbar2 * np.exp(-u * sigma2 * norm2))
+    return complex(total)
 
 
 def f_poisson_sum(
@@ -234,6 +89,17 @@ def f_poisson_sum(
     """Poisson-dual lattice sum sum_{n != 0} e^{-2 pi i <nu, n>} (wbar*_n)^2
     e^{-|w*_n|^2/(u sigma2)} with w*_n = n1 + sigma n2 (u^-3 and 1/(pi s2^2)
     prefactors are applied by the caller)."""
-    if HAS_NUMBA:
-        return _f_poisson_nb(sigma1, sigma2, u, nu1, nu2, n2_lo, n2_hi, x_max)
-    return _f_poisson_np(sigma1, sigma2, u, nu1, nu2, n2_lo, n2_hi, x_max)
+    inv = 1.0 / (u * sigma2)
+    total = 0.0 + 0.0j
+    for n2 in range(n2_lo, n2_hi + 1):
+        c1 = -sigma1 * n2
+        n1 = np.arange(math.floor(c1 - x_max - 1.0), math.ceil(c1 + x_max + 1.0) + 1)
+        if n2 == 0:
+            n1 = n1[n1 != 0]
+        re = n1 + sigma1 * n2
+        im = sigma2 * n2
+        norm2 = re * re + im * im
+        wbar2 = (re * re - im * im) - 2j * re * im
+        phase = np.exp(-2j * math.pi * (nu1 * n1 + nu2 * n2))
+        total += np.sum(phase * wbar2 * np.exp(-norm2 * inv))
+    return complex(total)

@@ -14,6 +14,9 @@ e^{i s}/sin(s) is rewritten as -2i q/(1-q) with q = e^{2 i s}), so no
 intermediate overflows even far along the tail.  Logarithms take the
 principal branch on the plane cut along the negative real axis, and
 every argument is checked to stay off the cut.
+
+scipy and the numpy kernels are imported inside the functions that use
+them, so importing this module (and with it the package) loads neither.
 """
 
 from __future__ import annotations
@@ -24,10 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from scipy.integrate import quad
-
-from ._kernels import f_direct_sum, f_poisson_sum
-from .bernoulli import RationalLike, periodic_bernoulli
+from .bernoulli import RationalLike, periodic_bernoulli, sgn
 from .dedekind import classical_sum, generalized_sum
 from .errors import (
     AdmissibilityError,
@@ -67,10 +67,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-
-
-def _sgn(x) -> int:
-    return (x > 0) - (x < 0)
 
 
 @dataclass(frozen=True)
@@ -300,6 +296,8 @@ def f_series_direct(
     params: Optional[SeriesParams] = None,
 ) -> ComplexValue:
     """Direct lattice sum sum_n (wbar_{n-nu})^2 e^{-u sigma2 |w_{n-nu}|^2}."""
+    from ._kernels import f_direct_sum
+
     params = _params(params)
     if u <= 0:
         raise DomainError("f_series requires u > 0")
@@ -323,6 +321,8 @@ def f_series_poisson(
 ) -> ComplexValue:
     """Poisson-resummed form (1/(pi sigma2^2)) u^-3 sum_{n != 0} ...; the
     n = 0 term is absent, so the value vanishes as u -> 0+."""
+    from ._kernels import f_poisson_sum
+
     params = _params(params)
     if u <= 0:
         raise DomainError("f_series requires u > 0")
@@ -376,6 +376,8 @@ def kronecker_integral_info(
     params: Optional[SeriesParams] = None,
 ) -> Tuple[ComplexValue, Dict[str, float]]:
     """(1/2 pi) integral_0^inf F_nu(sigma, u) du with quadrature diagnostics."""
+    from scipy.integrate import quad
+
     params = _params(params)
     switch = params.poisson_switch_u
     nu1f, nu2f = float(Fraction(nu[0])), float(Fraction(nu[1]))
@@ -533,10 +535,10 @@ def transform_defect(
         log_eta(moebius_op_action(M, sigma), params).as_complex()
         - log_eta(sigma, params).as_complex()
     )
-    arg = (M.c * sc + M.a) / (_sgn(M.c) * 1j)
+    arg = (M.c * sc + M.a) / (sgn(M.c) * 1j)
     assert arg.real > 0  # off the branch cut whenever sigma2 > 0
     rhs = 0.5 * cmath.log(arg) + 1j * math.pi * float(
-        Fraction(M.a + M.d, 12 * M.c) - _sgn(M.c) * classical_sum(M.a, M.c)
+        Fraction(M.a + M.d, 12 * M.c) - sgn(M.c) * classical_sum(M.a, M.c)
     )
     return ComplexValue.from_complex(lhs - rhs)
 
@@ -570,7 +572,7 @@ def transform_defect_gen(
     rhs = 1j * math.pi * float(
         Fraction(M.a, M.c) * periodic_bernoulli(2, g)
         + Fraction(M.d, M.c) * periodic_bernoulli(2, gp)
-        - 2 * _sgn(M.c) * generalized_sum(gp, hp, M.d, M.c)
+        - 2 * sgn(M.c) * generalized_sum(gp, hp, M.d, M.c)
     )
     return ComplexValue.from_complex(lhs - rhs)
 
@@ -637,6 +639,8 @@ def eta_untwisted_numeric(M: SL2ZMatrix, params: Optional[SeriesParams] = None) 
     """Untwisted Eta by quadrature: twice the difference of the boundary
     log-eta term and the arc integral (1/2 pi) int_0^1 sigma1'/sigma2 dt
     along the invariant path."""
+    from scipy.integrate import quad
+
     params = _params(params)
     cls = classify(M)
     if not isinstance(cls, Hyperbolic):

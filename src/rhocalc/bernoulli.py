@@ -37,6 +37,11 @@ Rational = Fraction
 RationalLike = Union[Fraction, int]
 
 
+def sgn(x) -> int:
+    """Sign of a real number as -1, 0 or 1."""
+    return (x > 0) - (x < 0)
+
+
 @lru_cache(maxsize=None)
 def bernoulli_number(n: int) -> Fraction:
     """Bernoulli number B_n (B_1 = -1/2) as an exact Fraction.

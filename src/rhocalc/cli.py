@@ -20,12 +20,12 @@ import os
 import random
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import analytic, dedekind, moduli, rho
 from .analytic import SeriesParams
 from .errors import ConvergenceError, DomainError
-from .sl2z import SL2ZMatrix, UpperHalfPoint
+from .sl2z import SL2ZMatrix, UpperHalfPoint, random_hyperbolic, random_sl2z
 
 __all__ = ["main", "run_command"]
 
@@ -98,6 +98,21 @@ def _parse_sigma(text: str) -> Tuple[float, float]:
         raise argparse.ArgumentTypeError(f"sigma components must be reals: {text!r}") from exc
 
 
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """argparse type for an integer flag with a lower bound."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected an integer: {text!r}") from exc
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _exact_str(x: Fraction) -> str:
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
@@ -106,14 +121,17 @@ def _exact_str(x: Fraction) -> str:
 def _entry(
     name: str,
     exact: Optional[Fraction] = None,
-    float_value: Optional[float] = None,
+    float_value: Union[float, Fraction, None] = None,
     branch: Optional[str] = None,
 ) -> Dict[str, object]:
     row: Dict[str, object] = {"name": name}
     if exact is not None:
         row["exact"] = _exact_str(exact)
     if float_value is not None:
-        row["float"] = float(float_value)
+        try:
+            row["float"] = float(float_value)
+        except OverflowError:
+            pass  # an exact value beyond double range has no float rendition
     if branch is not None:
         row["branch"] = branch
     return row
@@ -187,29 +205,6 @@ def _sigma_point(args: argparse.Namespace) -> UpperHalfPoint:
     return UpperHalfPoint(re, im)
 
 
-def _random_sl2z(rng: random.Random, bound: int) -> SL2ZMatrix:
-    # rejection sampling: draw a, b, c and solve a d - b c = 1 for d
-    while True:
-        a = rng.randint(-bound, bound)
-        b = rng.randint(-bound, bound)
-        c = rng.randint(-bound, bound)
-        if a == 0:
-            if b * c == -1:
-                return SL2ZMatrix(0, b, c, rng.randint(-bound, bound))
-            continue
-        if (1 + b * c) % a == 0:
-            d = (1 + b * c) // a
-            if abs(d) <= bound:
-                return SL2ZMatrix(a, b, c, d)
-
-
-def _random_hyperbolic(rng: random.Random, bound: int) -> SL2ZMatrix:
-    while True:
-        m = _random_sl2z(rng, bound)
-        if abs(m.a + m.d) > 2:
-            return m
-
-
 # -- subcommand implementations --------------------------------------------
 
 
@@ -217,7 +212,7 @@ def _cmd_rho_circle(args: argparse.Namespace) -> int:
     conn = moduli.CircleFlatConnection(args.degree, args.chern, args.trivial)
     value = rho.rho_circle(conn)
     results = [
-        _entry("rho_circle", exact=value.value, float_value=float(value.value), branch=value.branch.value)
+        _entry("rho_circle", exact=value.value, float_value=value.value, branch=value.branch.value)
     ]
     if args.degree != 0:
         results.append(
@@ -258,7 +253,7 @@ def _cmd_rho_torus(args: argparse.Namespace) -> int:
                     _entry(
                         f"rho_torus[{tag}]",
                         exact=value.value,
-                        float_value=float(value.value),
+                        float_value=value.value,
                         branch=value.branch.value,
                     )
                 )
@@ -273,7 +268,7 @@ def _cmd_rho_torus(args: argparse.Namespace) -> int:
                 _entry(
                     f"rho_torus[{tag}]",
                     exact=value.value,
-                    float_value=float(value.value),
+                    float_value=value.value,
                     branch=value.branch.value + " (nu2 free)",
                 )
             )
@@ -287,7 +282,7 @@ def _cmd_rho_torus(args: argparse.Namespace) -> int:
         conn = moduli.connection_from_nu(M, args.nu, gauge_lambda=args.gauge_lambda)
         value = rho.rho_torus(M, conn)
         results.append(
-            _entry("rho_torus", exact=value.value, float_value=float(value.value), branch=value.branch.value)
+            _entry("rho_torus", exact=value.value, float_value=value.value, branch=value.branch.value)
         )
         results.append(_entry("cs_mod1", exact=rho.chern_simons_mod1(M, conn)))
     _emit(_document(inputs, results), args.json)
@@ -298,14 +293,14 @@ def _cmd_eta_torus(args: argparse.Namespace) -> int:
     M = _matrix(args)
     value = rho.eta_untwisted_torus(M)
     inputs = {"subcommand": "eta torus", "matrix": ",".join(str(x) for x in args.matrix)}
-    _emit(_document(inputs, [_entry("eta_untwisted", exact=value, float_value=float(value))]), args.json)
+    _emit(_document(inputs, [_entry("eta_untwisted", exact=value, float_value=value)]), args.json)
     return EXIT_OK
 
 
 def _cmd_dedekind_classic(args: argparse.Namespace) -> int:
     value = dedekind.classical_sum(args.a, args.c)
     inputs = {"subcommand": "dedekind classic", "a": args.a, "c": args.c}
-    _emit(_document(inputs, [_entry("classical_sum", exact=value, float_value=float(value))]), args.json)
+    _emit(_document(inputs, [_entry("classical_sum", exact=value, float_value=value)]), args.json)
     return EXIT_OK
 
 
@@ -318,7 +313,7 @@ def _cmd_dedekind_general(args: argparse.Namespace) -> int:
         "a": args.a,
         "c": args.c,
     }
-    _emit(_document(inputs, [_entry("generalized_sum", exact=value, float_value=float(value))]), args.json)
+    _emit(_document(inputs, [_entry("generalized_sum", exact=value, float_value=value)]), args.json)
     return EXIT_OK
 
 
@@ -402,7 +397,7 @@ def _cmd_verify_eta_transform(args: argparse.Namespace) -> int:
     worst = 0.0
     for _ in range(args.count):
         while True:
-            M = _random_sl2z(rng, args.max_entry)
+            M = random_sl2z(rng, args.max_entry)
             if M.c != 0:
                 break
         sigma = UpperHalfPoint(rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0))
@@ -423,7 +418,7 @@ def _cmd_verify_eta_transform_gen(args: argparse.Namespace) -> int:
     worst = 0.0
     for _ in range(args.count):
         while True:
-            M = _random_sl2z(rng, args.max_entry)
+            M = random_sl2z(rng, args.max_entry)
             if M.c != 0:
                 break
         while True:
@@ -448,7 +443,7 @@ def _cmd_verify_two_path(args: argparse.Namespace) -> int:
     checked = 0
     mismatches = 0
     for _ in range(args.count):
-        M = _random_hyperbolic(rng, args.max_entry)
+        M = random_hyperbolic(rng, args.max_entry)
         for conn in moduli.enumerate_torus_connections(M).isolated:
             if conn.restriction_trivial:
                 continue
@@ -577,20 +572,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_vk)
     p_vk.set_defaults(func=_cmd_verify_kronecker)
     p_ve = ver_sub.add_parser("eta-transform")
-    p_ve.add_argument("--count", type=int, default=100)
-    p_ve.add_argument("--max-entry", type=int, default=20)
+    p_ve.add_argument("--count", type=_int_at_least(0), default=100)
+    p_ve.add_argument("--max-entry", type=_int_at_least(1), default=20)
     p_ve.add_argument("--seed", type=int, default=20260822)
     _add_common(p_ve)
     p_ve.set_defaults(func=_cmd_verify_eta_transform)
     p_vg = ver_sub.add_parser("eta-transform-gen")
-    p_vg.add_argument("--count", type=int, default=100)
-    p_vg.add_argument("--max-entry", type=int, default=20)
+    p_vg.add_argument("--count", type=_int_at_least(0), default=100)
+    p_vg.add_argument("--max-entry", type=_int_at_least(1), default=20)
     p_vg.add_argument("--seed", type=int, default=20260822)
     _add_common(p_vg)
     p_vg.set_defaults(func=_cmd_verify_eta_transform_gen)
     p_vt = ver_sub.add_parser("two-path")
-    p_vt.add_argument("--count", type=int, default=500)
-    p_vt.add_argument("--max-entry", type=int, default=30)
+    p_vt.add_argument("--count", type=_int_at_least(0), default=500)
+    # the smallest hyperbolic matrices, such as [[2, 1], [1, 1]], need entries up to 2
+    p_vt.add_argument("--max-entry", type=_int_at_least(2), default=30)
     p_vt.add_argument("--seed", type=int, default=20260822)
     _add_common(p_vt)
     p_vt.set_defaults(func=_cmd_verify_two_path)

@@ -5,7 +5,8 @@ The exact sums are evaluated in pure integer arithmetic over a common
 denominator (no per-term gcd reduction), so moduli of order 10^4 stay
 cheap and denominators can grow past machine-word size without harm.
 Float paths (cotangent formula, discrete Fourier transforms) are strictly
-separate and never feed back into exact results.
+separate and never feed back into exact results; they import numpy
+themselves, so the exact sums run without it.
 
 Notation.  P_1 is the sawtooth from :mod:`rhocalc.bernoulli`,
 
@@ -22,9 +23,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Sequence, Tuple
-
-import numpy as np
+from typing import Tuple
 
 from .bernoulli import RationalLike, periodic_bernoulli
 from .errors import DomainError
@@ -163,6 +162,8 @@ def cotangent_sum(a: int, c: int) -> float:
     (1/(4|c|)) * sum_{p=1}^{|c|-1} cot(pi d p / c) cot(pi p / c); the two
     sign flips for c < 0 cancel, so the positive modulus is used.
     """
+    import numpy as np
+
     pair = CoprimePair(a, c)
     m = abs(c)
     if m == 1:
@@ -183,6 +184,8 @@ def finite_fourier_transform(table: PeriodicFunctionTable) -> PeriodicFunctionTa
     The sign of c is honored through xi, so tables on c and -c transform
     with opposite orientation.
     """
+    import numpy as np
+
     m = abs(table.c)
     k = np.arange(m)
     vals = np.asarray(table.values, dtype=np.complex128)

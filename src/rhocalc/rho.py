@@ -30,7 +30,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Tuple
 
-from .bernoulli import RationalLike, periodic_bernoulli
+from .bernoulli import RationalLike, periodic_bernoulli, sgn
 from .dedekind import classical_sum, generalized_sum
 from .errors import AdmissibilityError, DomainError, UnsupportedClassError
 from .moduli import (
@@ -55,10 +55,6 @@ __all__ = [
     "chern_simons_mod1",
     "parabolic_intermediates",
 ]
-
-
-def _sgn(x) -> int:
-    return (x > 0) - (x < 0)
 
 
 def _p2(x: RationalLike) -> Fraction:
@@ -139,7 +135,7 @@ def rho_circle(conn: CircleFlatConnection) -> RhoValue:
         return RhoValue(Fraction(0), RhoBranch.CIRCLE_ZERO_DEGREE)
     if conn.is_trivial:
         return RhoValue(Fraction(0), RhoBranch.CIRCLE_TRIVIAL)
-    value = 2 * l * (_p2(conn.q) - _SIXTH) + _sgn(l)
+    value = 2 * l * (_p2(conn.q) - _SIXTH) + sgn(l)
     return RhoValue(value, RhoBranch.CIRCLE_NONTRIVIAL)
 
 
@@ -155,7 +151,7 @@ def dai_correction_circle(degree_l: int, connection_trivial: bool) -> int:
     trivial connection, 0 otherwise."""
     if degree_l == 0:
         raise DomainError("dai_correction_circle requires degree l != 0")
-    return -_sgn(degree_l) if connection_trivial else 0
+    return -sgn(degree_l) if connection_trivial else 0
 
 
 def _rho_hyperbolic_sixterm(M: SL2ZMatrix, nu1: Fraction, m1: int) -> Fraction:
@@ -167,9 +163,9 @@ def _rho_hyperbolic_sixterm(M: SL2ZMatrix, nu1: Fraction, m1: int) -> Fraction:
     value -= 4 * sum(
         (_p1(Fraction(d * k, c)) for k in range(1, cabs - r + 1)), Fraction(0)
     )
-    value += _sgn(c * (a + d))
+    value += sgn(c * (a + d))
     if delta_nu1 and m1 % c == 0:
-        value -= _sgn(c)
+        value -= sgn(c)
     value -= 2 * _p1(Fraction(d * m1, c))
     if delta_nu1:
         value -= 2 * (_p1(Fraction(m1, c)) - _p1(Fraction(d * m1, c)))
@@ -200,7 +196,7 @@ def rho_torus(M: SL2ZMatrix, conn: TorusFlatConnection) -> RhoValue:
     if isinstance(cls, Identity):
         raise UnsupportedClassError("rho_torus is undefined for M = +-Id")
     if isinstance(cls, Elliptic):
-        sc = _sgn(M.c)
+        sc = sgn(M.c)
         if not conn.restriction_trivial:
             return RhoValue((2 - 4 * cls.theta) * sc, RhoBranch.ELLIPTIC_TWISTED)
         lam = conn.gauge_lambda
@@ -223,7 +219,7 @@ def rho_torus(M: SL2ZMatrix, conn: TorusFlatConnection) -> RhoValue:
             return RhoValue(Fraction(0), RhoBranch.PARABOLIC)
         value = 2 * l * (_p2(nup[0]) - _SIXTH)
         if eps == 1:
-            value += _sgn(l)
+            value += sgn(l)
         return RhoValue(value, RhoBranch.PARABOLIC)
     _require_twisted(conn, "hyperbolic rho_torus")
     value = _rho_hyperbolic_sixterm(M, conn.nu[0], conn.m[0])
@@ -244,8 +240,8 @@ def rho_hyperbolic_prep(M: SL2ZMatrix, conn: TorusFlatConnection) -> RhoValue:
     a, c, d = M.a, M.c, M.d
     nu1, nu2 = conn.nu
     value = Fraction(2 * (a + d), c) * (_p2(nu1) - _SIXTH)
-    value -= 4 * _sgn(c) * (generalized_sum(nu1, nu2, a, c) - classical_sum(a, c))
-    value += _sgn(c * (a + d))
+    value -= 4 * sgn(c) * (generalized_sum(nu1, nu2, a, c) - classical_sum(a, c))
+    value += sgn(c * (a + d))
     return RhoValue(value, RhoBranch.HYPERBOLIC_PREP)
 
 
@@ -259,13 +255,13 @@ def eta_untwisted_torus(M: SL2ZMatrix) -> Fraction:
     cls = classify(M)
     if isinstance(cls, Elliptic):
         assert M.c != 0  # elliptic trace forces c != 0
-        return (4 * cls.theta - 2) * _sgn(M.c)
+        return (4 * cls.theta - 2) * sgn(M.c)
     if isinstance(cls, Hyperbolic):
         a, c, d = M.a, M.c, M.d
         return (
             Fraction(a + d, 3 * c)
-            - 4 * _sgn(c) * classical_sum(a, c)
-            - _sgn(c * (a + d))
+            - 4 * sgn(c) * classical_sum(a, c)
+            - sgn(c * (a + d))
         )
     raise UnsupportedClassError(
         "eta_untwisted_torus supports only elliptic and hyperbolic monodromy"
@@ -322,7 +318,7 @@ def parabolic_intermediates(
     if l == 0:
         cohom = 0.0
     elif epsilon == 1:
-        cohom = -l / math.pi + _sgn(l)
+        cohom = -l / math.pi + sgn(l)
     else:
         cohom = -l / math.pi
     return ParabolicIntermediates(

@@ -1,17 +1,20 @@
 """SL(2, Z) matrices: classification, parabolic normal form, the op-action
-on the upper half-plane, and the invariant path of a hyperbolic element.
+on the upper half-plane, the invariant path of a hyperbolic element, and
+seeded random matrices for the verification suites.
 
-The classification payload is the only place floats appear (kappa, alpha,
-beta for hyperbolic elements); every exact formula downstream consumes
-integers and rationals only, so the float payload cannot contaminate
-exact results.
+Classification is exact.  The floats of a hyperbolic class (kappa, alpha,
+beta) are computed only when read, and only the invariant path and the
+numerical layer read them, so exact formulas never touch a float and
+accept entries far beyond double range.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Tuple, Union
 
@@ -29,6 +32,8 @@ __all__ = [
     "parabolic_normal_form",
     "moebius_op_action",
     "invariant_path_sigma",
+    "random_sl2z",
+    "random_hyperbolic",
 ]
 
 #: exact elliptic rotation numbers, keyed by trace
@@ -116,9 +121,42 @@ class Parabolic:
 
 @dataclass(frozen=True)
 class Hyperbolic:
-    kappa: float
-    alpha: float
-    beta: float
+    """A hyperbolic class, holding its exact matrix.
+
+    kappa is the eigenvalue with |kappa| > 1, so the invariant path flows
+    toward the attracting fixed point; alpha and beta are the fixed points
+    (kappa - a)/c and (1/kappa - a)/c of the op-action on the real line.
+    All three are floats, computed on first read; reading one raises
+    DomainError when the matrix is beyond double range.
+    """
+
+    matrix: SL2ZMatrix
+
+    @cached_property
+    def _floats(self) -> Tuple[float, float, float]:
+        M = self.matrix
+        tr = M.trace
+        try:
+            root = math.sqrt(M.discriminant)
+            kappa = (tr + root) / 2.0 if tr > 0 else (tr - root) / 2.0
+            kappa_inv = tr - kappa  # kappa + 1/kappa = tr, avoids cancellation
+            alpha = (kappa - M.a) / M.c
+            beta = (kappa_inv - M.a) / M.c
+        except OverflowError:  # an int too large to convert to float
+            raise DomainError("hyperbolic kappa, alpha and beta exceed double range") from None
+        return kappa, alpha, beta
+
+    @property
+    def kappa(self) -> float:
+        return self._floats[0]
+
+    @property
+    def alpha(self) -> float:
+        return self._floats[1]
+
+    @property
+    def beta(self) -> float:
+        return self._floats[2]
 
 
 @dataclass(frozen=True)
@@ -185,9 +223,8 @@ def parabolic_normal_form(M: SL2ZMatrix) -> Tuple[int, int, SL2ZMatrix]:
 def classify(M: SL2ZMatrix) -> MonodromyClass:
     """Monodromy classification of M by the sign of (tr M)^2 - 4.
 
-    Elliptic rotation numbers come from the exact trace lookup
-    {1: 1/6, 0: 1/4, -1: 1/3}; kappa is the eigenvalue with |kappa| > 1,
-    so the invariant path below flows toward the attracting fixed point.
+    Exact for every entry size.  Elliptic rotation numbers come from the
+    exact trace lookup {1: 1/6, 0: 1/4, -1: 1/3}.
     """
     if M == SL2ZMatrix.identity():
         return Identity(1)
@@ -199,13 +236,7 @@ def classify(M: SL2ZMatrix) -> MonodromyClass:
     if disc == 0:
         eps, l, conj = parabolic_normal_form(M)
         return Parabolic(eps, l, conj)
-    tr = M.trace
-    root = math.sqrt(disc)
-    kappa = (tr + root) / 2.0 if tr > 0 else (tr - root) / 2.0
-    kappa_inv = tr - kappa  # kappa + 1/kappa = tr, avoids cancellation
-    alpha = (kappa - M.a) / M.c
-    beta = (kappa_inv - M.a) / M.c
-    return Hyperbolic(kappa, alpha, beta)
+    return Hyperbolic(M)
 
 
 def moebius_op_action(M: SL2ZMatrix, sigma: UpperHalfPoint) -> UpperHalfPoint:
@@ -232,3 +263,37 @@ def invariant_path_sigma(M: SL2ZMatrix, t: float) -> UpperHalfPoint:
     s1 = (cls.alpha * h + cls.beta / h) / denom
     s2 = abs(cls.alpha - cls.beta) / denom
     return UpperHalfPoint(s1, s2)
+
+
+def random_sl2z(rng: random.Random, bound: int) -> SL2ZMatrix:
+    """A uniform-ish random element of SL2(Z) with |entries| <= bound.
+
+    Rejection sampling: draw a, b, c and solve a d - b c = 1 for d.  The
+    draw order is fixed, so a seeded rng always yields the same matrices.
+    """
+    if bound < 1:
+        raise DomainError("random_sl2z requires bound >= 1")
+    while True:
+        a = rng.randint(-bound, bound)
+        b = rng.randint(-bound, bound)
+        c = rng.randint(-bound, bound)
+        if a == 0:
+            if b * c == -1:
+                return SL2ZMatrix(a, b, c, rng.randint(-bound, bound))
+            continue
+        num = 1 + b * c
+        if num % a != 0:
+            continue
+        d = num // a
+        if abs(d) <= bound:
+            return SL2ZMatrix(a, b, c, d)
+
+
+def random_hyperbolic(rng: random.Random, bound: int) -> SL2ZMatrix:
+    """A random hyperbolic element (|trace| > 2) with |entries| <= bound."""
+    if bound < 2:
+        raise DomainError("random_hyperbolic requires bound >= 2")
+    while True:
+        m = random_sl2z(rng, bound)
+        if abs(m.a + m.d) > 2:
+            return m

@@ -1,40 +1,18 @@
 """Shared helpers for the test suite: seeded random SL2(Z) generators.
 
 All randomness is drawn from explicitly seeded `random.Random` instances so
-every run exercises the same matrices.
+every run exercises the same matrices.  `random_sl2z` and
+`random_hyperbolic` are the library's own, the ones the CLI's verify
+suites draw from.
 """
 
 from __future__ import annotations
 
 import random
 
-from rhocalc import SL2ZMatrix
+from rhocalc.sl2z import SL2ZMatrix, random_hyperbolic, random_sl2z
 
-
-def random_sl2z(rng: random.Random, bound: int) -> SL2ZMatrix:
-    """A uniform-ish random element of SL2(Z) with |entries| <= bound."""
-    while True:
-        a = rng.randint(-bound, bound)
-        b = rng.randint(-bound, bound)
-        c = rng.randint(-bound, bound)
-        if a == 0:
-            if b * c == -1:
-                return SL2ZMatrix(a, b, c, rng.randint(-bound, bound))
-            continue
-        num = 1 + b * c
-        if num % a != 0:
-            continue
-        d = num // a
-        if abs(d) <= bound:
-            return SL2ZMatrix(a, b, c, d)
-
-
-def random_hyperbolic(rng: random.Random, bound: int) -> SL2ZMatrix:
-    """A random hyperbolic element (|trace| > 2) with |entries| <= bound."""
-    while True:
-        m = random_sl2z(rng, bound)
-        if abs(m.a + m.d) > 2:
-            return m
+__all__ = ["random_sl2z", "random_hyperbolic", "random_parabolic"]
 
 
 def random_parabolic(rng: random.Random, shear_bound: int, conj_bound: int) -> SL2ZMatrix:

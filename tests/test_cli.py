@@ -8,9 +8,10 @@ end.
 from __future__ import annotations
 
 import json
-import os
+import random
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction as F
 
 import pytest
@@ -25,6 +26,8 @@ from rhocalc.cli import (
     main,
     run_command,
 )
+from rhocalc.errors import DomainError
+from rhocalc.sl2z import random_hyperbolic, random_sl2z
 
 
 def run_json(capsys, argv):
@@ -48,6 +51,38 @@ class TestParsing:
         with pytest.raises(SystemExit) as exc:
             run_command(["rho", "circle", "--degree", "x", "--chern", "3"])
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # no hyperbolic matrix has entries <= 1
+            ["verify", "two-path", "--max-entry", "1"],
+            # no SL2(Z) matrix has entries <= 0
+            ["verify", "eta-transform", "--max-entry", "0"],
+            ["verify", "eta-transform-gen", "--max-entry", "0"],
+            ["verify", "eta-transform", "--count", "-5"],
+            ["verify", "eta-transform-gen", "--count", "-5"],
+            ["verify", "two-path", "--count", "-5"],
+        ],
+    )
+    def test_usage_error_unsatisfiable_suite_sizes(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_command(argv)
+        assert exc.value.code == EXIT_USAGE
+
+    def test_suite_size_minimums_are_satisfiable(self, capsys):
+        for argv in (
+            ["verify", "two-path", "--count", "3", "--max-entry", "2"],
+            ["verify", "eta-transform", "--count", "3", "--max-entry", "1"],
+            ["verify", "eta-transform-gen", "--count", "0"],
+        ):
+            code, _, _ = run_json(capsys, argv)
+            assert code == EXIT_OK, argv
+        rng = random.Random(0)
+        with pytest.raises(DomainError):
+            random_sl2z(rng, 0)
+        with pytest.raises(DomainError):
+            random_hyperbolic(rng, 1)
 
     def test_negative_leading_matrix_token(self, capsys):
         # "--matrix -2,1,1,-1" with the value as a separate argv token
@@ -103,6 +138,25 @@ class TestEtaAndDedekind:
         code, doc, _ = run_json(capsys, ["eta", "torus", "--matrix", "0,-1,1,1"])
         assert code == EXIT_OK
         assert doc["results"][0]["exact"] == "-4/3"
+
+    @pytest.mark.parametrize("c", [1, -1])
+    def test_eta_torus_huge_entries(self, capsys, c):
+        # a 161-digit entry is beyond float(disc), a 400-digit one beyond any
+        # float rendition of the value; s(a, +-1) = 0 leaves the closed form
+        for digits in (161, 400):
+            a, d = 10 ** (digits - 1) + 7, 5
+            b = (a * d - 1) // c
+            code = run_command(["eta", "torus", "--matrix", f"{a},{b},{c},{d}", "--json"])
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err
+            expected = F(a + d, 3 * c) - (1 if c * (a + d) > 0 else -1)
+            if digits == 161:
+                assert code == EXIT_OK
+            assert code in (EXIT_OK, EXIT_DOMAIN)
+            if code == EXIT_OK:
+                row = json.loads(captured.out)["results"][0]
+                assert F(row["exact"]) == expected
+                assert ("float" in row) == (digits == 161)
 
     def test_eta_torus_parabolic_rejected(self):
         assert run_command(["eta", "torus", "--matrix", "1,3,0,1"]) == EXIT_DOMAIN
@@ -234,12 +288,10 @@ class TestEnvironmentTolerance:
 
 class TestSubprocessSmoke:
     def test_module_entry_point(self):
-        env = dict(os.environ, RHO_CALC_DISABLE_NUMBA="1")
         proc = subprocess.run(
             [sys.executable, "-m", "rhocalc", "rho", "circle", "--degree", "0", "--chern", "3", "--json"],
             capture_output=True,
             text=True,
-            env=env,
         )
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
@@ -248,6 +300,51 @@ class TestSubprocessSmoke:
     def test_main_callable_directly(self, capsys):
         assert main(["rho", "circle", "--degree", "0", "--chern", "3"]) == EXIT_OK
         capsys.readouterr()
+
+    def test_exact_commands_load_neither_numpy_nor_scipy(self):
+        # a fresh interpreter, since this test session has loaded both already
+        script = textwrap.dedent(
+            """
+            import contextlib, io, json, sys
+
+            import rhocalc
+            from rhocalc import cli
+
+            exact = [
+                ["rho", "circle", "--degree", "3", "--chern", "2"],
+                ["rho", "torus", "--matrix", "3,2,4,3", "--enumerate"],
+                ["eta", "torus", "--matrix", "2,1,1,1"],
+                ["dedekind", "classic", "--a", "3", "--c", "4"],
+                ["dedekind", "general", "--x", "1/2", "--y", "1/2", "--a", "3", "--c", "4"],
+                ["moduli", "torus", "--matrix", "1,3,0,1"],
+                ["moduli", "circle", "--genus", "2", "--degree", "3"],
+            ]
+            codes = []
+            for argv in exact:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    codes.append(cli.run_command(argv + ["--json"]))
+            loaded = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+            with contextlib.redirect_stdout(io.StringIO()):
+                kronecker = cli.run_command(
+                    ["verify", "kronecker", "--sigma", "0,1", "--nu", "1/2,1/2", "--json"]
+                )
+            print(json.dumps({
+                "codes": codes,
+                "loaded_by_exact": loaded,
+                "kronecker": kronecker,
+                "loaded_after": sorted(m for m in ("numpy", "scipy") if m in sys.modules),
+            }))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["codes"] == [EXIT_OK] * 7
+        assert out["loaded_by_exact"] == []
+        assert out["kronecker"] == EXIT_OK
+        assert out["loaded_after"] == ["numpy", "scipy"]
 
 
 class TestParserHelp:

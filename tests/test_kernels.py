@@ -1,18 +1,14 @@
-"""Accelerated kernels against their plain-numpy twins.
+"""The numpy batch kernels against the public scalar functions.
 
-The compiled path and the fallback must produce identical exact integers
-and near-identical floats; the dispatch honors RHO_CALC_DISABLE_NUMBA.
+The exact batch must reproduce classical_sum as integers over 4 m^2; the
+cotangent batch must match it to float precision.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 from math import gcd
 
 import numpy as np
-import pytest
 
 import rhocalc._kernels as kernels
 
@@ -26,7 +22,7 @@ def cot_table(m: int) -> np.ndarray:
 
 
 class TestNumpyFallbacks:
-    """The fallback twins are correct regardless of compilation state."""
+    """The batch kernels agree with the scalar Dedekind sums."""
 
     def test_exact_batch_matches_scalar_sum(self):
         from fractions import Fraction as F
@@ -35,7 +31,7 @@ class TestNumpyFallbacks:
 
         for m in (5, 12, 31):
             arr = coprime_residues(m)
-            out = kernels._dedekind_batch_exact_np(arr, m)
+            out = kernels.dedekind_batch_exact(arr, m)
             for a, num in zip(arr, out):
                 assert F(int(num), 4 * m * m) == classical_sum(int(a), m)
 
@@ -44,81 +40,6 @@ class TestNumpyFallbacks:
 
         for m in (5, 12, 31):
             arr = coprime_residues(m)
-            out = kernels._dedekind_batch_cot_np(arr, m, cot_table(m))
+            out = kernels.dedekind_batch_cot(arr, m, cot_table(m))
             for a, val in zip(arr, out):
                 assert abs(val - float(classical_sum(int(a), m))) < 1e-10
-
-
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable or disabled")
-class TestCompiledTwins:
-    def test_dedekind_exact_twins_identical(self):
-        for m in (7, 120, 499):
-            arr = coprime_residues(m)
-            nb = kernels.dedekind_batch_exact(arr, m)
-            np_ = kernels._dedekind_batch_exact_np(arr, m)
-            assert np.array_equal(nb, np_)
-
-    def test_dedekind_cot_twins_close(self):
-        for m in (7, 120, 499):
-            arr = coprime_residues(m)
-            nb = kernels.dedekind_batch_cot(arr, m, cot_table(m))
-            np_ = kernels._dedekind_batch_cot_np(arr, m, cot_table(m))
-            assert np.max(np.abs(nb - np_)) < 1e-12
-
-    @pytest.mark.parametrize(
-        "s1,s2,u,nu1,nu2",
-        [
-            (0.0, 1.0, 1.0, 0.0, 0.0),
-            (0.5, 1.0, 0.7, 0.5, 0.0),
-            (1 / 3, 2.0, 1.5, 1 / 3, 2 / 3),
-            (0.2, 0.8, 2.0, 0.5, 0.5),
-        ],
-    )
-    def test_f_sum_twins_close(self, s1, s2, u, nu1, nu2):
-        direct_nb = kernels.f_direct_sum(s1, s2, u, nu1, nu2, -40, 40, 8.0)
-        direct_np = kernels._f_direct_np(s1, s2, u, nu1, nu2, -40, 40, 8.0)
-        assert abs(direct_nb - direct_np) < 1e-12 * max(1.0, abs(direct_np))
-        pois_nb = kernels.f_poisson_sum(s1, s2, u, nu1, nu2, -40, 40, 8.0)
-        pois_np = kernels._f_poisson_np(s1, s2, u, nu1, nu2, -40, 40, 8.0)
-        assert abs(pois_nb - pois_np) < 1e-12 * max(1.0, abs(pois_np))
-
-
-class TestDispatch:
-    def test_dispatch_follows_has_numba_flag(self, monkeypatch):
-        calls = []
-        real = kernels._dedekind_batch_exact_np
-
-        def fake_np(*args, **kwargs):
-            calls.append("np")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(kernels, "HAS_NUMBA", False)
-        monkeypatch.setattr(kernels, "_dedekind_batch_exact_np", fake_np)
-        kernels.dedekind_batch_exact(np.array([1], dtype=np.int64), 3)
-        assert calls == ["np"]
-
-    def test_env_flag_disables_compiled_path(self):
-        env = dict(os.environ, RHO_CALC_DISABLE_NUMBA="1")
-        code = (
-            "import rhocalc._kernels as k; "
-            "print(k.HAS_NUMBA)"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "False"
-
-    def test_env_flag_zero_keeps_compiled_path(self):
-        env = dict(os.environ, RHO_CALC_DISABLE_NUMBA="0")
-        code = (
-            "import rhocalc._kernels as k; "
-            "import numba; "
-            "print(k.HAS_NUMBA)"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        if proc.returncode != 0:
-            pytest.skip("numba not importable in this interpreter")
-        assert proc.stdout.strip() == "True"

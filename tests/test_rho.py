@@ -304,6 +304,16 @@ class TestEtaUntwisted:
     def test_hyperbolic_pin_vanishes(self):
         assert eta_untwisted_torus(SL2ZMatrix(3, 2, 4, 3)) == 0
 
+    def test_hyperbolic_beyond_double_range(self):
+        # the exact value needs no float; the float payload refuses cleanly
+        a, c, d = 10**160 + 3, -1, 7
+        mat = SL2ZMatrix(a, (a * d - 1) // c, c, d)
+        assert eta_untwisted_torus(mat) == F(a + d, 3 * c) - sgn(c * (a + d))
+        cls = classify(mat)
+        for name in ("kappa", "alpha", "beta"):
+            with pytest.raises(DomainError):
+                getattr(cls, name)
+
     def test_parabolic_rejected(self):
         with pytest.raises(UnsupportedClassError):
             eta_untwisted_torus(SL2ZMatrix(1, 3, 0, 1))
