@@ -98,8 +98,8 @@ def _parse_sigma(text: str) -> Tuple[float, float]:
         raise argparse.ArgumentTypeError(f"sigma components must be reals: {text!r}") from exc
 
 
-def _int_at_least(minimum: int) -> Callable[[str], int]:
-    """argparse type for an integer flag with a lower bound."""
+def _bounded_int(minimum: int, maximum: Optional[int] = None) -> Callable[[str], int]:
+    """argparse type for an integer flag in [minimum, maximum] (no cap if None)."""
 
     def parse(text: str) -> int:
         try:
@@ -108,6 +108,8 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
             raise argparse.ArgumentTypeError(f"expected an integer: {text!r}") from exc
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     return parse
@@ -560,7 +562,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_st = spectrum_sub.add_parser("torus")
     p_st.add_argument("--sigma", type=_parse_sigma, required=True)
     p_st.add_argument("--nu", type=_parse_rational_pair, required=True)
-    p_st.add_argument("--max-norm", type=int, default=3)
+    # (2n+1)^2 lattice eigenvalues: n = 300 already takes about half a second
+    p_st.add_argument("--max-norm", type=_bounded_int(0, 300), default=3)
     _add_common(p_st)
     p_st.set_defaults(func=_cmd_spectrum_torus)
 
@@ -572,21 +575,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_vk)
     p_vk.set_defaults(func=_cmd_verify_kronecker)
     p_ve = ver_sub.add_parser("eta-transform")
-    p_ve.add_argument("--count", type=_int_at_least(0), default=100)
-    p_ve.add_argument("--max-entry", type=_int_at_least(1), default=20)
+    p_ve.add_argument("--count", type=_bounded_int(0), default=100)
+    p_ve.add_argument("--max-entry", type=_bounded_int(1), default=20)
     p_ve.add_argument("--seed", type=int, default=20260822)
     _add_common(p_ve)
     p_ve.set_defaults(func=_cmd_verify_eta_transform)
     p_vg = ver_sub.add_parser("eta-transform-gen")
-    p_vg.add_argument("--count", type=_int_at_least(0), default=100)
-    p_vg.add_argument("--max-entry", type=_int_at_least(1), default=20)
+    p_vg.add_argument("--count", type=_bounded_int(0), default=100)
+    p_vg.add_argument("--max-entry", type=_bounded_int(1), default=20)
     p_vg.add_argument("--seed", type=int, default=20260822)
     _add_common(p_vg)
     p_vg.set_defaults(func=_cmd_verify_eta_transform_gen)
     p_vt = ver_sub.add_parser("two-path")
-    p_vt.add_argument("--count", type=_int_at_least(0), default=500)
+    p_vt.add_argument("--count", type=_bounded_int(0), default=500)
     # the smallest hyperbolic matrices, such as [[2, 1], [1, 1]], need entries up to 2
-    p_vt.add_argument("--max-entry", type=_int_at_least(2), default=30)
+    p_vt.add_argument("--max-entry", type=_bounded_int(2), default=30)
     p_vt.add_argument("--seed", type=int, default=20260822)
     _add_common(p_vt)
     p_vt.set_defaults(func=_cmd_verify_two_path)

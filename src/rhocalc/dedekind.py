@@ -1,9 +1,12 @@
 """Classical and generalized Dedekind sums, exactly, plus their finite
 Fourier toolkit.
 
-The exact sums are evaluated in pure integer arithmetic over a common
-denominator (no per-term gcd reduction), so moduli of order 10^4 stay
-cheap and denominators can grow past machine-word size without harm.
+All three exact sums (classical_sum, generalized_sum and the closed
+difference sum_difference_closed) are evaluated in pure integer
+arithmetic over a common denominator, with one Fraction at the end (no
+per-term gcd reduction), so moduli of order 10^4 stay cheap and
+denominators can grow past machine-word size without harm.  The module
+owns every Dedekind-type sum; :mod:`rhocalc.rho` only assembles them.
 Float paths (cotangent formula, discrete Fourier transforms) are strictly
 separate and never feed back into exact results; they import numpy
 themselves, so the exact sums run without it.
@@ -222,7 +225,7 @@ def sum_difference_closed(x: RationalLike, y: RationalLike, M: SL2ZMatrix) -> Fr
 
     Requires x in [0,1) and (x - x', y - y') in Z^2 where (x', y') is the
     transpose action (a x + c y, b x + d y); writes m = x - x' and reduces
-    m to r in {0, ..., |c|-1}.  The value is
+    m to r in {0, ..., |c|-1}.  Summed in integers over one denominator, it is
 
         (P_2(x) - 1/6)/|c| + sum_{k=1}^{|c|-r} P_1(d k/|c|) + P_1(d m/|c|)/2
         + [x not in Z] * (P_1(m/|c|) - P_1(d m/|c|))/2
@@ -248,17 +251,16 @@ def sum_difference_closed(x: RationalLike, y: RationalLike, M: SL2ZMatrix) -> Fr
     cabs = abs(c)
     d = _inverse_mod(a, c)
     r = m_int % cabs
-    acc = (periodic_bernoulli(2, x) - Fraction(1, 6)) / cabs
-    acc += sum(
-        (periodic_bernoulli(1, Fraction(d * k, cabs)) for k in range(1, cabs - r + 1)),
-        Fraction(0),
-    )
-    acc += periodic_bernoulli(1, Fraction(d * m_int, cabs)) / 2
-    if x.denominator != 1:
-        acc += (
-            periodic_bernoulli(1, Fraction(m_int, cabs))
-            - periodic_bernoulli(1, Fraction(d * m_int, cabs))
-        ) / 2
-        if m_int % cabs == 0:
-            acc += Fraction(1, 4)
-    return acc
+    # every term over the common denominator 4 q^2 |c| (x = p/q): on [0, 1)
+    # P_2(x) - 1/6 = x (x - 1), and d k/|c| is integral only at k = |c|
+    acc = 0
+    for k in range(1, min(cabs - r, cabs - 1) + 1):
+        acc += 2 * ((d * k) % cabs) - cabs
+    p, q = x.numerator, x.denominator
+    if q == 1:
+        tail = _p1_int(d * m_int, cabs)[0]
+    else:
+        # the two P_1(d m/|c|) terms cancel; at m/|c| in Z the 1/4 stands in
+        p1_m, m_in_z = _p1_int(m_int, cabs)
+        tail = cabs if m_in_z else p1_m
+    return Fraction(4 * p * (p - q) + q * q * (2 * acc + tail), 4 * q * q * cabs)

@@ -250,7 +250,9 @@ def connection_from_nu(
         m=m,
         gauge_lambda=lam,
         restriction_trivial=restriction_trivial,
-        bundle_trivial=is_bundle_trivial(M, m),
+        # for invertible A, A z = m = A nu has the single rational solution
+        # z = nu, integral iff nu = 0; only trace 2 needs the lattice test
+        bundle_trivial=restriction_trivial if _det(A) else is_bundle_trivial(M, m),
     )
 
 

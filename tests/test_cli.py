@@ -8,6 +8,7 @@ end.
 from __future__ import annotations
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import rhocalc
 from rhocalc.cli import (
     EXIT_DOMAIN,
     EXIT_NUMERIC,
@@ -28,6 +30,15 @@ from rhocalc.cli import (
 )
 from rhocalc.errors import DomainError
 from rhocalc.sl2z import random_hyperbolic, random_sl2z
+
+
+def child_env():
+    """The environment for a child interpreter that imports the same
+    rhocalc as this session, also when pytest's pythonpath setting, not
+    PYTHONPATH, put the source tree on the path."""
+    src = os.path.dirname(os.path.dirname(rhocalc.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 def run_json(capsys, argv):
@@ -63,6 +74,9 @@ class TestParsing:
             ["verify", "eta-transform", "--count", "-5"],
             ["verify", "eta-transform-gen", "--count", "-5"],
             ["verify", "two-path", "--count", "-5"],
+            # (2n+1)^2 eigenvalues: the lattice cutoff is capped at 300
+            ["spectrum", "torus", "--sigma", "0,1", "--nu", "0,0", "--max-norm", "-1"],
+            ["spectrum", "torus", "--sigma", "0,1", "--nu", "0,0", "--max-norm", "301"],
         ],
     )
     def test_usage_error_unsatisfiable_suite_sizes(self, argv):
@@ -292,6 +306,7 @@ class TestSubprocessSmoke:
             [sys.executable, "-m", "rhocalc", "rho", "circle", "--degree", "0", "--chern", "3", "--json"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
@@ -337,7 +352,11 @@ class TestSubprocessSmoke:
             """
         )
         proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout)

@@ -158,6 +158,28 @@ class TestConnectionFromNu:
         conn = connection_from_nu(m, (F(0), F(0)))
         assert conn.restriction_trivial is True
 
+    def test_bundle_trivial_matches_smith_form(self):
+        # the flag skips the Smith normal form for det(Id - M^t) != 0; it
+        # must still agree with the lattice test on every class, including
+        # the trace-2 circles (taken at a few nu_2 along each family)
+        rng = random.Random(45)
+        checked = isolated = 0
+        for _ in range(300):
+            m = random_sl2z(rng, 12)
+            if abs(m.a + m.d) == 2 and m.b == m.c == 0:
+                continue  # +-Id
+            mod = enumerate_torus_connections(m)
+            conns = list(mod.isolated)
+            isolated += len(conns)
+            for fam in mod.families:
+                for nu2 in (F(0), F(1, 3), F(5, 7)):
+                    nu = transport_nu_from_normal_form(m, (fam.nu1, nu2))
+                    conns.append(connection_from_nu(m, nu))
+            for conn in conns:
+                assert conn.bundle_trivial is is_bundle_trivial(m, conn.m), (m, conn.nu)
+                checked += 1
+        assert 0 < isolated < checked
+
 
 class TestBundleTrivial:
     def test_pins(self):
