@@ -15,8 +15,8 @@ intermediate overflows even far along the tail.  Logarithms take the
 principal branch on the plane cut along the negative real axis, and
 every argument is checked to stay off the cut.
 
-scipy and the numpy kernels are imported inside the functions that use
-them, so importing this module (and with it the package) loads neither.
+scipy and numpy are imported inside the functions that use them, so
+importing this module (and with it the package) loads neither.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .bernoulli import RationalLike, periodic_bernoulli, sgn
+from .bernoulli import RationalLike, _reduce_mod1, periodic_bernoulli, sgn
 from .dedekind import classical_sum, generalized_sum
 from .errors import (
     AdmissibilityError,
@@ -108,11 +108,6 @@ def _params(params: Optional[SeriesParams]) -> SeriesParams:
     return DEFAULT_SERIES_PARAMS if params is None else params
 
 
-def _reduce_nu1(nu1: RationalLike) -> Fraction:
-    nu1 = Fraction(nu1)
-    return nu1 - math.floor(nu1)
-
-
 def _qz(sigma: complex, nu1: Fraction, nu2: Fraction) -> complex:
     z = float(nu1) * sigma - float(nu2)
     return cmath.exp(2j * math.pi * z)
@@ -132,7 +127,7 @@ def e_series_with_count(
     if method not in ("cotangent", "double-sum"):
         raise DomainError("method must be 'cotangent' or 'double-sum'")
     sc = sigma.as_complex()
-    nu1 = _reduce_nu1(nu[0])
+    nu1 = _reduce_mod1(nu[0])
     nu2 = Fraction(nu[1])
     q_sigma = cmath.exp(2j * math.pi * sc)
     q_z = _qz(sc, nu1, nu2)
@@ -240,7 +235,7 @@ def _e_series_dsigma(
 ) -> Tuple[complex, int]:
     """Term-wise d/dsigma of E_nu; every term an explicit exponential."""
     sc = sigma.as_complex()
-    nu1 = _reduce_nu1(nu[0])
+    nu1 = _reduce_mod1(nu[0])
     nu2 = Fraction(nu[1])
     nu1f = float(nu1)
     q_sigma = cmath.exp(2j * math.pi * sc)
@@ -289,14 +284,42 @@ def _tail_cut(params: SeriesParams) -> float:
     return max(params.tail_tolerance * 1e-2, 1e-300)
 
 
+def _row_windows(centres, x_max: float, params: SeriesParams):
+    """Lattice rows as one rectangle: row r runs over the integers from
+    floor(c_r - x_max - 1) to ceil(c_r + x_max + 1), c_r its centre.
+
+    Returns the cells' second coordinates, each row from its own offset
+    and as wide as the widest row, and the mask of the cells inside
+    their row's window.  A rectangle of more than params.max_terms cells
+    raises ConvergenceError before it is allocated.
+    """
+    import numpy as np
+
+    lo = np.floor(centres - x_max - 1.0)
+    hi = np.ceil(centres + x_max + 1.0)
+    width = int(np.max(hi - lo)) + 1
+    if centres.size * width > params.max_terms:
+        raise ConvergenceError(
+            f"f_series lattice of {centres.size} x {width} terms exceeds max_terms"
+        )
+    cols = lo[:, None] + np.arange(width)
+    return cols, cols <= hi[:, None]
+
+
 def f_series_direct(
     sigma: UpperHalfPoint,
     u: float,
     nu: Tuple[RationalLike, RationalLike],
     params: Optional[SeriesParams] = None,
 ) -> ComplexValue:
-    """Direct lattice sum sum_n (wbar_{n-nu})^2 e^{-u sigma2 |w_{n-nu}|^2}."""
-    from ._kernels import f_direct_sum
+    """Direct lattice sum sum_n (wbar_{n-nu})^2 e^{-u sigma2 |w_{n-nu}|^2}.
+
+    w_m = (pi/sigma2)(m2 - sigma m1); rows n1 within x_max/sigma2 + 1 of
+    nu1, and in each row the n2 window of half-width x_max around
+    nu2 + sigma1 (n1 - nu1), outside which the Gaussian factor is below
+    the tail cut.
+    """
+    import numpy as np
 
     params = _params(params)
     if u <= 0:
@@ -307,10 +330,14 @@ def f_series_direct(
     big_l = -math.log(_tail_cut(params)) + 10.0
     x_max = math.sqrt(big_l / gamma)
     half = x_max / s2 + 1.0
-    n1_lo = math.floor(nu1f - half)
-    n1_hi = math.ceil(nu1f + half)
-    value = f_direct_sum(s1, s2, u, nu1f, nu2f, n1_lo, n1_hi, x_max)
-    return ComplexValue.from_complex(value)
+    m1 = np.arange(math.floor(nu1f - half), math.ceil(nu1f + half) + 1) - nu1f
+    n2, inside = _row_windows(nu2f + s1 * m1, x_max, params)
+    m1 = m1[:, None]
+    w_re = (math.pi / s2) * ((n2 - nu2f) - s1 * m1)
+    w_im = -math.pi * m1
+    wbar2 = (w_re * w_re - w_im * w_im) - 2j * w_re * w_im
+    terms = wbar2 * np.exp(-u * s2 * (w_re * w_re + w_im * w_im))
+    return ComplexValue.from_complex(complex(np.sum(terms, where=inside)))
 
 
 def f_series_poisson(
@@ -319,9 +346,11 @@ def f_series_poisson(
     nu: Tuple[RationalLike, RationalLike],
     params: Optional[SeriesParams] = None,
 ) -> ComplexValue:
-    """Poisson-resummed form (1/(pi sigma2^2)) u^-3 sum_{n != 0} ...; the
-    n = 0 term is absent, so the value vanishes as u -> 0+."""
-    from ._kernels import f_poisson_sum
+    """Poisson-resummed form (1/(pi sigma2^2)) u^-3 sum_{n != 0}
+    e^{-2 pi i <nu, n>} (wbar*_n)^2 e^{-|w*_n|^2/(u sigma2)} with
+    w*_n = n1 + sigma n2; the n = 0 term is absent, so the value vanishes
+    as u -> 0+."""
+    import numpy as np
 
     params = _params(params)
     if u <= 0:
@@ -331,9 +360,16 @@ def f_series_poisson(
     big_l = -math.log(_tail_cut(params)) + 10.0
     x_max = math.sqrt(big_l * u * s2)
     half = x_max / s2 + 1.0
-    n2_lo = math.floor(-half)
-    n2_hi = math.ceil(half)
-    raw = f_poisson_sum(s1, s2, u, nu1f, nu2f, n2_lo, n2_hi, x_max)
+    n2 = np.arange(math.floor(-half), math.ceil(half) + 1)
+    n1, inside = _row_windows(-s1 * n2, x_max, params)
+    n2 = n2[:, None]
+    inside &= (n1 != 0) | (n2 != 0)
+    re = n1 + s1 * n2
+    im = s2 * n2
+    wbar2 = (re * re - im * im) - 2j * re * im
+    phase = np.exp(-2j * math.pi * (nu1f * n1 + nu2f * n2))
+    terms = phase * wbar2 * np.exp(-(re * re + im * im) * (1.0 / (u * s2)))
+    raw = complex(np.sum(terms, where=inside))
     if raw == 0:
         return ComplexValue(0.0, 0.0)  # deep-tail underflow; exact limit is 0
     value = raw / (math.pi * s2 * s2 * u**3)
@@ -440,7 +476,7 @@ def kronecker_closed(
     """P_2(nu_1) + (i/pi) d/dsigma E_nu(sigma); for nu in Z^2 the constant
     term becomes 1/6 - 1/(2 pi sigma2)."""
     params = _params(params)
-    nu1 = _reduce_nu1(nu[0])
+    nu1 = _reduce_mod1(nu[0])
     integral_nu = nu1 == 0 and Fraction(nu[1]).denominator == 1
     base = float(periodic_bernoulli(2, nu1))
     if integral_nu:
@@ -491,7 +527,7 @@ def log_eta_gen(
     h = Fraction(h)
     if g.denominator == 1 and h.denominator == 1:
         raise DomainError("log_eta_gen is undefined at lattice points (g, h) in Z^2")
-    g -= math.floor(g)
+    g = _reduce_mod1(g)
     sc = sigma.as_complex()
     z = float(g) * sc + float(h)
     q_z = cmath.exp(2j * math.pi * z)

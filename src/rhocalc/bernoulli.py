@@ -42,6 +42,12 @@ def sgn(x) -> int:
     return (x > 0) - (x < 0)
 
 
+def _reduce_mod1(x: RationalLike) -> Fraction:
+    """x - floor(x) as an exact Fraction in [0, 1)."""
+    x = Fraction(x)
+    return x - floor(x)
+
+
 @lru_cache(maxsize=None)
 def bernoulli_number(n: int) -> Fraction:
     """Bernoulli number B_n (B_1 = -1/2) as an exact Fraction.
@@ -89,8 +95,7 @@ def periodic_bernoulli(n: int, x: RationalLike) -> Fraction:
     """
     if n < 1:
         raise DomainError("periodic_bernoulli requires n >= 1")
-    x = Fraction(x)
-    frac_part = x - floor(x)
+    frac_part = _reduce_mod1(x)
     if n % 2 == 1 and frac_part == 0:
         return Fraction(0)
     return bernoulli_poly(n, frac_part)

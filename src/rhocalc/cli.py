@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import random
 import sys
@@ -176,7 +175,7 @@ def _emit(doc: Dict[str, object], as_json: bool) -> None:
 
 def _series_params(args: argparse.Namespace) -> SeriesParams:
     quad_tol = 1e-9
-    if getattr(args, "quad_tol", None) is not None:
+    if args.quad_tol is not None:
         quad_tol = args.quad_tol
     else:
         env = os.environ.get("RHO_CALC_TOL")
@@ -188,11 +187,11 @@ def _series_params(args: argparse.Namespace) -> SeriesParams:
                     f"RHO_CALC_TOL must be a positive real, got {env!r}"
                 )
     kwargs = {"quad_tolerance": quad_tol}
-    if getattr(args, "tail_tol", None) is not None:
+    if args.tail_tol is not None:
         kwargs["tail_tolerance"] = args.tail_tol
-    if getattr(args, "max_terms", None) is not None:
+    if args.max_terms is not None:
         kwargs["max_terms"] = args.max_terms
-    if getattr(args, "poisson_switch", None) is not None:
+    if args.poisson_switch is not None:
         kwargs["poisson_switch_u"] = args.poisson_switch
     return SeriesParams(**kwargs)
 
@@ -476,8 +475,7 @@ def _cmd_verify_parabolic_circle(args: argparse.Namespace) -> int:
             continue
         M = SL2ZMatrix(1, l, 0, 1)
         for k in range(abs(l)):
-            nu1 = Fraction(k, l) - math.floor(Fraction(k, l))
-            conn = moduli.connection_from_nu(M, (nu1, Fraction(1, 2)))
+            conn = moduli.connection_from_nu(M, (Fraction(k, l), Fraction(1, 2)))
             torus_value = rho.rho_torus(M, conn).value
             circle_value = rho.rho_circle(moduli.CircleFlatConnection(l, k)).value
             checked += 1
@@ -497,6 +495,11 @@ def _cmd_verify_parabolic_circle(args: argparse.Namespace) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="emit a JSON ResultDocument")
+
+
+def _add_series(parser: argparse.ArgumentParser) -> None:
+    """--json plus the series controls that _series_params reads."""
+    _add_common(parser)
     parser.add_argument("--tail-tol", type=float, default=None, help="series tail tolerance")
     parser.add_argument("--max-terms", type=int, default=None, help="series term cap")
     parser.add_argument("--quad-tol", type=float, default=None, help="quadrature tolerance")
@@ -572,19 +575,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_vk = ver_sub.add_parser("kronecker")
     p_vk.add_argument("--sigma", type=_parse_sigma, required=True)
     p_vk.add_argument("--nu", type=_parse_rational_pair, required=True)
-    _add_common(p_vk)
+    _add_series(p_vk)
     p_vk.set_defaults(func=_cmd_verify_kronecker)
     p_ve = ver_sub.add_parser("eta-transform")
     p_ve.add_argument("--count", type=_bounded_int(0), default=100)
     p_ve.add_argument("--max-entry", type=_bounded_int(1), default=20)
     p_ve.add_argument("--seed", type=int, default=20260822)
-    _add_common(p_ve)
+    _add_series(p_ve)
     p_ve.set_defaults(func=_cmd_verify_eta_transform)
     p_vg = ver_sub.add_parser("eta-transform-gen")
     p_vg.add_argument("--count", type=_bounded_int(0), default=100)
     p_vg.add_argument("--max-entry", type=_bounded_int(1), default=20)
     p_vg.add_argument("--seed", type=int, default=20260822)
-    _add_common(p_vg)
+    _add_series(p_vg)
     p_vg.set_defaults(func=_cmd_verify_eta_transform_gen)
     p_vt = ver_sub.add_parser("two-path")
     p_vt.add_argument("--count", type=_bounded_int(0), default=500)

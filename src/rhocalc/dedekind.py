@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Tuple
 
-from .bernoulli import RationalLike, periodic_bernoulli
+from .bernoulli import RationalLike, _reduce_mod1, periodic_bernoulli
 from .errors import DomainError
 from .sl2z import SL2ZMatrix
 
@@ -42,9 +42,6 @@ __all__ = [
     "p1_closed_fourier",
     "sum_difference_closed",
 ]
-
-#: default comparison tolerance for the float Fourier/cotangent paths
-DEFAULT_FLOAT_TOL = 1e-10
 
 
 def _inverse_mod(a: int, c: int) -> int:
@@ -134,10 +131,8 @@ def generalized_sum(x: RationalLike, y: RationalLike, a: int, c: int) -> Fractio
         raise DomainError("generalized_sum requires a nonzero modulus c")
     if gcd(a, c) != 1:
         raise DomainError("generalized_sum requires gcd(a, c) = 1")
-    x = Fraction(x)
-    y = Fraction(y)
-    x -= math.floor(x)
-    y -= math.floor(y)
+    x = _reduce_mod1(x)
+    y = _reduce_mod1(y)
     m = abs(c)
     s = 1 if c > 0 else -1
     px, qx = x.numerator, x.denominator

@@ -10,12 +10,11 @@ unimodular transforms retained.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .bernoulli import RationalLike
+from .bernoulli import RationalLike, _reduce_mod1
 from .errors import AdmissibilityError, DomainError, UnsupportedClassError
 from .sl2z import Identity, Parabolic, SL2ZMatrix, classify, parabolic_normal_form
 
@@ -137,13 +136,27 @@ def smith_normal_form(A: Mat2) -> Tuple[Mat2, Mat2, Mat2]:
 
 @dataclass(frozen=True)
 class TorusFlatConnection:
-    """A gauge class of flat U(1) connections on the mapping torus of M."""
+    """A gauge class of flat U(1) connections on the mapping torus of M.
+
+    Checks what it can without M: nu lies in [0,1)^2, restriction_trivial
+    says nu = 0, and only such a class carries a gauge phase lambda.
+    Whether m = (Id - M^t) nu is checked where M is known.
+    """
 
     nu: Tuple[Fraction, Fraction]
     m: Tuple[int, int]
     gauge_lambda: Optional[Fraction]
     restriction_trivial: bool
     bundle_trivial: bool
+
+    def __post_init__(self) -> None:
+        nu1, nu2 = self.nu
+        if not (0 <= nu1 < 1 and 0 <= nu2 < 1):
+            raise DomainError(f"TorusFlatConnection requires nu in [0, 1)^2, got ({nu1}, {nu2})")
+        if self.restriction_trivial != (nu1 == 0 and nu2 == 0):
+            raise DomainError("TorusFlatConnection.restriction_trivial must say whether nu = 0")
+        if self.gauge_lambda is not None and not self.restriction_trivial:
+            raise DomainError("gauge phase lambda is only defined when nu is integral")
 
 
 @dataclass(frozen=True)
@@ -177,7 +190,6 @@ class ParabolicFamily:
     """One connected family nu1 = const, nu2 free (normal-form coordinates)."""
 
     nu1: Fraction
-    nu2_free: bool
 
 
 @dataclass(frozen=True)
@@ -190,11 +202,6 @@ class TorusModuliSet:
 class CircleModuliSummary:
     torus_rank: int
     torsion_order: int
-
-
-def _reduce_mod1(x: RationalLike) -> Fraction:
-    x = Fraction(x)
-    return x - math.floor(x)
 
 
 def is_bundle_trivial(M: SL2ZMatrix, m: Tuple[int, int]) -> bool:
@@ -238,17 +245,10 @@ def connection_from_nu(
         )
     m = (int(m_frac[0]), int(m_frac[1]))
     restriction_trivial = nu1 == 0 and nu2 == 0
-    lam: Optional[Fraction] = None
-    if gauge_lambda is not None:
-        if not restriction_trivial:
-            raise DomainError(
-                "gauge phase lambda is only defined when nu is integral"
-            )
-        lam = _reduce_mod1(gauge_lambda)
     return TorusFlatConnection(
         nu=(nu1, nu2),
         m=m,
-        gauge_lambda=lam,
+        gauge_lambda=None if gauge_lambda is None else _reduce_mod1(gauge_lambda),
         restriction_trivial=restriction_trivial,
         # for invertible A, A z = m = A nu has the single rational solution
         # z = nu, integral iff nu = 0; only trace 2 needs the lattice test
@@ -278,7 +278,7 @@ def enumerate_torus_connections(M: SL2ZMatrix) -> TorusModuliSet:
         eps, l, _ = parabolic_normal_form(M)
         assert eps == 1 and l != 0
         families = tuple(
-            ParabolicFamily(Fraction(j, abs(l)), True) for j in range(abs(l))
+            ParabolicFamily(Fraction(j, abs(l))) for j in range(abs(l))
         )
         return TorusModuliSet(isolated=(), families=families)
     _, S, V = smith_normal_form(A)

@@ -273,11 +273,19 @@ def rho_finite_order_generic(data: EigenphaseData) -> Fraction:
 
 
 def chern_simons_mod1(M: SL2ZMatrix, conn: TorusFlatConnection) -> Fraction:
-    """Chern-Simons invariant 2(nu_2 m_1 - nu_1 m_2) mod Z, in [0, 1)."""
-    nu1, nu2 = conn.nu
+    """Chern-Simons invariant 2(nu_2 m_1 - nu_1 m_2) mod Z, in [0, 1).
+
+    Raises DomainError unless m = (Id - M^t) nu.  Check and value are
+    integers over the common denominator q1 q2 of nu = (p1/q1, p2/q2).
+    """
+    (p1, q1), (p2, q2) = ((x.numerator, x.denominator) for x in conn.nu)
     m1, m2 = conn.m
-    value = 2 * (nu2 * m1 - nu1 * m2)
-    return value - math.floor(value)
+    if (
+        m1 * q1 * q2 != (1 - M.a) * p1 * q2 - M.c * p2 * q1
+        or m2 * q1 * q2 != (1 - M.d) * p2 * q1 - M.b * p1 * q2
+    ):
+        raise DomainError("chern_simons_mod1 requires m = (Id - M^t) nu")
+    return Fraction(2 * (p2 * q1 * m1 - p1 * q2 * m2) % (q1 * q2), q1 * q2)
 
 
 def parabolic_intermediates(

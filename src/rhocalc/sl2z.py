@@ -55,11 +55,6 @@ class SL2ZMatrix:
     def identity(cls) -> "SL2ZMatrix":
         return cls(1, 0, 0, 1)
 
-    @classmethod
-    def from_rows(cls, rows) -> "SL2ZMatrix":
-        (a, b), (c, d) = rows
-        return cls(int(a), int(b), int(c), int(d))
-
     @property
     def trace(self) -> int:
         return self.a + self.d

@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hyperbolic, random_parabolic, random_sl2z
+from dedekind_batch import dedekind_batch_cot, dedekind_batch_exact
 from rhocalc import (
     CircleFlatConnection,
     EigenphaseData,
@@ -60,12 +61,8 @@ from rhocalc import (
     transform_defect,
     transform_defect_gen,
 )
+from rhocalc.bernoulli import sgn
 from rhocalc.dedekind import PeriodicFunctionTable
-import rhocalc._kernels as kernels
-
-
-def sgn(x: int) -> int:
-    return (x > 0) - (x < 0)
 
 
 def report(n: int, ok: bool, detail: str = "") -> None:
@@ -181,20 +178,20 @@ def test_criterion_04_closed_difference_identity():
 
 
 def test_criterion_05_cotangent_vs_classical_full_sweep():
-    # all coprime (a, c) with |c| <= 500, via the batch kernels; the kernels
-    # themselves are anchored to the public scalar functions on random pairs
+    # all coprime (a, c) with |c| <= 500, via the batch helpers; they
+    # are anchored to the public scalar functions on random pairs
     rng = random.Random(500)
     t0 = time.perf_counter()
     worst = 0.0
     for c in range(2, 501):
         a_arr = np.array([a for a in range(1, c) if gcd(a, c) == 1], dtype=np.int64)
-        exact4 = kernels.dedekind_batch_exact(a_arr, c)
+        exact4 = dedekind_batch_exact(a_arr, c)
         cotbase = np.concatenate([[0.0], 1.0 / np.tan(np.pi * np.arange(1, c) / c)])
-        cot = kernels.dedekind_batch_cot(a_arr, c, cotbase)
+        cot = dedekind_batch_cot(a_arr, c, cotbase)
         diff = float(np.max(np.abs(exact4.astype(np.float64) / (4.0 * c * c) - cot)))
         worst = max(worst, diff)
         assert diff < 1e-9, (c, diff)
-    # anchor the kernels to the public functions (and cover negative c there)
+    # anchor the helpers to the public functions (and cover negative c there)
     spot = 0
     while spot < 200:
         c = rng.randint(2, 500) * rng.choice((1, -1))
@@ -205,7 +202,7 @@ def test_criterion_05_cotangent_vs_classical_full_sweep():
         s = classical_sum(a, c)
         assert abs(cotangent_sum(a, c) - float(s)) < 1e-9, (a, c)
         if c > 0:
-            arr = kernels.dedekind_batch_exact(np.array([a], dtype=np.int64), c)
+            arr = dedekind_batch_exact(np.array([a], dtype=np.int64), c)
             assert F(int(arr[0]), 4 * c * c) == s
     elapsed = time.perf_counter() - t0
     ok = elapsed < 20.0

@@ -47,12 +47,189 @@ from rhocalc.analytic import (
     f_series_poisson,
     kronecker_integral_info,
 )
+from rhocalc.bernoulli import sgn
 
 SIGMA_I = UpperHalfPoint(0.0, 1.0)
 
-
-def sgn(x: int) -> int:
-    return (x > 0) - (x < 0)
+#: (sigma1, sigma2, u, nu, f_series_direct, f_series_poisson) as computed by
+#: the row-by-row lattice loops the 2-D numpy sums replaced: the 12-point
+#: grid of the benchmark's f-sum check, then the dual-forms overlap grid
+F_SUM_PINS = [
+    (0.0, 0.7, 0.6, (F(1, 2), F(1, 4)),
+     (-0.4535939092507499-5.07489569618307e-17j), (-0.4535939092507498+2.7628297536696185e-17j)),
+    (0.0, 0.7, 1.0, (F(1, 2), F(1, 4)),
+     (-0.1768921509918108+1.0993189113204924e-17j), (-0.17689215099181071+8.070758073187399e-17j)),
+    (0.0, 0.7, 1.8, (F(1, 2), F(1, 4)),
+     (-0.022090927041927732+2.1380361425080667e-18j), (-0.022090927041927718+1.4859917205183472e-17j)),
+    (0.0, 1.5, 0.6, (F(1, 2), F(1, 4)),
+     (-0.3699886928304858-1.6702013977184677e-18j), (-0.36998869283048574+2.172640924065247e-18j)),
+    (0.0, 1.5, 1.0, (F(1, 2), F(1, 4)),
+     (-0.07179725199303583+1.6403326760320453e-18j), (-0.0717972519930358+2.5076293433764046e-18j)),
+    (0.0, 1.5, 1.8, (F(1, 2), F(1, 4)),
+     (-0.0026753534303870607-2.1326900537038328e-26j), (-0.002675353430387057-1.065548284193556e-18j)),
+    (0.3, 0.7, 0.6, (F(1, 2), F(1, 4)),
+     (-0.585472698132881+0.08095079824958878j), (-0.585472698132881+0.08095079824958895j)),
+    (0.3, 0.7, 1.0, (F(1, 2), F(1, 4)),
+     (-0.33047277634988376+0.12201424438574301j), (-0.3304727763498838+0.12201424438574317j)),
+    (0.3, 0.7, 1.8, (F(1, 2), F(1, 4)),
+     (-0.0778916576660926+0.0445419192318793j), (-0.0778916576660926+0.04454191923187933j)),
+    (0.3, 1.5, 0.6, (F(1, 2), F(1, 4)),
+     (-0.37028843255861077+0.00017511540546884588j), (-0.3702884325586108+0.00017511540546880387j)),
+    (0.3, 1.5, 1.0, (F(1, 2), F(1, 4)),
+     (-0.07315584569427228+0.0010110717391595347j), (-0.07315584569427228+0.0010110717391595403j)),
+    (0.3, 1.5, 1.8, (F(1, 2), F(1, 4)),
+     (-0.0031078859101592348+0.00031197642407724863j), (-0.0031078859101592265+0.00031197642407725784j)),
+    (0.0, 0.5, 0.5, (F(0), F(0)),
+     (-1.6734635969533322+1.6728437674274382e-84j), (-1.6734635969533322+8.686203007660206e-36j)),
+    (0.0, 0.5, 0.5, (F(1, 2), F(0)),
+     (-2.8312721080944776-3.1240821126876456e-84j), (-2.831272108094477-5.7764394274227704e-30j)),
+    (0.0, 0.5, 0.5, (F(1, 3), F(2, 3)),
+     (0.982673879597564-0.18539250174370756j), (0.9826738795975642-0.18539250174370736j)),
+    (0.0, 0.5, 0.8, (F(0), F(0)),
+     (-0.38089343542230547+2.1468670072574382e-44j), (-0.38089343542230564-2.8538499874124905e-55j)),
+    (0.0, 0.5, 0.8, (F(1, 2), F(0)),
+     (-1.8453953372089098-1.1135381876968245e-43j), (-1.8453953372089102+6.683127358092687e-53j)),
+    (0.0, 0.5, 0.8, (F(1, 3), F(2, 3)),
+     (0.3764266597804828-0.22711038034618575j), (0.3764266597804829-0.22711038034618564j)),
+    (0.0, 0.5, 1.0, (F(0), F(0)),
+     (-0.14196208496283366+2.5458174286089028e-51j), (-0.14196208496283352-8.889394179035328e-48j)),
+    (0.0, 0.5, 1.0, (F(1, 2), F(0)),
+     (-1.4377470806968273+2.7599675164774706e-50j), (-1.4377470806968273+2.7568049570321305e-45j)),
+    (0.0, 0.5, 1.0, (F(1, 3), F(2, 3)),
+     (0.21356680276781165-0.17344033701389067j), (0.21356680276781156-0.1734403370138905j)),
+    (0.0, 0.5, 1.5, (F(0), F(0)),
+     (-0.012039090900453242-4.475352691794566e-71j), (-0.012039090900453261-9.055293699605381e-35j)),
+    (0.0, 0.5, 1.5, (F(1, 2), F(0)),
+     (-0.7755096241500328+5.28527986683404e-68j), (-0.7755096241500326-3.886173185492298e-29j)),
+    (0.0, 0.5, 1.5, (F(1, 3), F(2, 3)),
+     (0.05386743703265182-0.05962098359371076j), (0.053867437032651774-0.05962098359371058j)),
+    (0.0, 0.5, 2.0, (F(0), F(0)),
+     (-0.0010209747723910212-1.921688957212248e-88j), (-0.0010209747723909993+2.2554107489270595e-44j)),
+    (0.0, 0.5, 2.0, (F(1, 2), F(0)),
+     (-0.41849577484395345-2.4715999944816824e-85j), (-0.41849577484395334+3.95084187950278e-42j)),
+    (0.0, 0.5, 2.0, (F(1, 3), F(2, 3)),
+     (0.013674035853241336-0.0168732183515455j), (0.013674035853241338-0.016873218351545316j)),
+    (0.0, 1.0, 0.5, (F(0), F(0)),
+     (6.36915511314631e-18-5.444171624847796e-37j), (-1.42625196163227e-17+7.887223665166616e-48j)),
+    (0.0, 1.0, 0.5, (F(1, 2), F(0)),
+     (-1.3757406326966084-3.523965240875755e-35j), (-1.3757406326966086+9.568264495697675e-46j)),
+    (0.0, 1.0, 0.5, (F(1, 3), F(2, 3)),
+     (3.2202368998251463e-16-0.277074586962891j), (4.20723158532641e-16-0.27707458696289095j)),
+    (0.0, 1.0, 0.8, (F(0), F(0)),
+     (-7.834368421430146e-19+1.3718263049104094e-73j), (-5.0818345748195016e-17-2.5084889813330188e-51j)),
+    (0.0, 1.0, 0.8, (F(1, 2), F(0)),
+     (-0.6839683590618537-4.204208566430803e-71j), (-0.6839683590618535+4.0086641051166976e-49j)),
+    (0.0, 1.0, 0.8, (F(1, 3), F(2, 3)),
+     (1.2506454592068104e-16-0.27806651300095636j), (2.494635911928148e-16-0.27806651300095625j)),
+    (0.0, 1.0, 1.0, (F(0), F(0)),
+     (-3.24174126710577e-20-1.921688957212248e-88j), (4.128438549787033e-17-1.156317622894781e-44j)),
+    (0.0, 1.0, 1.0, (F(1, 2), F(0)),
+     (-0.41836589923833306-2.4715999944816824e-85j), (-0.41836589923833306+2.3867211350159707e-42j)),
+    (0.0, 1.0, 1.0, (F(1, 3), F(2, 3)),
+     (8.387416815755338e-17-0.20956054337075092j), (1.242789778393215e-16-0.20956054337075103j)),
+    (0.0, 1.0, 1.5, (F(0), F(0)),
+     (-7.559126257551166e-25+2.8947627325811853e-50j), (2.248496403725033e-18-4.206713603981576e-36j)),
+    (0.0, 1.0, 1.5, (F(1, 2), F(0)),
+     (-0.12187110718826302+4.999211189333209e-43j), (-0.121871107188263-4.207822530865953e-36j)),
+    (0.0, 1.0, 1.5, (F(1, 3), F(2, 3)),
+     (1.939196913217264e-17-0.07938370246943924j), (3.693878279452968e-17-0.0793837024694392j)),
+    (0.0, 1.0, 2.0, (F(0), F(0)),
+     (-2.022282849704584e-33+2.0718296930599897e-67j), (1.5403983893266088e-17+1.355604826743539e-34j)),
+    (0.0, 1.0, 2.0, (F(1, 2), F(0)),
+     (-0.03549052124070841+1.561409693663778e-52j), (-0.0354905212407084-4.4174370586167484e-18j)),
+    (0.0, 1.0, 2.0, (F(1, 3), F(2, 3)),
+     (5.814029627004477e-18-0.027142105338156506j), (2.337183385953412e-17-0.02714210533815647j)),
+    (0.5, 1.0, 0.5, (F(0), F(0)),
+     (0.07995563696261468+5.948740699920175e-44j), (0.07995563696261462+1.5654384529306217e-42j)),
+    (0.5, 1.0, 0.5, (F(1, 2), F(0)),
+     (-0.6769769780751436-0.7901946318337624j), (-0.6769769780751438-0.7901946318337625j)),
+    (0.5, 1.0, 0.5, (F(1, 3), F(2, 3)),
+     (-0.02151419770819897+9.960117593458936e-19j), (-0.021514197708198988+2.9268091988060056e-16j)),
+    (0.5, 1.0, 0.8, (F(0), F(0)),
+     (0.005818379416017134+5.885625663225842e-108j), (0.005818379416017121-6.569078106506813e-53j)),
+    (0.5, 1.0, 0.8, (F(1, 2), F(0)),
+     (-0.30376227625090424-0.3942843717971093j), (-0.30376227625090424-0.3942843717971093j)),
+    (0.5, 1.0, 0.8, (F(1, 3), F(2, 3)),
+     (0.027250271250412246+2.8330935979363425e-23j), (0.027250271250412284+1.6091194201274003e-16j)),
+    (0.5, 1.0, 1.0, (F(0), F(0)),
+     (0.000891099166770629+2.1745948989461365e-135j), (0.0008910991667706424+4.32022732523889e-41j)),
+    (0.5, 1.0, 1.0, (F(1, 2), F(0)),
+     (-0.1673475737184144-0.22096549990083197j), (-0.16734757371841444-0.22096549990083203j)),
+    (0.5, 1.0, 1.0, (F(1, 3), F(2, 3)),
+     (0.02307329738564655+1.1672617042373533e-25j), (0.02307329738564651+1.0801501793678115e-16j)),
+    (0.5, 1.0, 1.5, (F(0), F(0)),
+     (7.070723970693081e-06+0j), (7.070723970699722e-06-4.964013776974423e-47j)),
+    (0.5, 1.0, 1.5, (F(1, 2), F(0)),
+     (-0.036197559651640135-0.04822412477520666j), (-0.036197559651640114-0.04822412477520665j)),
+    (0.5, 1.0, 1.5, (F(1, 3), F(2, 3)),
+     (0.006979643949153728+6.998320649304702e-28j), (0.006979643949153679+3.8219466441169334e-17j)),
+    (0.5, 1.0, 2.0, (F(0), F(0)),
+     (5.2238384060997904e-08+0j), (5.223838405868176e-08+4.30865052372021e-36j)),
+    (0.5, 1.0, 2.0, (F(1, 2), F(0)),
+     (-0.007750806000027373-0.010333695233930377j), (-0.007750806000027376-0.010333695233930382j)),
+    (0.5, 1.0, 2.0, (F(1, 3), F(2, 3)),
+     (0.0015202107587375378+4.96824056144213e-37j), (0.0015202107587375469+7.441375126529503e-19j)),
+    (0.3333333333333333, 2.0, 0.5, (F(0), F(0)),
+     (0.41845164985905825-4.6532624925161296e-05j), (0.41845164985905825-4.6532624925172e-05j)),
+    (0.3333333333333333, 2.0, 0.5, (F(1, 2), F(0)),
+     (-0.39744704964771715-0.03814821989642264j), (-0.39744704964771715-0.03814821989642259j)),
+    (0.3333333333333333, 2.0, 0.5, (F(1, 3), F(2, 3)),
+     (-0.22290397483237603-0.017007930155572268j), (-0.22290397483237614-0.017007930155572278j)),
+    (0.3333333333333333, 2.0, 0.8, (F(0), F(0)),
+     (0.0952240367112062-2.7590217923611053e-07j), (0.09522403671120619-2.7590217923502723e-07j)),
+    (0.3333333333333333, 2.0, 0.8, (F(1, 2), F(0)),
+     (-0.08467879512074342-0.019242594030178025j), (-0.08467879512074349-0.019242594030178053j)),
+    (0.3333333333333333, 2.0, 0.8, (F(1, 3), F(2, 3)),
+     (-0.06902971927842316-0.02219367429446994j), (-0.06902971927842314-0.022193674294469907j)),
+    (0.3333333333333333, 2.0, 1.0, (F(0), F(0)),
+     (0.03549053970614818-6.2565332631510115e-09j), (0.03549053970614817-6.25653325896057e-09j)),
+    (0.3333333333333333, 2.0, 1.0, (F(1, 2), F(0)),
+     (-0.030421477709458543-0.008493406808555454j), (-0.030421477709458557-0.008493406808555454j)),
+    (0.3333333333333333, 2.0, 1.0, (F(1, 3), F(2, 3)),
+     (-0.034414896894267244-0.017005957986164725j), (-0.03441489689426725-0.017005957986164735j)),
+    (0.3333333333333333, 2.0, 1.5, (F(0), F(0)),
+     (0.0030097727265900494-3.321717624850764e-13j), (0.003009772726590052-3.321551120327777e-13j)),
+    (0.3333333333333333, 2.0, 1.5, (F(1, 2), F(0)),
+     (-0.0023876640932210705-0.000787721350768612j), (-0.0023876640932210544-0.0007877213507686172j)),
+    (0.3333333333333333, 2.0, 1.5, (F(1, 3), F(2, 3)),
+     (-0.0065389399540899396-0.005690123501065216j), (-0.006538939954089927-0.00569012350106523j)),
+    (0.3333333333333333, 2.0, 2.0, (F(0), F(0)),
+     (0.0002552436930978491-1.4556625486918326e-17j), (0.00025524369309785276-5.521804741406716e-18j)),
+    (0.3333333333333333, 2.0, 2.0, (F(1, 2), F(0)),
+     (-0.00018873193574051926-6.423184319042172e-05j), (-0.0001887319357405171-6.423184319042833e-05j)),
+    (0.3333333333333333, 2.0, 2.0, (F(1, 3), F(2, 3)),
+     (-0.001277465024908383-0.0015086269784173548j), (-0.0012774650249083854-0.0015086269784173685j)),
+    (-0.7, 3.0, 0.5, (F(0), F(0)),
+     (0.4355281792156536-6.09169113317713e-08j), (0.43552817921565373-6.0916911335861e-08j)),
+    (-0.7, 3.0, 0.5, (F(1, 2), F(0)),
+     (-0.14445015722353846+0.001720137890460173j), (-0.14445015722353838+0.001720137890460129j)),
+    (-0.7, 3.0, 0.5, (F(1, 3), F(2, 3)),
+     (-0.21650808105434874-0.003331785357473854j), (-0.21650808105434874-0.0033317853574738464j)),
+    (-0.7, 3.0, 0.8, (F(0), F(0)),
+     (0.1580215518438769-3.963056410007002e-11j), (0.15802155184387684-3.9630587270334934e-11j)),
+    (-0.7, 3.0, 0.8, (F(1, 2), F(0)),
+     (-0.012612727597927989+0.0008752090347660785j), (-0.012612727597927987+0.0008752090347660677j)),
+    (-0.7, 3.0, 0.8, (F(1, 3), F(2, 3)),
+     (-0.07727466465670273-0.005696101080731369j), (-0.07727466465670273-0.005696101080731342j)),
+    (-0.7, 3.0, 1.0, (F(0), F(0)),
+     (0.08173451652688213-1.608933102466691e-13j), (0.08173451652688214-1.6090464320028389e-13j)),
+    (-0.7, 3.0, 1.0, (F(1, 2), F(0)),
+     (-0.0025121886972882556+0.00030158356867066147j), (-0.0025121886972882474+0.00030158356867065984j)),
+    (-0.7, 3.0, 1.0, (F(1, 3), F(2, 3)),
+     (-0.039528761021911815-0.00446564337744272j), (-0.03952876102191181-0.004465643377442716j)),
+    (-0.7, 3.0, 1.5, (F(0), F(0)),
+     (0.015773588719315956-8.829924047891235e-20j), (0.015773588719315963-1.2311552016002446e-17j)),
+    (-0.7, 3.0, 1.5, (F(1, 2), F(0)),
+     (-4.5905482066234e-05+1.0959352735712683e-05j), (-4.5905482066240884e-05+1.0959352735718358e-05j)),
+    (-0.7, 3.0, 1.5, (F(1, 3), F(2, 3)),
+     (-0.007455269085670079-0.0012849324010935654j), (-0.007455269085670064-0.0012849324010935552j)),
+    (-0.7, 3.0, 2.0, (F(0), F(0)),
+     (0.0030446970255492744-3.4797411397578337e-26j), (0.0030446970255492774-4.609114829386673e-18j)),
+    (-0.7, 3.0, 2.0, (F(1, 2), F(0)),
+     (-8.677452613611613e-07+2.8392491388268446e-07j), (-8.677452613588104e-07+2.8392491388950657e-07j)),
+    (-0.7, 3.0, 2.0, (F(1, 3), F(2, 3)),
+     (-0.0014124424270429748-0.000272969544233695j), (-0.0014124424270429757-0.00027296954423369296j)),
+]
 
 
 class TestSeriesParams:
@@ -121,6 +298,16 @@ class TestESeries:
 
 
 class TestFSeries:
+    def test_pinned_values(self):
+        assert len(F_SUM_PINS) == 12 + 75
+        for s1, s2, u, nu, want_direct, want_poisson in F_SUM_PINS:
+            sp = UpperHalfPoint(s1, s2)
+            for got, want in (
+                (f_series_direct(sp, u, nu).as_complex(), want_direct),
+                (f_series_poisson(sp, u, nu).as_complex(), want_poisson),
+            ):
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (s1, s2, u, nu)
+
     def test_dual_forms_agree_on_overlap(self):
         for s1, s2 in [(0.0, 0.5), (0.0, 1.0), (0.5, 1.0), (1 / 3, 2.0), (-0.7, 3.0)]:
             sp = UpperHalfPoint(s1, s2)
@@ -148,6 +335,15 @@ class TestFSeries:
     def test_rejects_nonpositive_u(self):
         with pytest.raises(DomainError):
             f_series(SIGMA_I, 0.0, (F(1, 2), F(0)))
+
+    def test_lattice_beyond_max_terms_raises(self):
+        # the whole window is one array, so its size is checked first: at
+        # u = 1e6 the Poisson window has ~2e8 cells
+        nu = (F(1, 2), F(0))
+        with pytest.raises(ConvergenceError):
+            f_series_poisson(SIGMA_I, 1e6, nu)
+        with pytest.raises(ConvergenceError):
+            f_series_direct(SIGMA_I, 1.0, nu, SeriesParams(max_terms=10))
 
 
 class TestKronecker:

@@ -77,6 +77,8 @@ class TestParsing:
             # (2n+1)^2 eigenvalues: the lattice cutoff is capped at 300
             ["spectrum", "torus", "--sigma", "0,1", "--nu", "0,0", "--max-norm", "-1"],
             ["spectrum", "torus", "--sigma", "0,1", "--nu", "0,0", "--max-norm", "301"],
+            # the series controls exist only on the suites that read them
+            ["rho", "circle", "--degree", "1", "--chern", "0", "--tail-tol", "1e-3"],
         ],
     )
     def test_usage_error_unsatisfiable_suite_sizes(self, argv):
@@ -333,6 +335,8 @@ class TestSubprocessSmoke:
                 ["dedekind", "general", "--x", "1/2", "--y", "1/2", "--a", "3", "--c", "4"],
                 ["moduli", "torus", "--matrix", "1,3,0,1"],
                 ["moduli", "circle", "--genus", "2", "--degree", "3"],
+                ["verify", "two-path", "--count", "20"],
+                ["verify", "parabolic-circle"],
             ]
             codes = []
             for argv in exact:
@@ -360,7 +364,7 @@ class TestSubprocessSmoke:
         )
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout)
-        assert out["codes"] == [EXIT_OK] * 7
+        assert out["codes"] == [EXIT_OK] * 9
         assert out["loaded_by_exact"] == []
         assert out["kronecker"] == EXIT_OK
         assert out["loaded_after"] == ["numpy", "scipy"]

@@ -1,4 +1,4 @@
-"""The numpy batch kernels against the public scalar functions.
+"""The vectorised Dedekind-sum helpers against the public scalar functions.
 
 The exact batch must reproduce classical_sum as integers over 4 m^2; the
 cotangent batch must match it to float precision.
@@ -10,7 +10,7 @@ from math import gcd
 
 import numpy as np
 
-import rhocalc._kernels as kernels
+from dedekind_batch import dedekind_batch_cot, dedekind_batch_exact
 
 
 def coprime_residues(m: int) -> np.ndarray:
@@ -22,7 +22,7 @@ def cot_table(m: int) -> np.ndarray:
 
 
 class TestNumpyFallbacks:
-    """The batch kernels agree with the scalar Dedekind sums."""
+    """The batch helpers agree with the scalar Dedekind sums."""
 
     def test_exact_batch_matches_scalar_sum(self):
         from fractions import Fraction as F
@@ -31,7 +31,7 @@ class TestNumpyFallbacks:
 
         for m in (5, 12, 31):
             arr = coprime_residues(m)
-            out = kernels.dedekind_batch_exact(arr, m)
+            out = dedekind_batch_exact(arr, m)
             for a, num in zip(arr, out):
                 assert F(int(num), 4 * m * m) == classical_sum(int(a), m)
 
@@ -40,6 +40,6 @@ class TestNumpyFallbacks:
 
         for m in (5, 12, 31):
             arr = coprime_residues(m)
-            out = kernels.dedekind_batch_cot(arr, m, cot_table(m))
+            out = dedekind_batch_cot(arr, m, cot_table(m))
             for a, val in zip(arr, out):
                 assert abs(val - float(classical_sum(int(a), m))) < 1e-10

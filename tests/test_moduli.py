@@ -13,6 +13,7 @@ from rhocalc import (
     DomainError,
     Parabolic,
     SL2ZMatrix,
+    TorusFlatConnection,
     circle_moduli_summary,
     classify,
     connection_from_nu,
@@ -131,7 +132,6 @@ class TestEnumeration:
                 assert len(mod.families) == abs(cls.l)
                 nus = sorted(fam.nu1 for fam in mod.families)
                 assert nus == [F(j, abs(cls.l)) for j in range(abs(cls.l))]
-                assert all(fam.nu2_free for fam in mod.families)
             else:
                 assert len(mod.isolated) == abs(2 - m.trace)
 
@@ -152,6 +152,10 @@ class TestConnectionFromNu:
         m = SL2ZMatrix(3, 2, 4, 3)
         with pytest.raises(DomainError):
             connection_from_nu(m, (F(1, 3), F(1, 3)))
+
+    def test_rejects_lambda_on_twisted_class(self):
+        with pytest.raises(DomainError):
+            connection_from_nu(SL2ZMatrix(3, 2, 4, 3), (F(1, 2), F(1, 2)), gauge_lambda=F(1, 3))
 
     def test_restriction_trivial_flag(self):
         m = SL2ZMatrix(3, 2, 4, 3)
@@ -179,6 +183,22 @@ class TestConnectionFromNu:
                 assert conn.bundle_trivial is is_bundle_trivial(m, conn.m), (m, conn.nu)
                 checked += 1
         assert 0 < isolated < checked
+
+
+class TestTorusFlatConnection:
+    @pytest.mark.parametrize(
+        "nu,restriction_trivial,lam",
+        [
+            ((F(1, 5), F(-2, 5)), False, None),
+            ((F(0), F(1)), False, None),
+            ((F(1, 2), F(1, 2)), True, None),
+            ((F(0), F(0)), False, None),
+            ((F(1, 2), F(1, 2)), False, F(1, 3)),
+        ],
+    )
+    def test_rejects_inconsistent_fields(self, nu, restriction_trivial, lam):
+        with pytest.raises(DomainError):
+            TorusFlatConnection(nu, (0, 0), lam, restriction_trivial, False)
 
 
 class TestBundleTrivial:

@@ -22,6 +22,7 @@ from rhocalc import (
     EigenphaseData,
     RhoBranch,
     SL2ZMatrix,
+    TorusFlatConnection,
     UnsupportedClassError,
     chern_simons_mod1,
     classical_sum,
@@ -39,10 +40,7 @@ from rhocalc import (
     rho_hyperbolic_prep,
     rho_torus,
 )
-
-
-def sgn(x: int) -> int:
-    return (x > 0) - (x < 0)
+from rhocalc.bernoulli import sgn
 
 
 def _p1(x):
@@ -417,6 +415,21 @@ class TestChernSimons:
         cs = chern_simons_mod1(mat, conn)
         want = 2 * 3 * F(1, 3) ** 2
         assert cs == want - (want // 1)
+
+    def test_hand_built_connections_are_checked(self):
+        # nu = (6/5, 3/5) with m = (0, 0) once gave rho_hyperbolic_prep -2/5
+        # and chern_simons_mod1 0 while rho_torus raised; such a connection
+        # can no longer be built, so no route computes from it
+        mat = SL2ZMatrix(-2, 1, 1, -1)
+        with pytest.raises(DomainError):
+            TorusFlatConnection((F(6, 5), F(3, 5)), (0, 0), None, False, False)
+        # nu in range but m != (Id - M^t) nu: chern_simons_mod1 reads m
+        good = connection_from_nu(mat, (F(1, 5), F(3, 5)))
+        assert good.m != (0, 0)
+        bad = TorusFlatConnection(good.nu, (0, 0), None, False, False)
+        with pytest.raises(DomainError):
+            chern_simons_mod1(mat, bad)
+        assert chern_simons_mod1(mat, good) == F(3, 5)
 
 
 class TestParabolicCircleCoincidence:
