@@ -8,11 +8,15 @@ re-derivations of the hyperbolic Eta/Rho quantities whose exact values
 the rest of the package computes in rational arithmetic.
 
 Conventions: sigma = sigma1 + i sigma2 with sigma2 > 0; q_sigma =
-e^{2 pi i sigma}; z = nu1 sigma - nu2 and q_z = e^{2 pi i z}.  All series
-terms are evaluated in forms whose factors stay bounded (for example
-e^{i s}/sin(s) is rewritten as -2i q/(1-q) with q = e^{2 i s}), so no
-intermediate overflows even far along the tail.  Logarithms take the
-principal branch on the plane cut along the negative real axis, and
+e^{2 pi i sigma}; z = nu1 sigma - nu2 and q_z = e^{2 pi i z}.  E_nu, its
+sigma-derivative and log eta_{g,h} share one series
+S2 = sum_{n>=1} (q_z^n + q_z^{-n}) q_sigma^n / (n (1 - q_sigma^n)) and
+one truncation rule: E_nu = S2 - Log(1 - q_z) (S2 alone for nu1 = 0),
+and E_nu = pi i sigma P_2(nu1) - log eta_{nu1,-nu2} for nu1 not in Z.
+All series terms are evaluated in forms whose factors stay bounded (for
+example e^{i s}/sin(s) is rewritten as -2i q/(1-q) with q = e^{2 i s}),
+so no intermediate overflows even far along the tail.  Logarithms take
+the principal branch on the plane cut along the negative real axis, and
 every argument is checked to stay off the cut.
 
 scipy and numpy are imported inside the functions that use them, so
@@ -25,7 +29,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .bernoulli import RationalLike, _reduce_mod1, periodic_bernoulli, sgn
 from .dedekind import classical_sum, generalized_sum
@@ -80,8 +84,9 @@ class SeriesParams:
 
     def __post_init__(self) -> None:
         for name in ("tail_tolerance", "max_terms", "quad_tolerance", "poisson_switch_u"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"SeriesParams.{name} must be positive")
+            # also rejects nan, and never converts a huge max_terms to float
+            if not 0 < getattr(self, name) < math.inf:
+                raise DomainError(f"SeriesParams.{name} must be positive and finite")
 
 
 DEFAULT_SERIES_PARAMS = SeriesParams()
@@ -116,104 +121,95 @@ def _qz(sigma: complex, nu1: Fraction, nu2: Fraction) -> complex:
 # -- E series ---------------------------------------------------------------
 
 
+def _q_series(term: Callable[..., complex], q_sigma, q_z, params, what: str, total=0j):
+    """(total + sum_{n>=1} term(n, q_z^n, (q_sigma/q_z)^n, q_sigma^n), terms).
+
+    The one truncation rule of the E, dE/dsigma and log eta_{g,h} series:
+    stop after three consecutive terms below tail_tolerance/10 once
+    n >= 8; past max_terms raise ConvergenceError naming `what`.
+    (q_sigma/q_z)^n stays bounded since 0 <= nu1 < 1.
+    """
+    qzn = rn = qsn = 1.0 + 0.0j
+    ratio_r = q_sigma / q_z
+    cut = params.tail_tolerance * 0.1
+    small = n = 0
+    while small < 3:
+        n += 1
+        if n > params.max_terms:
+            raise ConvergenceError(f"{what}: max_terms exceeded before tail bound")
+        qzn *= q_z
+        rn *= ratio_r
+        qsn *= q_sigma
+        t = term(n, qzn, rn, qsn)
+        total += t
+        small = small + 1 if (n >= 8 and abs(t) < cut) else 0
+    return total, n
+
+
+def _s2_term(n: int, qzn: complex, rn: complex, qsn: complex) -> complex:
+    """The n-th term (q_z^n + q_z^{-n}) q_sigma^n / (n (1 - q_sigma^n)) of S2."""
+    return (qzn * qsn + rn) / ((1.0 - qsn) * n)
+
+
 def e_series_with_count(
     sigma: UpperHalfPoint,
     nu: Tuple[RationalLike, RationalLike],
     params: Optional[SeriesParams] = None,
     method: str = "cotangent",
 ) -> Tuple[ComplexValue, int]:
-    """e_series plus the number of outer terms actually summed."""
+    """e_series plus the number of terms summed: of S2 for the cotangent
+    method, of the single sum and the outer sum for the double sum."""
     params = _params(params)
     if method not in ("cotangent", "double-sum"):
         raise DomainError("method must be 'cotangent' or 'double-sum'")
     sc = sigma.as_complex()
     nu1 = _reduce_mod1(nu[0])
-    nu2 = Fraction(nu[1])
     q_sigma = cmath.exp(2j * math.pi * sc)
-    q_z = _qz(sc, nu1, nu2)
-    total = 0.0 + 0.0j
-    terms = 0
-    cut = params.tail_tolerance * 0.1
-
-    if method == "double-sum":
-        # literal truncation of the defining nested sum
+    q_z = _qz(sc, nu1, Fraction(nu[1]))
+    if method == "cotangent":
+        # inner geometric sums resummed; S1 = sum q_z^n / n = -Log(1 - q_z)
+        total, terms = _q_series(_s2_term, q_sigma, q_z, params, "e_series cotangent sum")
         if nu1 != 0:
-            abs_qz = abs(q_z)
-            qn = q_z
-            n = 1
-            while True:
-                total += qn / n
-                terms += 1
-                if abs_qz ** (n + 1) / ((n + 1) * (1.0 - abs_qz)) < cut:
-                    break
-                n += 1
-                if n > params.max_terms:
-                    raise ConvergenceError(
-                        "e_series single sum: max_terms exceeded before tail bound"
-                    )
-                qn *= q_z
-        qzn = 1.0 + 0.0j  # q_z^n
-        rn = 1.0 + 0.0j  # (q_sigma / q_z)^n, stays bounded since nu1 < 1
-        qsn = 1.0 + 0.0j
-        ratio_r = q_sigma / q_z
-        small = 0
-        n = 0
-        while small < 3:
-            n += 1
-            if n > params.max_terms:
-                raise ConvergenceError("e_series double sum: max_terms exceeded")
-            qzn *= q_z
-            rn *= ratio_r
-            qsn *= q_sigma
-            coeff = (qzn * qsn + rn) / n  # (q_z^n + q_z^{-n}) q_sigma^{n} split
-            # inner m-sum done literally: coeff * (1 + q_sigma^n + q_sigma^{2n} + ...)
-            inner = 0.0 + 0.0j
-            powm = 1.0 + 0.0j
-            m = 0
-            abs_qsn = abs(qsn)
-            while True:
-                inner += powm
-                m += 1
-                if abs_qsn**m / (1.0 - abs_qsn) < cut:
-                    break
-                if m > params.max_terms:
-                    raise ConvergenceError("e_series inner sum: max_terms exceeded")
-                powm *= qsn
-            t = coeff * inner
-            total += t
-            terms += 1
-            if n >= 8 and abs(t) < cut:
-                small += 1
-            else:
-                small = 0
+            total -= cmath.log(1.0 - q_z)
         return ComplexValue.from_complex(total), terms
 
-    # cotangent resummation: per-n closed form of the inner geometric sum,
-    # i cos(w - s)/sin(s)/n rewritten overflow-free
-    qzn = 1.0 + 0.0j
-    rn = 1.0 + 0.0j
-    qsn = 1.0 + 0.0j
-    ratio_r = q_sigma / q_z
-    small = 0
-    n = 0
-    while small < 3:
-        n += 1
-        if n > params.max_terms:
-            raise ConvergenceError("e_series cotangent sum: max_terms exceeded")
-        qzn *= q_z
-        rn *= ratio_r
-        qsn *= q_sigma
-        if nu1 == 0:
-            t = (qzn + 1.0 / qzn) * qsn / ((1.0 - qsn) * n)
-        else:
-            t = (qzn + rn) / ((1.0 - qsn) * n)
-        total += t
-        terms += 1
-        if n >= 8 and abs(t) < cut:
-            small += 1
-        else:
-            small = 0
-    return ComplexValue.from_complex(total), terms
+    # literal truncation of the defining nested sum
+    cut = params.tail_tolerance * 0.1
+    total = 0.0 + 0.0j
+    terms = 0
+    if nu1 != 0:
+        abs_qz = abs(q_z)
+        qn = q_z
+        n = 1
+        while True:
+            total += qn / n
+            terms += 1
+            if abs_qz ** (n + 1) / ((n + 1) * (1.0 - abs_qz)) < cut:
+                break
+            n += 1
+            if n > params.max_terms:
+                raise ConvergenceError("e_series single sum: max_terms exceeded")
+            qn *= q_z
+
+    def outer(n: int, qzn: complex, rn: complex, qsn: complex) -> complex:
+        coeff = (qzn * qsn + rn) / n  # (q_z^n + q_z^{-n}) q_sigma^{n} split
+        # inner m-sum done literally: coeff * (1 + q_sigma^n + q_sigma^{2n} + ...)
+        inner = 0.0 + 0.0j
+        powm = 1.0 + 0.0j
+        m = 0
+        abs_qsn = abs(qsn)
+        while True:
+            inner += powm
+            m += 1
+            if abs_qsn**m / (1.0 - abs_qsn) < cut:
+                break
+            if m > params.max_terms:
+                raise ConvergenceError("e_series inner sum: max_terms exceeded")
+            powm *= qsn
+        return coeff * inner
+
+    total, outer_terms = _q_series(outer, q_sigma, q_z, params, "e_series double sum", total)
+    return ComplexValue.from_complex(total), terms + outer_terms
 
 
 def e_series(
@@ -233,48 +229,21 @@ def _e_series_dsigma(
     nu: Tuple[RationalLike, RationalLike],
     params: SeriesParams,
 ) -> Tuple[complex, int]:
-    """Term-wise d/dsigma of E_nu; every term an explicit exponential."""
+    """Term-wise d/dsigma of E_nu = S2 - Log(1 - q_z), with the number of
+    S2 terms; every term an explicit exponential."""
     sc = sigma.as_complex()
     nu1 = _reduce_mod1(nu[0])
-    nu2 = Fraction(nu[1])
     nu1f = float(nu1)
     q_sigma = cmath.exp(2j * math.pi * sc)
-    q_z = _qz(sc, nu1, nu2)
-    total = 0.0 + 0.0j
-    terms = 0
-    if nu1 != 0:
-        total += 2j * math.pi * nu1f * q_z / (1.0 - q_z)
-        terms += 1
-    qzn = 1.0 + 0.0j
-    rn = 1.0 + 0.0j
-    qsn = 1.0 + 0.0j
-    ratio_r = q_sigma / q_z
-    cut = params.tail_tolerance * 0.1
-    small = 0
-    n = 0
-    while small < 3:
-        n += 1
-        if n > params.max_terms:
-            raise ConvergenceError("e_series derivative: max_terms exceeded")
-        qzn *= q_z
-        rn *= ratio_r
-        qsn *= q_sigma
-        g1 = qsn / (1.0 - qsn)
-        g2 = qsn / (1.0 - qsn) ** 2
-        if nu1 == 0:
-            t = 2j * math.pi * (qzn + 1.0 / qzn) * g2
-        else:
-            # (q_z^n -+ q_z^{-n}) q_sigma^n written via rn = (q_sigma/q_z)^n
-            t = 2j * math.pi * (
-                nu1f * (qzn * qsn - rn) / (1.0 - qsn) + (qzn * qsn + rn) / (1.0 - qsn) ** 2
-            )
-        total += t
-        terms += 1
-        if n >= 8 and abs(t) < cut:
-            small += 1
-        else:
-            small = 0
-    return total, terms
+    q_z = _qz(sc, nu1, Fraction(nu[1]))
+    total = 2j * math.pi * nu1f * q_z / (1.0 - q_z) if nu1 != 0 else 0j
+
+    def term(n: int, qzn: complex, rn: complex, qsn: complex) -> complex:
+        # (q_z q_sigma)^n and rn grow in sigma at the rates (1 + nu1) n and (1 - nu1) n
+        a = qzn * qsn
+        return 2j * math.pi * (nu1f * (a - rn) / (1.0 - qsn) + (a + rn) / (1.0 - qsn) ** 2)
+
+    return _q_series(term, q_sigma, q_z, params, "e_series derivative", total)
 
 
 # -- F series and the Kronecker limit identity ------------------------------
@@ -282,6 +251,18 @@ def _e_series_dsigma(
 
 def _tail_cut(params: SeriesParams) -> float:
     return max(params.tail_tolerance * 1e-2, 1e-300)
+
+
+def _rows(centre: float, half: float, params: SeriesParams):
+    """Lattice rows floor(centre - half), ..., ceil(centre + half); more
+    than params.max_terms raise ConvergenceError before any array is built."""
+    import numpy as np
+
+    if half <= params.max_terms:  # else floor(centre - half) may not be an int
+        lo, hi = math.floor(centre - half), math.ceil(centre + half)
+        if hi - lo < params.max_terms:
+            return np.arange(lo, hi + 1)
+    raise ConvergenceError(f"f_series lattice of {2.0 * half:.3g} rows exceeds max_terms")
 
 
 def _row_windows(centres, x_max: float, params: SeriesParams):
@@ -330,7 +311,7 @@ def f_series_direct(
     big_l = -math.log(_tail_cut(params)) + 10.0
     x_max = math.sqrt(big_l / gamma)
     half = x_max / s2 + 1.0
-    m1 = np.arange(math.floor(nu1f - half), math.ceil(nu1f + half) + 1) - nu1f
+    m1 = _rows(nu1f, half, params) - nu1f
     n2, inside = _row_windows(nu2f + s1 * m1, x_max, params)
     m1 = m1[:, None]
     w_re = (math.pi / s2) * ((n2 - nu2f) - s1 * m1)
@@ -360,7 +341,7 @@ def f_series_poisson(
     big_l = -math.log(_tail_cut(params)) + 10.0
     x_max = math.sqrt(big_l * u * s2)
     half = x_max / s2 + 1.0
-    n2 = np.arange(math.floor(-half), math.ceil(half) + 1)
+    n2 = _rows(0.0, half, params)
     n1, inside = _row_windows(-s1 * n2, x_max, params)
     n2 = n2[:, None]
     inside &= (n1 != 0) | (n2 != 0)
@@ -516,12 +497,9 @@ def log_eta_gen(
     params: Optional[SeriesParams] = None,
 ) -> ComplexValue:
     """Generalized log eta_{g,h}(sigma) for (g, h) not in Z^2, g reduced
-    mod Z:
-
-    pi i phi(g,h) + pi i sigma P_2(g) - S1 - S2,  phi = -P_1(h) iff g in Z,
-    S1 = sum q_z^n / n = -Log(1 - q_z)  (z = g sigma + h, principal branch),
-    S2 = sum (q_z^n + q_z^{-n}) q_sigma^n / (n (1 - q_sigma^n)).
-    """
+    mod Z: pi i phi + pi i sigma P_2(g) + Log(1 - q_z) - S2 with
+    z = g sigma + h, phi = -P_1(h) if g = 0 and 0 otherwise, and the
+    principal Log(1 - q_z) = -sum q_z^n / n."""
     params = _params(params)
     g = Fraction(g)
     h = Fraction(h)
@@ -529,30 +507,12 @@ def log_eta_gen(
         raise DomainError("log_eta_gen is undefined at lattice points (g, h) in Z^2")
     g = _reduce_mod1(g)
     sc = sigma.as_complex()
-    z = float(g) * sc + float(h)
-    q_z = cmath.exp(2j * math.pi * z)
+    q_z = cmath.exp(2j * math.pi * (float(g) * sc + float(h)))
     q_sigma = cmath.exp(2j * math.pi * sc)
+    s2, _ = _q_series(_s2_term, q_sigma, q_z, params, "log_eta_gen")
     phi = -float(periodic_bernoulli(1, h)) if g == 0 else 0.0
     total = 1j * math.pi * phi + 1j * math.pi * sc * float(periodic_bernoulli(2, g))
-    total += cmath.log(1.0 - q_z)  # minus S1
-    qzn = 1.0 + 0.0j
-    rn = 1.0 + 0.0j  # (q_sigma / q_z)^n; bounded since 0 <= g < 1
-    qsn = 1.0 + 0.0j
-    ratio_r = q_sigma / q_z
-    cut = params.tail_tolerance * 0.1
-    small = 0
-    n = 0
-    while small < 3:
-        n += 1
-        if n > params.max_terms:
-            raise ConvergenceError("log_eta_gen: max_terms exceeded before tail bound")
-        qzn *= q_z
-        rn *= ratio_r
-        qsn *= q_sigma
-        t = (qzn * qsn + rn) / ((1.0 - qsn) * n)
-        total -= t
-        small = small + 1 if (n >= 8 and abs(t) < cut) else 0
-    return ComplexValue.from_complex(total)
+    return ComplexValue.from_complex(total + cmath.log(1.0 - q_z) - s2)
 
 
 def transform_defect(

@@ -5,7 +5,8 @@ schema_version "1" (see docs/result_schema.md).  Exact rationals are
 serialized canonically as "p/q" with q > 0, floats as their shortest
 round-trip decimal, so JSON output is byte-stable across runs.
 
-Exit codes: 0 success, 2 domain or admissibility error, 3 numeric
+Exit codes: 0 success, 2 domain or admissibility error (a non-finite
+float among the inputs or the results included), 3 numeric
 non-convergence or a verification suite missing its tolerance, 64 usage.
 The environment variable RHO_CALC_TOL overrides the default quadrature
 tolerance; explicit flags win over the environment.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -133,6 +135,9 @@ def _entry(
             row["float"] = float(float_value)
         except OverflowError:
             pass  # an exact value beyond double range has no float rendition
+        else:
+            if not math.isfinite(row["float"]):
+                raise DomainError(f"{name} is not finite: {row['float']}")
     if branch is not None:
         row["branch"] = branch
     return row

@@ -138,9 +138,11 @@ def smith_normal_form(A: Mat2) -> Tuple[Mat2, Mat2, Mat2]:
 class TorusFlatConnection:
     """A gauge class of flat U(1) connections on the mapping torus of M.
 
-    Checks what it can without M: nu lies in [0,1)^2, restriction_trivial
-    says nu = 0, and only such a class carries a gauge phase lambda.
-    Whether m = (Id - M^t) nu is checked where M is known.
+    Checks what it can without M: m is a pair of ints, nu lies in
+    [0,1)^2, restriction_trivial says nu = 0, and only such a class
+    carries a gauge phase lambda.  Whether m = (Id - M^t) nu is checked
+    where M is known, on entry to rho_torus, rho_hyperbolic_prep and
+    chern_simons_mod1.
     """
 
     nu: Tuple[Fraction, Fraction]
@@ -151,6 +153,8 @@ class TorusFlatConnection:
 
     def __post_init__(self) -> None:
         nu1, nu2 = self.nu
+        if tuple(map(type, self.m)) != (int, int):
+            raise DomainError(f"TorusFlatConnection requires m to be a pair of ints, got {self.m!r}")
         if not (0 <= nu1 < 1 and 0 <= nu2 < 1):
             raise DomainError(f"TorusFlatConnection requires nu in [0, 1)^2, got ({nu1}, {nu2})")
         if self.restriction_trivial != (nu1 == 0 and nu2 == 0):

@@ -161,6 +161,23 @@ def _rho_hyperbolic(M: SL2ZMatrix, nu1: Fraction, delta: Fraction) -> Fraction:
     )
 
 
+def _admissible_nu(
+    M: SL2ZMatrix, conn: TorusFlatConnection, what: str
+) -> Tuple[int, int, int, int]:
+    """(p1, q1, p2, q2) with nu = (p1/q1, p2/q2), after checking that
+    m = (Id - M^t) nu, in integers over the common denominator q1 q2;
+    raises DomainError otherwise."""
+    nu1, nu2 = conn.nu
+    p1, q1, p2, q2 = nu1.numerator, nu1.denominator, nu2.numerator, nu2.denominator
+    m1, m2 = conn.m
+    if (
+        m1 * q1 * q2 != (1 - M.a) * p1 * q2 - M.c * p2 * q1
+        or m2 * q1 * q2 != (1 - M.d) * p2 * q1 - M.b * p1 * q2
+    ):
+        raise DomainError(f"{what} requires m = (Id - M^t) nu")
+    return p1, q1, p2, q2
+
+
 def _require_twisted(conn: TorusFlatConnection, what: str) -> None:
     if conn.restriction_trivial:
         raise UnsupportedClassError(
@@ -182,6 +199,7 @@ def rho_torus(M: SL2ZMatrix, conn: TorusFlatConnection) -> RhoValue:
     * hyperbolic: the assembly of the module docstring over the closed
       form :func:`~rhocalc.dedekind.sum_difference_closed`.
     """
+    _admissible_nu(M, conn, "rho_torus")
     cls = classify(M)
     if isinstance(cls, Identity):
         raise UnsupportedClassError("rho_torus is undefined for M = +-Id")
@@ -224,6 +242,7 @@ def rho_hyperbolic_prep(M: SL2ZMatrix, conn: TorusFlatConnection) -> RhoValue:
     classical_sum, rather than over the closed form.  Must equal
     :func:`rho_torus` exactly, which checks the difference identity.
     """
+    _admissible_nu(M, conn, "rho_hyperbolic_prep")
     cls = classify(M)
     if not isinstance(cls, Hyperbolic):
         raise UnsupportedClassError("rho_hyperbolic_prep requires a hyperbolic matrix")
@@ -275,16 +294,11 @@ def rho_finite_order_generic(data: EigenphaseData) -> Fraction:
 def chern_simons_mod1(M: SL2ZMatrix, conn: TorusFlatConnection) -> Fraction:
     """Chern-Simons invariant 2(nu_2 m_1 - nu_1 m_2) mod Z, in [0, 1).
 
-    Raises DomainError unless m = (Id - M^t) nu.  Check and value are
-    integers over the common denominator q1 q2 of nu = (p1/q1, p2/q2).
+    Raises DomainError unless m = (Id - M^t) nu.  The value is an integer
+    over the common denominator q1 q2 of nu = (p1/q1, p2/q2).
     """
-    (p1, q1), (p2, q2) = ((x.numerator, x.denominator) for x in conn.nu)
+    p1, q1, p2, q2 = _admissible_nu(M, conn, "chern_simons_mod1")
     m1, m2 = conn.m
-    if (
-        m1 * q1 * q2 != (1 - M.a) * p1 * q2 - M.c * p2 * q1
-        or m2 * q1 * q2 != (1 - M.d) * p2 * q1 - M.b * p1 * q2
-    ):
-        raise DomainError("chern_simons_mod1 requires m = (Id - M^t) nu")
     return Fraction(2 * (p2 * q1 * m1 - p1 * q2 * m2) % (q1 * q2), q1 * q2)
 
 

@@ -95,6 +95,8 @@ class UpperHalfPoint:
     sigma2: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.sigma1) and math.isfinite(self.sigma2)):
+            raise DomainError("UpperHalfPoint requires finite sigma1 and sigma2")
         if not self.sigma2 > 0:
             raise DomainError("UpperHalfPoint requires sigma2 > 0")
 

@@ -232,6 +232,61 @@ F_SUM_PINS = [
 ]
 
 
+#: (sigma2, nu1, cotangent e_series, double-sum e_series, _e_series_dsigma,
+#: log_eta_gen(nu1, -nu2)) at sigma1 = 0.3 and nu2 = 1/3, as computed by the
+#: four separate series loops that one truncation loop replaced
+E_SERIES_PINS = [
+    (0.05, F(0),
+     (0.7793791167063358-0.7289513501610075j), (0.7793791167063361-0.7289513501610078j),
+     (14.871837984746247+6.707788897876538j), (-0.25625291115219573+0.8860309828404972j)),
+    (0.05, F(1, 12),
+     (0.27480101959974484-1.0253106334826054j), (0.27480101959974507-1.0253106334826052j),
+     (9.006322579498729+9.770276556880804j), (-0.2889818197721993+1.1103954345173292j)),
+    (0.05, F(1, 2),
+     (-0.3851449671034273-0.42741492573683565j), (-0.38514496710342794-0.42741492573683465j),
+     (-8.082583732720849-2.949647739761612j), (0.3982349364933856+0.3488751093970903j)),
+    (0.05, F(11, 12),
+     (0.10333114394786107-0.4277798797627776j), (0.10333114394786093-0.4277798797627773j),
+     (13.284130724072893+3.1825545574895764j), (-0.11751194412031474+0.5128646807975009j)),
+    (0.3, F(0),
+     (0.07375884718258705-0.12427261287161187j), (0.07375884718258709-0.12427261287161188j),
+     (0.661047169240241+0.6242713737507475j), (0.3184676644719781+0.28135224555110167j)),
+    (0.3, F(1, 12),
+     (-0.40524421598461297-0.6481483249894723j), (-0.40524421598461297-0.6481483249894717j),
+     (0.6376419269168297+0.20520947565068767j), (0.32015941494988925+0.7332331260241954j)),
+    (0.3, F(1, 2),
+     (-0.18405699617169155-0.37956246379902353j), (-0.18405699617169152-0.3795624637990235j),
+     (1.2947803852727244-0.3764288313797443j), (0.26259681251143646+0.30102264745927876j)),
+    (0.3, F(11, 12),
+     (-0.39472331305051955+0.2532635879394402j), (-0.3947233130505201+0.25326358793944026j),
+     (0.7613518670520397+0.5410256746892891j), (0.30963851201579595-0.16817878690471685j)),
+    (1.0, F(0),
+     (0.0005813017561999679-0.0017729676104633431j), (0.0005813017561999678-0.0017729676104633427j),
+     (0.011120549398338942+0.0036789947683436475j), (0.025126066979556+0.15885260028995307j)),
+    (1.0, F(1, 12),
+     (-0.28838107287787995-0.43003019316584595j), (-0.28838107287787973-0.43003019316584606j),
+     (0.1748698552880721-0.17260995135433083j), (0.004765069428801226+0.5151149942005696j)),
+    (1.0, F(1, 2),
+     (-0.02508568066641974-0.03585643473450031j), (-0.025085680666419828-0.0358564347345003j),
+     (0.11548123330953945-0.07773515581829368j), (0.28688506846556916-0.042683381605244534j)),
+    (1.0, F(11, 12),
+     (-0.3677930324008287+0.3215102179571255j), (-0.3677930324008286+0.32151021795712553j),
+     (-0.10218680810401251-0.16782817210436643j), (0.08417702895174996-0.23642541692240168j)),
+    (1.8, F(0),
+     (3.7865909036537883e-06-1.1653235372079783e-05j), (3.7865909036537875e-06-1.165323537207978e-05j),
+     (7.321860554083601e-05+2.3792997095971112e-05j), (-0.3931754383337868+0.15709128591486182j)),
+    (1.8, F(1, 12),
+     (-0.17924832125228896-0.30900211403533157j), (-0.17924832125228865-0.3090021140353316j),
+     (0.13321057835810834-0.10675026464651441j), (-0.33126048495605237+0.39408691507005494j)),
+    (1.8, F(1, 2),
+     (-0.0020555998218821487-0.002837746038894419j), (-0.002055599821882397-0.0028377460388942385j),
+     (0.008933374719244682-0.006451823901694746j), (0.4732944978603511-0.0757020703008504j)),
+    (1.8, F(11, 12),
+     (-0.24801575985956878+0.23854234977940242j), (-0.24801575985956875+0.2385423497794024j),
+     (-0.09645540293784595-0.12644025435166173j), (-0.2624930463487727-0.1534575487446789j)),
+]
+
+
 class TestSeriesParams:
     def test_defaults(self):
         p = SeriesParams()
@@ -249,6 +304,10 @@ class TestSeriesParams:
             SeriesParams(quad_tolerance=-1e-9)
         with pytest.raises(DomainError):
             SeriesParams(poisson_switch_u=0.0)
+        for name in ("tail_tolerance", "quad_tolerance", "poisson_switch_u", "max_terms"):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(DomainError):
+                    SeriesParams(**{name: bad})
 
 
 class TestComplexValue:
@@ -286,11 +345,38 @@ class TestESeries:
     def test_term_count_reported(self):
         _, count = e_series_with_count(SIGMA_I, (F(1, 2), F(1, 2)))
         assert count > 0
+        # the cotangent count is of S2 terms alone: the single sum over
+        # q_z, which would need ~1/nu1 times more, is taken in closed form
+        sp, nu = UpperHalfPoint(0.1, 0.6), (F(1, 12), F(1, 4))
+        assert e_series_with_count(sp, nu)[1] == 12
+        assert e_series_with_count(sp, nu, method="double-sum")[1] == 111
 
-    def test_max_terms_exhaustion_raises(self):
+    @pytest.mark.parametrize(
+        "series",
+        [
+            lambda sp, nu, p: e_series(sp, nu, p, method="cotangent"),
+            lambda sp, nu, p: e_series(sp, nu, p, method="double-sum"),
+            lambda sp, nu, p: _e_series_dsigma(sp, nu, p),
+            lambda sp, nu, p: log_eta_gen(nu[0], -nu[1], sp, p),
+        ],
+        ids=["cotangent", "double-sum", "dsigma", "log_eta_gen"],
+    )
+    def test_max_terms_exhaustion_raises(self, series):
         params = SeriesParams(max_terms=3)
         with pytest.raises(ConvergenceError):
-            e_series(UpperHalfPoint(0.0, 0.05), (F(1, 2), F(1, 3)), params)
+            series(UpperHalfPoint(0.0, 0.05), (F(1, 2), F(1, 3)), params)
+
+    def test_pinned_values(self):
+        assert len(E_SERIES_PINS) == 16
+        for s2, nu1, want_cot, want_dbl, want_ds, want_gen in E_SERIES_PINS:
+            sp, nu = UpperHalfPoint(0.3, s2), (nu1, F(1, 3))
+            for got, want in (
+                (e_series(sp, nu, method="cotangent").as_complex(), want_cot),
+                (e_series(sp, nu, method="double-sum").as_complex(), want_dbl),
+                (_e_series_dsigma(sp, nu, SeriesParams())[0], want_ds),
+                (log_eta_gen(nu[0], -nu[1], sp).as_complex(), want_gen),
+            ):
+                assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (s2, nu1)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(DomainError):
@@ -344,6 +430,16 @@ class TestFSeries:
             f_series_poisson(SIGMA_I, 1e6, nu)
         with pytest.raises(ConvergenceError):
             f_series_direct(SIGMA_I, 1.0, nu, SeriesParams(max_terms=10))
+        # ~4e150 rows: the row count is checked before np.arange is asked
+        # for them
+        tiny = UpperHalfPoint(0.0, 1e-300)
+        with pytest.raises(ConvergenceError):
+            f_series_direct(tiny, 1.0, nu)
+        with pytest.raises(ConvergenceError):
+            f_series_poisson(tiny, 1.0, nu)
+        # a window half-width that overflows to inf has no integer floor
+        with pytest.raises(ConvergenceError):
+            f_series_poisson(UpperHalfPoint(0.0, 1e-308), 1e308, nu)
 
 
 class TestKronecker:
@@ -411,18 +507,24 @@ class TestLogEta:
 
 class TestLogEtaGen:
     def test_gen_ded_rel_identity(self):
-        # Im log eta_{nu1,-nu2}(sigma) = Im(pi i sigma P2(nu1) - E_nu(sigma))
+        # log eta_{nu1,-nu2}(sigma) = pi i sigma P2(nu1) - E_nu(sigma) for
+        # nu1 not in Z; at nu1 = 0, E_nu omits the single sum, so the
+        # phase pi i P1(nu2) and Log(1 - q_z), q_z = e^{-2 pi i nu2}, remain
         for sp, nu in [
             (SIGMA_I, (F(1, 2), F(1, 4))),
             (SIGMA_I, (F(1, 3), F(2, 3))),
             (UpperHalfPoint(0.2, 1.3), (F(1, 5), F(1, 7))),
             (SIGMA_I, (F(0), F(1, 2))),
+            (UpperHalfPoint(-0.3, 0.6), (F(0), F(1, 3))),
         ]:
-            lhs = log_eta_gen(nu[0], -nu[1], sp).as_complex().imag
+            lhs = log_eta_gen(nu[0], -nu[1], sp).as_complex()
             e_val = e_series(sp, nu).as_complex()
             sigma = sp.as_complex()
-            rhs = (1j * math.pi * sigma * float(periodic_bernoulli(2, nu[0])) - e_val).imag
-            assert abs(lhs - rhs) < 1e-10, (sp, nu)
+            rhs = 1j * math.pi * sigma * float(periodic_bernoulli(2, nu[0])) - e_val
+            if nu[0] == 0:
+                q_z = cmath.exp(-2j * math.pi * float(nu[1]))
+                rhs += 1j * math.pi * float(periodic_bernoulli(1, nu[1])) + cmath.log(1 - q_z)
+            assert abs(lhs - rhs) < 1e-12, (sp, nu)
 
     def test_g_reduction(self):
         a = log_eta_gen(F(1, 3), F(1, 4), SIGMA_I)

@@ -86,6 +86,24 @@ class TestParsing:
             run_command(argv)
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            # non-finite inputs, and results that overflow to inf or nan
+            (["verify", "kronecker", "--sigma", "0,inf", "--nu", "1/2,1/2"], EXIT_DOMAIN),
+            (["verify", "kronecker", "--sigma", "nan,1", "--nu", "1/2,1/2"], EXIT_DOMAIN),
+            (["verify", "kronecker", "--sigma", "0,1", "--nu", "1/2,1/2", "--tail-tol", "nan"], EXIT_DOMAIN),
+            (["verify", "kronecker", "--sigma", "0,1", "--nu", "1/2,1/2", "--quad-tol", "inf"], EXIT_DOMAIN),
+            (["spectrum", "torus", "--sigma", "inf,1", "--nu", "0,0", "--json"], EXIT_DOMAIN),
+            (["spectrum", "torus", "--sigma", "1e308,1e-308", "--nu", "0,0", "--json"], EXIT_DOMAIN),
+            # ~4e150 lattice rows: over max_terms before anything is allocated
+            (["verify", "kronecker", "--sigma", "0,1e-300", "--nu", "1/2,1/2"], EXIT_NUMERIC),
+        ],
+    )
+    def test_non_finite_and_oversized_inputs_exit_cleanly(self, capsys, argv, code):
+        assert run_command(argv) == code
+        assert capsys.readouterr().out == ""
+
     def test_suite_size_minimums_are_satisfiable(self, capsys):
         for argv in (
             ["verify", "two-path", "--count", "3", "--max-entry", "2"],

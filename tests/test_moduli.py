@@ -200,6 +200,11 @@ class TestTorusFlatConnection:
         with pytest.raises(DomainError):
             TorusFlatConnection(nu, (0, 0), lam, restriction_trivial, False)
 
+    @pytest.mark.parametrize("m", [(F(1), 0), (0.0, 0), (0, 0, 0), (True, 0)])
+    def test_rejects_m_not_a_pair_of_ints(self, m):
+        with pytest.raises(DomainError):
+            TorusFlatConnection((F(1, 7), F(0)), m, None, False, False)
+
 
 class TestBundleTrivial:
     def test_pins(self):

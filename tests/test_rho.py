@@ -430,6 +430,20 @@ class TestChernSimons:
         with pytest.raises(DomainError):
             chern_simons_mod1(mat, bad)
         assert chern_simons_mod1(mat, good) == F(3, 5)
+        # inadmissible classes that once got a value: 2/49 from
+        # rho_hyperbolic_prep, 1 from the elliptic and 13/49 from the
+        # parabolic branch of rho_torus, and 2/49 from chern_simons_mod1
+        # for a non-integral m that passed its check
+        cases = [
+            (mat, (F(1, 7), F(0)), (0, 0), "Id - M"),
+            (SL2ZMatrix(0, -1, 1, 0), (F(1, 3), F(0)), (0, 0), "Id - M"),
+            (SL2ZMatrix(1, 3, 0, 1), (F(1, 7), F(1, 2)), (0, 0), "Id - M"),
+            (mat, (F(1, 7), F(0)), (F(3, 7), F(-1, 7)), "pair of ints"),
+        ]
+        for matrix, nu, m, why in cases:
+            for route in (rho_torus, rho_hyperbolic_prep, chern_simons_mod1):
+                with pytest.raises(DomainError, match=why):
+                    route(matrix, TorusFlatConnection(nu, m, None, False, False))
 
 
 class TestParabolicCircleCoincidence:

@@ -65,6 +65,13 @@ class TestUpperHalfPoint:
         with pytest.raises(DomainError):
             UpperHalfPoint(0.0, -1.0)
 
+    @pytest.mark.parametrize(
+        "s1,s2", [(0.0, math.inf), (math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan)]
+    )
+    def test_rejects_non_finite(self, s1, s2):
+        with pytest.raises(DomainError):
+            UpperHalfPoint(s1, s2)
+
     def test_as_complex(self):
         assert UpperHalfPoint(0.5, 2.0).as_complex() == 0.5 + 2.0j
 
