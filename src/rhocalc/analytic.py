@@ -582,7 +582,8 @@ def torus_spectrum(
     max_lattice_norm: int,
 ) -> List[Tuple[float, int]]:
     """Sorted 1-form Laplace eigenvalues 4 sigma2 |w_{n-nu}|^2 over lattice
-    points |n|_inf <= max_lattice_norm, each with doubled multiplicity."""
+    points |n|_inf <= max_lattice_norm, each with doubled multiplicity.
+    Raises DomainError when an eigenvalue is not finite."""
     if max_lattice_norm < 0:
         raise DomainError("max_lattice_norm must be nonnegative")
     s1, s2 = sigma.sigma1, sigma.sigma2
@@ -594,6 +595,8 @@ def torus_spectrum(
             m2 = n2 - nu2f
             t = m2 - s1 * m1
             raw.append((4.0 * math.pi**2 / s2) * (t * t + s2 * s2 * m1 * m1))
+    if not all(map(math.isfinite, raw)):
+        raise DomainError("torus_spectrum eigenvalues exceed double range at this sigma")
     raw.sort()
     out: List[Tuple[float, int]] = []
     for lam in raw:

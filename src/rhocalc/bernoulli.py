@@ -1,8 +1,9 @@
 """Bernoulli polynomials, their periodic extensions, and special zeta values.
 
 Everything in this module is exact: inputs are integers or
-`fractions.Fraction`, outputs are `Fraction`.  Float approximations of the
-same quantities live in the numerical layer, never here.
+`fractions.Fraction`, outputs are `Fraction`, each built once from an
+integer numerator and denominator.  Float approximations of the same
+quantities live in the numerical layer, never here.
 
 Conventions.  Bernoulli numbers use B_1 = -1/2, so
 
@@ -17,8 +18,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, floor
-from typing import Union
+from math import comb, floor, lcm
+from typing import Tuple, Union
 
 from .errors import DomainError
 
@@ -69,6 +70,24 @@ def bernoulli_number(n: int) -> Fraction:
     return -acc / (n + 1)
 
 
+@lru_cache(maxsize=None)
+def _poly_int_coeffs(n: int) -> Tuple[int, Tuple[int, ...]]:
+    """(L, e): e[k] = L C(n, k) B_k in Z, the coefficient of x^{n-k} in L B_n(x)."""
+    coeffs = [comb(n, k) * bernoulli_number(k) for k in range(n + 1)]
+    L = lcm(*(f.denominator for f in coeffs))
+    return L, tuple(int(f * L) for f in coeffs)
+
+
+def _poly_num(n: int, p: int, q: int) -> Tuple[int, int]:
+    """(sum_k e[k] p^{n-k} q^k, L q^n) = B_n(p/q) as a pair, by Horner's rule."""
+    L, e = _poly_int_coeffs(n)
+    acc, qk = e[0], 1
+    for ek in e[1:]:
+        qk *= q
+        acc = acc * p + ek * qk
+    return acc, L * qk
+
+
 def bernoulli_poly(n: int, x: RationalLike) -> Fraction:
     """Bernoulli polynomial B_n(x), exactly.
 
@@ -77,14 +96,7 @@ def bernoulli_poly(n: int, x: RationalLike) -> Fraction:
     if n < 0:
         raise DomainError("bernoulli_poly requires n >= 0")
     x = Fraction(x)
-    acc = Fraction(0)
-    power = Fraction(1)
-    # accumulate highest power first: coefficient of x^{n-k} is C(n,k) B_k
-    for k in range(n, -1, -1):
-        acc += comb(n, k) * bernoulli_number(k) * power
-        if k > 0:
-            power *= x
-    return acc
+    return Fraction(*_poly_num(n, x.numerator, x.denominator))
 
 
 def periodic_bernoulli(n: int, x: RationalLike) -> Fraction:
@@ -95,10 +107,11 @@ def periodic_bernoulli(n: int, x: RationalLike) -> Fraction:
     """
     if n < 1:
         raise DomainError("periodic_bernoulli requires n >= 1")
-    frac_part = _reduce_mod1(x)
-    if n % 2 == 1 and frac_part == 0:
+    x = Fraction(x)
+    p, q = x.numerator % x.denominator, x.denominator  # x - floor(x) = p/q
+    if n % 2 == 1 and p == 0:
         return Fraction(0)
-    return bernoulli_poly(n, frac_part)
+    return Fraction(*_poly_num(n, p, q))
 
 
 def hurwitz_zeta_nonpos(n: int, q: RationalLike) -> Fraction:

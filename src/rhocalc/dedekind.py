@@ -1,12 +1,12 @@
 """Classical and generalized Dedekind sums, exactly, plus their finite
 Fourier toolkit.
 
-All three exact sums (classical_sum, generalized_sum and the closed
-difference sum_difference_closed) are evaluated in pure integer
-arithmetic over a common denominator, with one Fraction at the end (no
-per-term gcd reduction), so moduli of order 10^4 stay cheap and
-denominators can grow past machine-word size without harm.  The module
-owns every Dedekind-type sum; :mod:`rhocalc.rho` only assembles them.
+The three exact sums have private numerator forms (_classical_num,
+_generalized_num, _difference_num) that sum in integers over one common
+denominator and return (num, den), so moduli of order 10^4 stay cheap
+and denominators can grow past machine-word size without harm.  The
+public sums build one Fraction from them; :mod:`rhocalc.rho` assembles
+the pairs in integers.  The module owns every Dedekind-type sum.
 Float paths (cotangent formula, discrete Fourier transforms) are strictly
 separate and never feed back into exact results; they import numpy
 themselves, so the exact sums run without it.
@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Tuple
 
-from .bernoulli import RationalLike, _reduce_mod1, periodic_bernoulli
+from .bernoulli import RationalLike, periodic_bernoulli
 from .errors import DomainError
 from .sl2z import SL2ZMatrix
 
@@ -101,8 +101,8 @@ def _p1_int(n: int, den: int) -> Tuple[int, bool]:
     return 2 * r - den, False
 
 
-def classical_sum(a: int, c: int) -> Fraction:
-    """Classical Dedekind sum s(a, c), exactly.
+def _classical_num(a: int, c: int) -> Tuple[int, int]:
+    """(num, den) with s(a, c) = num/den.
 
     Equal to s(a, |c|) (both sawtooth factors flip sign with c), so the
     loop runs over the positive modulus.
@@ -117,26 +117,30 @@ def classical_sum(a: int, c: int) -> Fraction:
     for k in range(1, m):
         # both arguments are nonintegral: gcd(a0, m) = 1 and 0 < k < m
         acc += (2 * ((a0 * k) % m) - m) * (2 * k - m)
-    return Fraction(acc, 4 * m * m)
+    return acc, 4 * m * m
+
+
+def classical_sum(a: int, c: int) -> Fraction:
+    """Classical Dedekind sum s(a, c), exactly."""
+    return Fraction(*_classical_num(a, c))
 
 
 def generalized_sum(x: RationalLike, y: RationalLike, a: int, c: int) -> Fraction:
-    """Generalized Dedekind sum s_{x,y}(a, c), exactly.
+    """Generalized Dedekind sum s_{x,y}(a, c), exactly; (x, y) matters only mod Z^2."""
+    return Fraction(*_generalized_num(Fraction(x), Fraction(y), a, c))
 
-    Depends on (x, y) only mod Z^2; inputs are reduced first.  The k-loop
-    runs in integer arithmetic over the common denominators
-    |c|*den(x) and |c|*den(x)*den(y).
-    """
+
+def _generalized_num(x: RationalLike, y: RationalLike, a: int, c: int) -> Tuple[int, int]:
+    """(num, den) with s_{x,y}(a, c) = num/den, for Fraction or int x, y;
+    the loop runs over |c|*den(x) and |c|*den(x)*den(y)."""
     if c == 0:
         raise DomainError("generalized_sum requires a nonzero modulus c")
     if gcd(a, c) != 1:
         raise DomainError("generalized_sum requires gcd(a, c) = 1")
-    x = _reduce_mod1(x)
-    y = _reduce_mod1(y)
     m = abs(c)
     s = 1 if c > 0 else -1
-    px, qx = x.numerator, x.denominator
-    py, qy = y.numerator, y.denominator
+    qx, qy = x.denominator, y.denominator
+    px, py = x.numerator % qx, y.numerator % qy  # (x, y) reduced mod Z^2
     den1 = m * qx           # (k+x)/c = s*(k*qx + px) / den1
     den2 = m * qx * qy      # a(k+x)/c + y = s*(a*qy*(k*qx+px) + c*qx*py) / den2
     acc = 0
@@ -151,7 +155,7 @@ def generalized_sum(x: RationalLike, y: RationalLike, a: int, c: int) -> Fractio
         if int2:
             continue
         acc += v1 * v2
-    return Fraction(acc, 4 * den1 * den2)
+    return acc, 4 * den1 * den2
 
 
 def cotangent_sum(a: int, c: int) -> float:
@@ -226,23 +230,27 @@ def sum_difference_closed(x: RationalLike, y: RationalLike, M: SL2ZMatrix) -> Fr
         + [x not in Z] * (P_1(m/|c|) - P_1(d m/|c|))/2
         + [x not in Z] * (1 - [m/|c| not in Z])/4
     """
-    x = Fraction(x)
-    y = Fraction(y)
+    return Fraction(*_difference_num(Fraction(x), Fraction(y), M))
+
+
+def _difference_num(x: RationalLike, y: RationalLike, M: SL2ZMatrix) -> Tuple[int, int]:
+    """(num, den = 4 q^2 |c|) for sum_difference_closed at Fraction or int x = p/q, y."""
     a, c = M.a, M.c
     if c == 0:
         raise DomainError("sum_difference_closed requires c != 0")
     if gcd(a, c) != 1:
         raise DomainError("sum_difference_closed requires gcd(a, c) = 1")
-    if not 0 <= x < 1:
+    p, q = x.numerator, x.denominator
+    py, qy = y.numerator, y.denominator
+    if not 0 <= p < q:
         raise DomainError("sum_difference_closed requires x in [0, 1)")
-    xp = a * x + c * y
-    yp = M.b * x + M.d * y
-    mm = x - xp
-    if mm.denominator != 1 or (y - yp).denominator != 1:
+    # (x - x', y - y') over the common denominator q qy
+    m_int, rem_x = divmod((1 - a) * p * qy - c * py * q, q * qy)
+    rem_y = ((1 - M.d) * py * q - M.b * p * qy) % (q * qy)
+    if rem_x or rem_y:
         raise DomainError(
             "sum_difference_closed requires (x - x', y - y') in Z^2"
         )
-    m_int = mm.numerator
     cabs = abs(c)
     d = _inverse_mod(a, c)
     r = m_int % cabs
@@ -251,11 +259,10 @@ def sum_difference_closed(x: RationalLike, y: RationalLike, M: SL2ZMatrix) -> Fr
     acc = 0
     for k in range(1, min(cabs - r, cabs - 1) + 1):
         acc += 2 * ((d * k) % cabs) - cabs
-    p, q = x.numerator, x.denominator
     if q == 1:
         tail = _p1_int(d * m_int, cabs)[0]
     else:
         # the two P_1(d m/|c|) terms cancel; at m/|c| in Z the 1/4 stands in
         p1_m, m_in_z = _p1_int(m_int, cabs)
         tail = cabs if m_in_z else p1_m
-    return Fraction(4 * p * (p - q) + q * q * (2 * acc + tail), 4 * q * q * cabs)
+    return 4 * p * (p - q) + q * q * (2 * acc + tail), 4 * q * q * cabs

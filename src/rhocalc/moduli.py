@@ -138,11 +138,11 @@ def smith_normal_form(A: Mat2) -> Tuple[Mat2, Mat2, Mat2]:
 class TorusFlatConnection:
     """A gauge class of flat U(1) connections on the mapping torus of M.
 
-    Checks what it can without M: m is a pair of ints, nu lies in
-    [0,1)^2, restriction_trivial says nu = 0, and only such a class
-    carries a gauge phase lambda.  Whether m = (Id - M^t) nu is checked
-    where M is known, on entry to rho_torus, rho_hyperbolic_prep and
-    chern_simons_mod1.
+    Checks what it can without M: m is a pair of ints, nu is a pair of
+    Fractions or ints in [0,1)^2, restriction_trivial says nu = 0, and
+    only such a class carries a gauge phase lambda.  Whether
+    m = (Id - M^t) nu is checked where M is known, on entry to
+    rho_torus, rho_hyperbolic_prep and chern_simons_mod1.
     """
 
     nu: Tuple[Fraction, Fraction]
@@ -153,6 +153,8 @@ class TorusFlatConnection:
 
     def __post_init__(self) -> None:
         nu1, nu2 = self.nu
+        if not all(isinstance(v, Fraction) or type(v) is int for v in self.nu):
+            raise DomainError(f"TorusFlatConnection requires nu to be a pair of Fractions or ints, got {self.nu!r}")
         if tuple(map(type, self.m)) != (int, int):
             raise DomainError(f"TorusFlatConnection requires m to be a pair of ints, got {self.m!r}")
         if not (0 <= nu1 < 1 and 0 <= nu2 < 1):
@@ -265,10 +267,11 @@ def enumerate_torus_connections(M: SL2ZMatrix) -> TorusModuliSet:
 
     For tr M != 2 the classes are the |det(Id - M^t)| = |2 - tr M|
     isolated solutions of (Id - M^t) nu in Z^2, enumerated through the
-    Smith normal form and listed in [0,1)^2, sorted by nu.  For a
-    parabolic M with trace 2 the solution set is a disjoint union of
-    circles; the returned families are expressed in the coordinates of
-    the normal form eps*[[1, l], [0, 1]] as nu1 = j/|l| with nu2 free.
+    Smith normal form diag(d1, d2) as integer numerators over d2 and
+    listed in [0,1)^2, sorted by nu.  For a parabolic M with trace 2 the
+    solution set is a disjoint union of circles; the returned families
+    are expressed in the coordinates of the normal form
+    eps*[[1, l], [0, 1]] as nu1 = j/|l| with nu2 free.
     """
     cls = classify(M)
     if isinstance(cls, Identity):
@@ -287,19 +290,20 @@ def enumerate_torus_connections(M: SL2ZMatrix) -> TorusModuliSet:
         return TorusModuliSet(isolated=(), families=families)
     _, S, V = smith_normal_form(A)
     d1, d2 = S[0][0], S[1][1]
-    seen = set()
+    # nu = V (i/d1, j/d2) = n/d2 with n = V (i k, j) mod d2, k = d2/d1
+    k = d2 // d1
+    (v00, v01), (v10, v11) = V
+    nums = sorted({((v00 * i * k + v01 * j) % d2, (v10 * i * k + v11 * j) % d2)
+                   for i in range(d1) for j in range(d2)})
+    assert len(nums) == abs(det)
     conns: List[TorusFlatConnection] = []
-    for i in range(d1):
-        for j in range(d2):
-            w = (Fraction(i, d1), Fraction(j, d2))
-            nu = _mat_vec(V, w)
-            nu = (_reduce_mod1(nu[0]), _reduce_mod1(nu[1]))
-            if nu in seen:
-                continue
-            seen.add(nu)
-            conns.append(connection_from_nu(M, nu))
-    assert len(conns) == abs(det)
-    conns.sort(key=lambda conn: conn.nu)
+    for n1, n2 in nums:
+        m1, r1 = divmod(A[0][0] * n1 + A[0][1] * n2, d2)
+        m2, r2 = divmod(A[1][0] * n1 + A[1][1] * n2, d2)
+        if r1 or r2:
+            raise AdmissibilityError(f"(Id - M^t) nu is not integral at nu = ({n1}/{d2}, {n2}/{d2})")
+        trivial = n1 == n2 == 0
+        conns.append(TorusFlatConnection((Fraction(n1, d2), Fraction(n2, d2)), (m1, m2), None, trivial, trivial))
     return TorusModuliSet(isolated=tuple(conns), families=())
 
 

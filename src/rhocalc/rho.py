@@ -13,8 +13,10 @@ integral, nu not integral), the invariant is
     rho = 2(a+d)/c * (P_2(nu_1) - 1/6) - 4 sgn(c) * Delta + sgn(c (a+d))
 
 with Delta = s_{nu_1,nu_2}(a, c) - s(a, c) the difference of the
-generalized and the classical Dedekind sum.  :func:`rho_torus` takes
-Delta from its closed form :func:`~rhocalc.dedekind.sum_difference_closed`;
+generalized and the classical Dedekind sum, assembled in integers over
+q^2 |c| den for nu_1 = p/q and Delta = num/den as given by the numerator
+forms of :mod:`rhocalc.dedekind`.  :func:`rho_torus` takes Delta from
+the closed form of :func:`~rhocalc.dedekind.sum_difference_closed`;
 written out, that assembly is the paper's six-term form.
 :func:`rho_hyperbolic_prep` takes Delta as the two sums themselves, so
 the two-path equality the tests enforce checks exactly the difference
@@ -31,7 +33,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .bernoulli import RationalLike, periodic_bernoulli, sgn
-from .dedekind import classical_sum, generalized_sum, sum_difference_closed
+from .dedekind import _classical_num, _difference_num, _generalized_num, classical_sum
 from .errors import AdmissibilityError, DomainError, UnsupportedClassError
 from .moduli import (
     CircleFlatConnection,
@@ -150,15 +152,13 @@ def dai_correction_circle(degree_l: int, connection_trivial: bool) -> int:
     return -sgn(degree_l) if connection_trivial else 0
 
 
-def _rho_hyperbolic(M: SL2ZMatrix, nu1: Fraction, delta: Fraction) -> Fraction:
-    """2(a+d)/c (P_2(nu_1) - 1/6) - 4 sgn(c) delta + sgn(c(a+d)), with
-    delta the Dedekind-sum difference s_{nu_1,nu_2}(a,c) - s(a,c)."""
-    a, c, d = M.a, M.c, M.d
-    return (
-        Fraction(2 * (a + d), c) * (_p2(nu1) - _SIXTH)
-        - 4 * sgn(c) * delta
-        + sgn(c * (a + d))
-    )
+def _rho_hyperbolic(M: SL2ZMatrix, p: int, q: int, num: int, den: int) -> Fraction:
+    """2(a+d)/c (P_2(nu_1) - 1/6) - 4 sgn(c) num/den + sgn(c(a+d)) for
+    nu_1 = p/q in [0, 1), with num/den the Dedekind-sum difference
+    s_{nu_1,nu_2}(a,c) - s(a,c); one integer numerator over q^2 |c| den."""
+    tr, qqc = M.a + M.d, q * q * abs(M.c)  # P_2(p/q) - 1/6 = p(p - q)/q^2
+    top = (2 * tr * p * (p - q) * den - 4 * num * qqc) * sgn(M.c) + sgn(M.c * tr) * qqc * den
+    return Fraction(top, qqc * den)
 
 
 def _admissible_nu(
@@ -199,7 +199,7 @@ def rho_torus(M: SL2ZMatrix, conn: TorusFlatConnection) -> RhoValue:
     * hyperbolic: the assembly of the module docstring over the closed
       form :func:`~rhocalc.dedekind.sum_difference_closed`.
     """
-    _admissible_nu(M, conn, "rho_torus")
+    p1, q1, _, _ = _admissible_nu(M, conn, "rho_torus")
     cls = classify(M)
     if isinstance(cls, Identity):
         raise UnsupportedClassError("rho_torus is undefined for M = +-Id")
@@ -230,8 +230,7 @@ def rho_torus(M: SL2ZMatrix, conn: TorusFlatConnection) -> RhoValue:
             value += sgn(l)
         return RhoValue(value, RhoBranch.PARABOLIC)
     _require_twisted(conn, "hyperbolic rho_torus")
-    nu1, nu2 = conn.nu
-    value = _rho_hyperbolic(M, nu1, sum_difference_closed(nu1, nu2, M))
+    value = _rho_hyperbolic(M, p1, q1, *_difference_num(*conn.nu, M))
     return RhoValue(value, RhoBranch.HYPERBOLIC)
 
 
@@ -242,14 +241,15 @@ def rho_hyperbolic_prep(M: SL2ZMatrix, conn: TorusFlatConnection) -> RhoValue:
     classical_sum, rather than over the closed form.  Must equal
     :func:`rho_torus` exactly, which checks the difference identity.
     """
-    _admissible_nu(M, conn, "rho_hyperbolic_prep")
+    p1, q1, _, _ = _admissible_nu(M, conn, "rho_hyperbolic_prep")
     cls = classify(M)
     if not isinstance(cls, Hyperbolic):
         raise UnsupportedClassError("rho_hyperbolic_prep requires a hyperbolic matrix")
     _require_twisted(conn, "rho_hyperbolic_prep")
-    nu1, nu2 = conn.nu
-    delta = generalized_sum(nu1, nu2, M.a, M.c) - classical_sum(M.a, M.c)
-    return RhoValue(_rho_hyperbolic(M, nu1, delta), RhoBranch.HYPERBOLIC_PREP)
+    g, dg = _generalized_num(*conn.nu, M.a, M.c)
+    k, dk = _classical_num(M.a, M.c)
+    value = _rho_hyperbolic(M, p1, q1, g * dk - k * dg, dg * dk)
+    return RhoValue(value, RhoBranch.HYPERBOLIC_PREP)
 
 
 def eta_untwisted_torus(M: SL2ZMatrix) -> Fraction:

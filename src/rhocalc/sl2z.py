@@ -223,10 +223,8 @@ def classify(M: SL2ZMatrix) -> MonodromyClass:
     Exact for every entry size.  Elliptic rotation numbers come from the
     exact trace lookup {1: 1/6, 0: 1/4, -1: 1/3}.
     """
-    if M == SL2ZMatrix.identity():
-        return Identity(1)
-    if M == SL2ZMatrix.identity().neg():
-        return Identity(-1)
+    if M.b == M.c == 0 and M.a == M.d in (1, -1):
+        return Identity(M.a)
     disc = M.discriminant
     if disc < 0:
         return Elliptic(_ELLIPTIC_THETA[M.trace])

@@ -608,6 +608,11 @@ class TestTorusSpectrum:
             zero_present = any(ev == 0.0 for ev, _ in levels)
             assert zero_present == (nu[0].denominator == 1 and nu[1].denominator == 1)
 
+    def test_non_finite_eigenvalues_raise(self):
+        # 4 pi^2 / sigma2 overflows at sigma2 = 1e-308
+        with pytest.raises(DomainError):
+            torus_spectrum(UpperHalfPoint(1e308, 1e-308), (0, 0), 2)
+
     def test_lattice_shift_invariance(self):
         # the shift relabels n, so spectra agree away from the enumeration
         # window boundary; compare the low clusters only

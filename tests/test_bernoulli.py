@@ -2,14 +2,16 @@
 
 Oracle strategy: small Bernoulli numbers and polynomials are checked
 against hand-computed literals; the structural identities (difference
-equation, reflection, periodicity) then pin the rest of the range.
+equation, reflection, periodicity) then pin the rest of the range.  The
+library evaluates B_n(p/q) in integers; `oracle_bernoulli_poly` is the
+term-by-term Fraction sum it replaced.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction as F
-from math import comb
+from math import comb, floor
 
 import pytest
 
@@ -35,6 +37,34 @@ KNOWN_BERNOULLI = {
     10: F(5, 66),
     12: F(-691, 2730),
 }
+
+
+def oracle_bernoulli_poly(n: int, x) -> F:
+    """B_n(x) = sum_{k=0}^{n} C(n, k) B_k x^{n-k}, summed in Fractions."""
+    x = F(x)
+    acc = F(0)
+    power = F(1)
+    # accumulate highest power first: coefficient of x^{n-k} is C(n,k) B_k
+    for k in range(n, -1, -1):
+        acc += comb(n, k) * bernoulli_number(k) * power
+        if k > 0:
+            power *= x
+    return acc
+
+
+def test_integer_evaluation_matches_fraction_oracle():
+    rng = random.Random(7)
+    for _ in range(400):
+        n = rng.randint(0, 8)
+        x = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+        assert bernoulli_poly(n, x) == oracle_bernoulli_poly(n, x), (n, x)
+        if n >= 1:
+            frac = x - floor(x)
+            want = F(0) if n % 2 == 1 and frac == 0 else oracle_bernoulli_poly(n, frac)
+            assert periodic_bernoulli(n, x) == want, (n, x)
+    for n in range(9):
+        for x in (0, 1, -3, F(1, 2), F(-7, 3)):
+            assert bernoulli_poly(n, x) == oracle_bernoulli_poly(n, x), (n, x)
 
 
 def test_bernoulli_numbers_known_values():

@@ -291,3 +291,10 @@ class TestSumDifferenceClosed:
             sum_difference_closed(F(1, 3), F(1, 3), m)
         with pytest.raises(DomainError):
             sum_difference_closed(F(3, 2), F(1, 2), m)
+
+    @pytest.mark.parametrize("x,y", [(F(1, 4), F(1, 4)), (F(1, 3), F(1, 3))])
+    def test_rejects_each_nonintegral_component(self, x, y):
+        # on [[3, 2], [4, 3]]: x - x' = -2x - 4y and y - y' = -2x - 2y;
+        # (1/4, 1/4) fails only the first, (1/3, 1/3) only the second
+        with pytest.raises(DomainError):
+            sum_difference_closed(x, y, SL2ZMatrix(3, 2, 4, 3))

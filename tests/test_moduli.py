@@ -1,16 +1,25 @@
-"""Flat-connection moduli: Smith form, enumeration, triviality, transport."""
+"""Flat-connection moduli: Smith form, enumeration, triviality, transport.
+
+The library enumerates the classes as integer numerators over d2 of the
+Smith form; `oracle_enumerate` is the Fraction-based enumeration it
+replaced, and `oracle_matrices` the seeded matrices both are run on.
+"""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from math import floor
 
 import pytest
 
 from conftest import random_hyperbolic, random_parabolic, random_sl2z
 from rhocalc import (
+    AdmissibilityError,
     CircleFlatConnection,
     DomainError,
+    Elliptic,
+    Hyperbolic,
     Parabolic,
     SL2ZMatrix,
     TorusFlatConnection,
@@ -34,6 +43,55 @@ def mat_mul(A, B):
 
 def det2(A):
     return A[0][0] * A[1][1] - A[0][1] * A[1][0]
+
+
+def oracle_enumerate(M: SL2ZMatrix):
+    """The isolated classes of M (tr M != 2) as Fractions: nu = V (i/d1,
+    j/d2) mod Z^2 through the Smith form, deduplicated, validated by
+    connection_from_nu and sorted by nu."""
+    A = ((1 - M.a, -M.c), (-M.b, 1 - M.d))
+    _, S, V = smith_normal_form(A)
+    d1, d2 = S[0][0], S[1][1]
+    seen = set()
+    conns = []
+    for i in range(d1):
+        for j in range(d2):
+            w = (F(i, d1), F(j, d2))
+            nu = (V[0][0] * w[0] + V[0][1] * w[1], V[1][0] * w[0] + V[1][1] * w[1])
+            nu = (nu[0] - floor(nu[0]), nu[1] - floor(nu[1]))
+            if nu in seen:
+                continue
+            seen.add(nu)
+            conns.append(connection_from_nu(M, nu))
+    assert len(conns) == abs(det2(A))
+    conns.sort(key=lambda conn: conn.nu)
+    return tuple(conns)
+
+
+def _with_trace_near(a: int, c: int, t: int) -> SL2ZMatrix:
+    """[[a, b], [c, d]] in SL(2, Z) with d = a^{-1} mod c and trace near t."""
+    d = pow(a, -1, abs(c)) + abs(c) * ((t - a) // abs(c))
+    return SL2ZMatrix(a, (a * d - 1) // c, c, d)
+
+
+def oracle_matrices():
+    """Seeded matrices with tr != 2: the three elliptic traces, parabolic
+    with trace -2, hyperbolic with c < 0, and |2 - tr M| up to ~1,000."""
+    rng = random.Random(47)
+    mats = [SL2ZMatrix(0, -1, 1, 0), SL2ZMatrix(1, -1, 1, 0), SL2ZMatrix(-1, -1, 1, 0)]
+    mats += [SL2ZMatrix(3, 2, 4, 3), SL2ZMatrix(3, -2, -4, 3), SL2ZMatrix(-2, 1, 1, -1)]
+    mats.append(SL2ZMatrix(2, -289, -7, 1012))
+    for _ in range(8):
+        g = random_sl2z(rng, 6)
+        mats.append(g @ mats[rng.randrange(3)] @ g.inverse())
+        l = rng.choice((-5, -3, -1, 1, 2, 4))
+        mats.append(g @ SL2ZMatrix(-1, -l, 0, -1) @ g.inverse())
+    for _ in range(12):
+        mats.append(random_hyperbolic(rng, 30))
+    for t in (-998, -401, -150, 152, 403, 1000):
+        a, c = rng.choice([(2, -7), (3, 7), (-4, 9), (5, -11), (1, 1), (1, -1)])
+        mats.append(_with_trace_near(a, c, t))
+    return [m for m in mats if m.trace != 2]
 
 
 class TestSmithNormalForm:
@@ -135,6 +193,26 @@ class TestEnumeration:
             else:
                 assert len(mod.isolated) == abs(2 - m.trace)
 
+    def test_integer_enumeration_matches_fraction_oracle(self):
+        mats = oracle_matrices()
+        for m in mats:
+            # dataclass equality: nu, m, lambda, both flags, and the order
+            assert enumerate_torus_connections(m).isolated == oracle_enumerate(m), m
+        kinds = {(type(classify(m)), m.c < 0) for m in mats}
+        assert {(Elliptic, False), (Parabolic, False), (Hyperbolic, True)} <= kinds
+        assert max(abs(2 - m.trace) for m in mats) >= 1000
+
+    def test_every_class_is_checked_against_m(self, monkeypatch):
+        # a Smith form whose V does not solve (Id - M^t) nu in Z^2 gives
+        # numerators off the lattice; each class is checked, so this raises
+        true_snf = smith_normal_form
+        monkeypatch.setattr(
+            "rhocalc.moduli.smith_normal_form",
+            lambda A: true_snf(A)[:2] + (((1, 0), (0, 1)),),
+        )
+        with pytest.raises(AdmissibilityError):
+            enumerate_torus_connections(SL2ZMatrix(-2, 1, 1, -1))
+
     def test_trace_two_shear_has_no_isolated_classes(self):
         mod = enumerate_torus_connections(SL2ZMatrix(1, 3, 0, 1))
         assert mod.isolated == ()
@@ -204,6 +282,15 @@ class TestTorusFlatConnection:
     def test_rejects_m_not_a_pair_of_ints(self, m):
         with pytest.raises(DomainError):
             TorusFlatConnection((F(1, 7), F(0)), m, None, False, False)
+
+    @pytest.mark.parametrize("nu", [(0.5, 0.25), (F(1, 2), 0.25), (False, F(1, 2)), ("1/2", F(0))])
+    def test_rejects_nu_not_a_pair_of_fractions(self, nu):
+        with pytest.raises(DomainError):
+            TorusFlatConnection(nu, (0, 0), None, False, False)
+
+    def test_accepts_int_nu(self):
+        conn = TorusFlatConnection((0, 0), (0, 0), None, True, True)
+        assert conn.nu == (F(0), F(0))
 
 
 class TestBundleTrivial:

@@ -41,6 +41,7 @@ from rhocalc import (
     rho_torus,
 )
 from rhocalc.bernoulli import sgn
+from test_moduli import oracle_enumerate, oracle_matrices
 
 
 def _p1(x):
@@ -280,6 +281,22 @@ class TestRhoTorusHyperbolic:
         # c < 0, r = m_1 mod |c| = 0 and |c| = 1 all occur
         assert {s[0] for s in seen} == {s[1] for s in seen} == {True, False}
         assert (False, True, True) in seen
+
+    def test_integer_assembly_on_oracle_classes(self):
+        # both integer assemblies against the Fraction six-term form, on
+        # every twisted hyperbolic class of the enumeration oracle's matrices
+        checked = 0
+        for mat in oracle_matrices():
+            if mat.trace * mat.trace <= 4:
+                continue
+            for conn in oracle_enumerate(mat):
+                if conn.restriction_trivial:
+                    continue
+                want = oracle_sixterm(mat, conn.nu[0], conn.m[0])
+                assert rho_torus(mat, conn).value == want, (mat, conn.nu)
+                assert rho_hyperbolic_prep(mat, conn).value == want, (mat, conn.nu)
+                checked += 1
+        assert checked > 3000
 
     def test_prep_path_formula_shape(self):
         # prep path equals the assembled Dedekind-difference expression
