@@ -30,6 +30,7 @@ from typing import Tuple
 
 from .bernoulli import RationalLike, periodic_bernoulli
 from .errors import DomainError
+from .moduli import _admissible_m
 from .sl2z import SL2ZMatrix
 
 __all__ = [
@@ -222,9 +223,10 @@ def p1_closed_fourier(
 def sum_difference_closed(x: RationalLike, y: RationalLike, M: SL2ZMatrix) -> Fraction:
     """Exact closed form of s_{x,y}(a, c) - s(a, c) for admissible (x, y).
 
-    Requires x in [0,1) and (x - x', y - y') in Z^2 where (x', y') is the
-    transpose action (a x + c y, b x + d y); writes m = x - x' and reduces
-    m to r in {0, ..., |c|-1}.  Summed in integers over one denominator, it is
+    Requires x in [0,1) and (x - x', y - y') = (Id - M^t)(x, y) in Z^2,
+    where (x', y') is the transpose action (a x + c y, b x + d y); writes
+    m = x - x' and reduces m to r in {0, ..., |c|-1}.  Summed in integers
+    over one denominator, it is
 
         (P_2(x) - 1/6)/|c| + sum_{k=1}^{|c|-r} P_1(d k/|c|) + P_1(d m/|c|)/2
         + [x not in Z] * (P_1(m/|c|) - P_1(d m/|c|))/2
@@ -244,13 +246,7 @@ def _difference_num(x: RationalLike, y: RationalLike, M: SL2ZMatrix) -> Tuple[in
     py, qy = y.numerator, y.denominator
     if not 0 <= p < q:
         raise DomainError("sum_difference_closed requires x in [0, 1)")
-    # (x - x', y - y') over the common denominator q qy
-    m_int, rem_x = divmod((1 - a) * p * qy - c * py * q, q * qy)
-    rem_y = ((1 - M.d) * py * q - M.b * p * qy) % (q * qy)
-    if rem_x or rem_y:
-        raise DomainError(
-            "sum_difference_closed requires (x - x', y - y') in Z^2"
-        )
+    m_int, _ = _admissible_m(M, p * qy, py * q, q * qy)  # (x - x', y - y')
     cabs = abs(c)
     d = _inverse_mod(a, c)
     r = m_int % cabs

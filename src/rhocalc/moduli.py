@@ -3,16 +3,17 @@
 A gauge class on the mapping torus of M is a pair nu in [0,1)^2 with
 (Id - M^t) nu integral; the integer vector m = (Id - M^t) nu classifies
 the restriction to a fiber-transverse torus, and m lying in the integer
-image of (Id - M^t) decides triviality of the flat bundle itself.  All
-lattice work runs through one Smith-normal-form kernel with the
-unimodular transforms retained.
+image of (Id - M^t) decides triviality of the flat bundle itself.
+Whether nu is admissible is decided in one place, :func:`_admissible_m`,
+in integers over one denominator.  All lattice work runs through one
+Smith-normal-form kernel with the unimodular transforms retained.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .bernoulli import RationalLike, _reduce_mod1
 from .errors import AdmissibilityError, DomainError, UnsupportedClassError
@@ -41,19 +42,25 @@ def _one_minus_mt(M: SL2ZMatrix) -> Mat2:
     return ((1 - M.a, -M.c), (-M.b, 1 - M.d))
 
 
-def _mat_mul(A: Mat2, B: Mat2) -> Mat2:
-    return (
-        (A[0][0] * B[0][0] + A[0][1] * B[1][0], A[0][0] * B[0][1] + A[0][1] * B[1][1]),
-        (A[1][0] * B[0][0] + A[1][1] * B[1][0], A[1][0] * B[0][1] + A[1][1] * B[1][1]),
-    )
+def _admissible_m(M: SL2ZMatrix, n1: int, n2: int, den: int) -> Tuple[int, int]:
+    """m = (Id - M^t) nu for nu = (n1, n2)/den, den > 0, in integers.
+
+    Raises AdmissibilityError unless m is integral.
+    """
+    m1, r1 = divmod((1 - M.a) * n1 - M.c * n2, den)
+    m2, r2 = divmod((1 - M.d) * n2 - M.b * n1, den)
+    if r1 or r2:
+        raise AdmissibilityError(
+            "connection requires (Id - M^t) nu in Z^2; got "
+            f"({Fraction(m1 * den + r1, den)}, {Fraction(m2 * den + r2, den)}) "
+            f"for nu = ({Fraction(n1, den)}, {Fraction(n2, den)})"
+        )
+    return m1, m2
 
 
-def _mat_vec(A: Mat2, v: Sequence) -> Tuple:
-    return (A[0][0] * v[0] + A[0][1] * v[1], A[1][0] * v[0] + A[1][1] * v[1])
-
-
-def _det(A: Mat2) -> int:
-    return A[0][0] * A[1][1] - A[0][1] * A[1][0]
+def _is_rational(v) -> bool:
+    """Is v a Fraction or an int (not a bool, float or string)?"""
+    return isinstance(v, Fraction) or type(v) is int
 
 
 def smith_normal_form(A: Mat2) -> Tuple[Mat2, Mat2, Mat2]:
@@ -138,31 +145,36 @@ def smith_normal_form(A: Mat2) -> Tuple[Mat2, Mat2, Mat2]:
 class TorusFlatConnection:
     """A gauge class of flat U(1) connections on the mapping torus of M.
 
-    Checks what it can without M: m is a pair of ints, nu is a pair of
-    Fractions or ints in [0,1)^2, restriction_trivial says nu = 0, and
-    only such a class carries a gauge phase lambda.  Whether
-    m = (Id - M^t) nu is checked where M is known, on entry to
+    Data: the twist nu, a pair of Fractions or ints in [0,1)^2; the
+    integer pair m; and the gauge phase lambda, a Fraction or int in
+    [0, 1) that only a class with nu = 0 carries.  Derived:
+    restriction_trivial, set from nu (nu = 0).  The constructor checks
+    what it can without M.  Whether m = (Id - M^t) nu is checked where M
+    is known: by connection_from_nu, which computes m, and on entry to
     rho_torus, rho_hyperbolic_prep and chern_simons_mod1.
     """
 
     nu: Tuple[Fraction, Fraction]
     m: Tuple[int, int]
-    gauge_lambda: Optional[Fraction]
-    restriction_trivial: bool
-    bundle_trivial: bool
+    gauge_lambda: Optional[Fraction] = None
+    restriction_trivial: bool = field(init=False)
 
     def __post_init__(self) -> None:
         nu1, nu2 = self.nu
-        if not all(isinstance(v, Fraction) or type(v) is int for v in self.nu):
+        if not all(map(_is_rational, self.nu)):
             raise DomainError(f"TorusFlatConnection requires nu to be a pair of Fractions or ints, got {self.nu!r}")
         if tuple(map(type, self.m)) != (int, int):
             raise DomainError(f"TorusFlatConnection requires m to be a pair of ints, got {self.m!r}")
         if not (0 <= nu1 < 1 and 0 <= nu2 < 1):
             raise DomainError(f"TorusFlatConnection requires nu in [0, 1)^2, got ({nu1}, {nu2})")
-        if self.restriction_trivial != (nu1 == 0 and nu2 == 0):
-            raise DomainError("TorusFlatConnection.restriction_trivial must say whether nu = 0")
-        if self.gauge_lambda is not None and not self.restriction_trivial:
-            raise DomainError("gauge phase lambda is only defined when nu is integral")
+        trivial = nu1 == 0 and nu2 == 0
+        object.__setattr__(self, "restriction_trivial", trivial)
+        lam = self.gauge_lambda
+        if lam is not None:
+            if not (_is_rational(lam) and 0 <= lam < 1):
+                raise DomainError(f"TorusFlatConnection requires lambda to be a Fraction or int in [0, 1), got {lam!r}")
+            if not trivial:
+                raise DomainError("gauge phase lambda is only defined when nu is integral")
 
 
 @dataclass(frozen=True)
@@ -217,9 +229,9 @@ def is_bundle_trivial(M: SL2ZMatrix, m: Tuple[int, int]) -> bool:
     iff each component of U m is divisible by the matching d (zero d
     demands a zero component).
     """
-    A = _one_minus_mt(M)
-    U, S, _ = smith_normal_form(A)
-    w = _mat_vec(U, m)
+    U, S, _ = smith_normal_form(_one_minus_mt(M))
+    (u00, u01), (u10, u11) = U
+    w = (u00 * m[0] + u01 * m[1], u10 * m[0] + u11 * m[1])
     for i in range(2):
         if S[i][i] == 0:
             if w[i] != 0:
@@ -236,29 +248,20 @@ def connection_from_nu(
 ) -> TorusFlatConnection:
     """Validate and normalize a connection datum on the mapping torus of M.
 
-    nu is reduced into [0,1)^2; the admissibility condition is that
-    (Id - M^t) nu is integral.  The constant gauge phase lambda only
-    exists when the fiber restriction is trivial (nu in Z^2).
+    nu and lambda are Fractions or ints, reduced into [0, 1); the
+    admissibility condition is that m = (Id - M^t) nu is integral.  The
+    constant gauge phase lambda only exists when the fiber restriction is
+    trivial (nu in Z^2).
     """
+    if not all(_is_rational(v) for v in (*nu, gauge_lambda) if v is not None):
+        raise DomainError(f"connection_from_nu requires Fraction or int nu and lambda, got {nu!r}, {gauge_lambda!r}")
     nu1 = _reduce_mod1(nu[0])
     nu2 = _reduce_mod1(nu[1])
-    A = _one_minus_mt(M)
-    m_frac = _mat_vec(A, (nu1, nu2))
-    if m_frac[0].denominator != 1 or m_frac[1].denominator != 1:
-        raise AdmissibilityError(
-            "connection requires (Id - M^t) nu in Z^2; got "
-            f"({m_frac[0]}, {m_frac[1]}) for nu = ({nu1}, {nu2})"
-        )
-    m = (int(m_frac[0]), int(m_frac[1]))
-    restriction_trivial = nu1 == 0 and nu2 == 0
+    q1, q2 = nu1.denominator, nu2.denominator
     return TorusFlatConnection(
         nu=(nu1, nu2),
-        m=m,
+        m=_admissible_m(M, nu1.numerator * q2, nu2.numerator * q1, q1 * q2),
         gauge_lambda=None if gauge_lambda is None else _reduce_mod1(gauge_lambda),
-        restriction_trivial=restriction_trivial,
-        # for invertible A, A z = m = A nu has the single rational solution
-        # z = nu, integral iff nu = 0; only trace 2 needs the lattice test
-        bundle_trivial=restriction_trivial if _det(A) else is_bundle_trivial(M, m),
     )
 
 
@@ -278,33 +281,24 @@ def enumerate_torus_connections(M: SL2ZMatrix) -> TorusModuliSet:
         raise UnsupportedClassError(
             "enumerate_torus_connections requires M != +-Id"
         )
-    A = _one_minus_mt(M)
-    det = _det(A)
-    if det == 0:
-        # trace 2: parabolic with eps = +1
-        eps, l, _ = parabolic_normal_form(M)
-        assert eps == 1 and l != 0
-        families = tuple(
-            ParabolicFamily(Fraction(j, abs(l))) for j in range(abs(l))
-        )
+    if isinstance(cls, Parabolic) and cls.epsilon == 1:
+        # trace 2: det(Id - M^t) = 2 - tr M = 0
+        l = abs(cls.l)
+        families = tuple(ParabolicFamily(Fraction(j, l)) for j in range(l))
         return TorusModuliSet(isolated=(), families=families)
-    _, S, V = smith_normal_form(A)
+    _, S, V = smith_normal_form(_one_minus_mt(M))
     d1, d2 = S[0][0], S[1][1]
     # nu = V (i/d1, j/d2) = n/d2 with n = V (i k, j) mod d2, k = d2/d1
     k = d2 // d1
     (v00, v01), (v10, v11) = V
     nums = sorted({((v00 * i * k + v01 * j) % d2, (v10 * i * k + v11 * j) % d2)
                    for i in range(d1) for j in range(d2)})
-    assert len(nums) == abs(det)
-    conns: List[TorusFlatConnection] = []
-    for n1, n2 in nums:
-        m1, r1 = divmod(A[0][0] * n1 + A[0][1] * n2, d2)
-        m2, r2 = divmod(A[1][0] * n1 + A[1][1] * n2, d2)
-        if r1 or r2:
-            raise AdmissibilityError(f"(Id - M^t) nu is not integral at nu = ({n1}/{d2}, {n2}/{d2})")
-        trivial = n1 == n2 == 0
-        conns.append(TorusFlatConnection((Fraction(n1, d2), Fraction(n2, d2)), (m1, m2), None, trivial, trivial))
-    return TorusModuliSet(isolated=tuple(conns), families=())
+    assert len(nums) == abs(2 - M.trace)
+    conns = tuple(
+        TorusFlatConnection((Fraction(n1, d2), Fraction(n2, d2)), _admissible_m(M, n1, n2, d2))
+        for n1, n2 in nums
+    )
+    return TorusModuliSet(isolated=conns, families=())
 
 
 def circle_moduli_summary(genus: int, degree_l: int) -> CircleModuliSummary:

@@ -32,14 +32,10 @@ from enum import Enum
 from fractions import Fraction
 from typing import Tuple
 
-from .bernoulli import RationalLike, periodic_bernoulli, sgn
+from .bernoulli import RationalLike, _reduce_mod1, periodic_bernoulli, sgn
 from .dedekind import _classical_num, _difference_num, _generalized_num, classical_sum
 from .errors import AdmissibilityError, DomainError, UnsupportedClassError
-from .moduli import (
-    CircleFlatConnection,
-    TorusFlatConnection,
-    transport_nu_to_normal_form,
-)
+from .moduli import CircleFlatConnection, TorusFlatConnection, _admissible_m
 from .sl2z import Elliptic, Hyperbolic, Identity, Parabolic, SL2ZMatrix, classify
 
 __all__ = [
@@ -165,15 +161,10 @@ def _admissible_nu(
     M: SL2ZMatrix, conn: TorusFlatConnection, what: str
 ) -> Tuple[int, int, int, int]:
     """(p1, q1, p2, q2) with nu = (p1/q1, p2/q2), after checking that
-    m = (Id - M^t) nu, in integers over the common denominator q1 q2;
-    raises DomainError otherwise."""
+    m = (Id - M^t) nu; raises DomainError otherwise."""
     nu1, nu2 = conn.nu
     p1, q1, p2, q2 = nu1.numerator, nu1.denominator, nu2.numerator, nu2.denominator
-    m1, m2 = conn.m
-    if (
-        m1 * q1 * q2 != (1 - M.a) * p1 * q2 - M.c * p2 * q1
-        or m2 * q1 * q2 != (1 - M.d) * p2 * q1 - M.b * p1 * q2
-    ):
+    if _admissible_m(M, p1 * q2, p2 * q1, q1 * q2) != conn.m:
         raise DomainError(f"{what} requires m = (Id - M^t) nu")
     return p1, q1, p2, q2
 
@@ -222,12 +213,12 @@ def rho_torus(M: SL2ZMatrix, conn: TorusFlatConnection) -> RhoValue:
         return RhoValue(value, RhoBranch.ELLIPTIC_TRIVIAL_RESTRICTION)
     if isinstance(cls, Parabolic):
         _require_twisted(conn, "parabolic rho_torus")
-        eps, l, nup = transport_nu_to_normal_form(M, conn.nu)
-        if l == 0:
-            return RhoValue(Fraction(0), RhoBranch.PARABOLIC)
-        value = 2 * l * (_p2(nup[0]) - _SIXTH)
-        if eps == 1:
-            value += sgn(l)
+        # nu' = g^t nu mod Z^2 in the coordinates of the normal form
+        # eps*[[1, l], [0, 1]] = g^{-1} M g
+        nu1p = _reduce_mod1(cls.conjugator.transpose_apply(conn.nu)[0])
+        value = 2 * cls.l * (_p2(nu1p) - _SIXTH)
+        if cls.epsilon == 1:
+            value += sgn(cls.l)
         return RhoValue(value, RhoBranch.PARABOLIC)
     _require_twisted(conn, "hyperbolic rho_torus")
     value = _rho_hyperbolic(M, p1, q1, *_difference_num(*conn.nu, M))
@@ -316,11 +307,11 @@ def parabolic_intermediates(
     if epsilon not in (1, -1):
         raise DomainError("epsilon must be +1 or -1")
     nu1 = Fraction(nu1)
-    if epsilon == 1 and (l * nu1).denominator != 1:
+    if epsilon == 1 and l * nu1.numerator % nu1.denominator:
         raise AdmissibilityError(
             "parabolic eps=+1 admissibility requires l*nu1 in Z"
         )
-    if epsilon == -1 and (2 * nu1).denominator != 1:
+    if epsilon == -1 and 2 * nu1.numerator % nu1.denominator:
         raise AdmissibilityError(
             "parabolic eps=-1 admissibility requires 2*nu1 in Z"
         )

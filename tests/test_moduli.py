@@ -12,6 +12,8 @@ from fractions import Fraction as F
 from math import floor
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_hyperbolic, random_parabolic, random_sl2z
 from rhocalc import (
@@ -23,11 +25,14 @@ from rhocalc import (
     Parabolic,
     SL2ZMatrix,
     TorusFlatConnection,
+    chern_simons_mod1,
     circle_moduli_summary,
     classify,
     connection_from_nu,
     enumerate_torus_connections,
     is_bundle_trivial,
+    rho_hyperbolic_prep,
+    rho_torus,
     smith_normal_form,
     transport_nu_from_normal_form,
     transport_nu_to_normal_form,
@@ -235,62 +240,117 @@ class TestConnectionFromNu:
         with pytest.raises(DomainError):
             connection_from_nu(SL2ZMatrix(3, 2, 4, 3), (F(1, 2), F(1, 2)), gauge_lambda=F(1, 3))
 
+    @pytest.mark.parametrize(
+        "nu,lam",
+        [((0.5, 0.5), None), ((F(1, 2), 0.5), None), ((0, 0), 0.3), (("1/2", F(1, 2)), None), ((0, 0), True)],
+    )
+    def test_rejects_float_nu_or_lambda(self, nu, lam):
+        with pytest.raises(DomainError):
+            connection_from_nu(SL2ZMatrix(3, 2, 4, 3), nu, gauge_lambda=lam)
+
     def test_restriction_trivial_flag(self):
         m = SL2ZMatrix(3, 2, 4, 3)
         conn = connection_from_nu(m, (F(0), F(0)))
         assert conn.restriction_trivial is True
 
     def test_bundle_trivial_matches_smith_form(self):
-        # the flag skips the Smith normal form for det(Id - M^t) != 0; it
-        # must still agree with the lattice test on every class, including
-        # the trace-2 circles (taken at a few nu_2 along each family)
+        # for det(Id - M^t) != 0, A z = m = A nu has the single rational
+        # solution z = nu, so the bundle is trivial iff nu = 0; the Smith
+        # form lattice test must agree on every isolated class
         rng = random.Random(45)
-        checked = isolated = 0
+        checked = trivial = 0
         for _ in range(300):
             m = random_sl2z(rng, 12)
-            if abs(m.a + m.d) == 2 and m.b == m.c == 0:
-                continue  # +-Id
-            mod = enumerate_torus_connections(m)
-            conns = list(mod.isolated)
-            isolated += len(conns)
-            for fam in mod.families:
-                for nu2 in (F(0), F(1, 3), F(5, 7)):
-                    nu = transport_nu_from_normal_form(m, (fam.nu1, nu2))
-                    conns.append(connection_from_nu(m, nu))
-            for conn in conns:
-                assert conn.bundle_trivial is is_bundle_trivial(m, conn.m), (m, conn.nu)
+            if m.trace == 2:
+                continue  # Id and the trace-2 circles: det(Id - M^t) = 0
+            for conn in enumerate_torus_connections(m).isolated:
+                assert is_bundle_trivial(m, conn.m) == conn.restriction_trivial, (m, conn.nu)
                 checked += 1
-        assert 0 < isolated < checked
+                trivial += conn.restriction_trivial
+        assert 0 < trivial < checked
 
 
 class TestTorusFlatConnection:
+    # fixed ids keep the names these cases had when the constructor took five fields
     @pytest.mark.parametrize(
-        "nu,restriction_trivial,lam",
+        "nu,lam",
         [
-            ((F(1, 5), F(-2, 5)), False, None),
-            ((F(0), F(1)), False, None),
-            ((F(1, 2), F(1, 2)), True, None),
-            ((F(0), F(0)), False, None),
-            ((F(1, 2), F(1, 2)), False, F(1, 3)),
+            pytest.param((F(1, 5), F(-2, 5)), None, id="nu0-False-None"),
+            pytest.param((F(0), F(1)), None, id="nu1-False-None"),
+            pytest.param((F(1, 2), F(1, 2)), F(1, 3), id="nu4-False-lam4"),
         ],
     )
-    def test_rejects_inconsistent_fields(self, nu, restriction_trivial, lam):
+    def test_rejects_inconsistent_fields(self, nu, lam):
         with pytest.raises(DomainError):
-            TorusFlatConnection(nu, (0, 0), lam, restriction_trivial, False)
+            TorusFlatConnection(nu, (0, 0), lam)
 
     @pytest.mark.parametrize("m", [(F(1), 0), (0.0, 0), (0, 0, 0), (True, 0)])
     def test_rejects_m_not_a_pair_of_ints(self, m):
         with pytest.raises(DomainError):
-            TorusFlatConnection((F(1, 7), F(0)), m, None, False, False)
+            TorusFlatConnection((F(1, 7), F(0)), m)
 
     @pytest.mark.parametrize("nu", [(0.5, 0.25), (F(1, 2), 0.25), (False, F(1, 2)), ("1/2", F(0))])
     def test_rejects_nu_not_a_pair_of_fractions(self, nu):
         with pytest.raises(DomainError):
-            TorusFlatConnection(nu, (0, 0), None, False, False)
+            TorusFlatConnection(nu, (0, 0))
 
     def test_accepts_int_nu(self):
-        conn = TorusFlatConnection((0, 0), (0, 0), None, True, True)
+        conn = TorusFlatConnection((0, 0), (0, 0))
         assert conn.nu == (F(0), F(0))
+
+    def test_restriction_trivial_is_derived(self):
+        assert TorusFlatConnection((0, 0), (0, 0), F(1, 3)).restriction_trivial is True
+        assert TorusFlatConnection((F(1, 2), F(0)), (1, 0)).restriction_trivial is False
+        with pytest.raises(TypeError):
+            TorusFlatConnection((0, 0), (0, 0), None, True)
+
+    @pytest.mark.parametrize("lam", [F(5, 2), F(-1, 3), F(1), 1, 0.3, True, "1/3"])
+    def test_rejects_lambda_not_in_unit_interval(self, lam):
+        with pytest.raises(DomainError):
+            TorusFlatConnection((0, 0), (0, 0), lam)
+
+    @pytest.mark.parametrize("lam", [0, F(0), F(1, 2), F(99, 100)])
+    def test_accepts_lambda_in_unit_interval(self, lam):
+        assert TorusFlatConnection((0, 0), (0, 0), lam).gauge_lambda == lam
+
+
+@st.composite
+def sl2z_not_pm_identity(draw, bound=30):
+    """M in SL(2, Z), M != +-Id, |entries| <= bound: a first column (a, c),
+    then one second column (b, d) in the box with a d - b c = 1."""
+    a = draw(st.integers(-bound, bound))
+    c = draw(st.integers(-bound, bound))
+    cols = [(b, d) for b in range(-bound, bound + 1) for d in range(-bound, bound + 1) if a * d - b * c == 1]
+    assume(cols)
+    b, d = draw(st.sampled_from(cols))
+    assume(not (b == c == 0 and a == d))
+    return SL2ZMatrix(a, b, c, d)
+
+
+@st.composite
+def nu_over_q(draw, max_q=12):
+    q = draw(st.integers(1, max_q))
+    return F(draw(st.integers(0, q - 1)), q), F(draw(st.integers(0, q - 1)), q)
+
+
+class TestAdmissibilityProperty:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(sl2z_not_pm_identity(), nu_over_q(), st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    def test_admissible_iff_m_integral(self, mat, nu, m):
+        # decided here with Fractions, apart from the library's integer routine
+        nu1, nu2 = nu
+        want = ((1 - mat.a) * nu1 - mat.c * nu2, -mat.b * nu1 + (1 - mat.d) * nu2)
+        admissible = want[0].denominator == want[1].denominator == 1
+        if admissible:
+            assert connection_from_nu(mat, nu).m == want
+        else:
+            with pytest.raises(AdmissibilityError):
+                connection_from_nu(mat, nu)
+        if not admissible or m != want:
+            conn = TorusFlatConnection(nu, m)
+            for route in (rho_torus, rho_hyperbolic_prep, chern_simons_mod1):
+                with pytest.raises(DomainError, match="Id - M"):
+                    route(mat, conn)
 
 
 class TestBundleTrivial:

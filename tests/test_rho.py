@@ -159,6 +159,16 @@ class TestRhoTorusElliptic:
         # dist = 1/5 < 1/4: 2 sgn(c)
         assert rho_torus(mat, conn).value == 2
 
+    def test_lambda_outside_unit_interval(self):
+        # lambda = 5/2 once reached the comparison unreduced and gave
+        # 2 sgn(c); its class is lambda = 1/2, with dist 1/2 > theta = 1/4
+        mat = SL2ZMatrix(0, -1, 1, 0)
+        with pytest.raises(DomainError):
+            TorusFlatConnection((F(0), F(0)), (0, 0), F(5, 2))
+        conn = connection_from_nu(mat, (F(0), F(0)), gauge_lambda=F(5, 2))
+        assert conn.gauge_lambda == F(1, 2)
+        assert rho_torus(mat, conn).value == 0
+
     def test_trivial_restriction_requires_lambda(self):
         mat = SL2ZMatrix(0, -1, 1, 0)
         conn = connection_from_nu(mat, (F(0), F(0)))
@@ -193,6 +203,34 @@ class TestRhoTorusParabolic:
             cls = classify(mat)
             _, l, nu_prime = (cls.epsilon, cls.l, None)
             assert v.branch == RhoBranch.PARABOLIC
+
+    def test_normal_form_computed_once_per_call(self, monkeypatch):
+        # rho_torus moves nu with the conjugator classify returns, and the
+        # trace-2 enumeration reads l from it: one normal form each
+        import rhocalc.moduli
+        import rhocalc.sl2z
+
+        calls = []
+        real = rhocalc.sl2z.parabolic_normal_form
+
+        def counting(mat):
+            calls.append(mat)
+            return real(mat)
+
+        g = SL2ZMatrix(2, 1, 1, 1)
+        minus = g @ SL2ZMatrix(-1, -3, 0, -1) @ g.inverse()
+        plus = g @ SL2ZMatrix(1, 3, 0, 1) @ g.inverse()
+        conns = [c for c in enumerate_torus_connections(minus).isolated if not c.restriction_trivial]
+        assert conns
+        for module in (rhocalc.sl2z, rhocalc.moduli):
+            monkeypatch.setattr(module, "parabolic_normal_form", counting)
+        for conn in conns:
+            calls.clear()
+            rho_torus(minus, conn)
+            assert len(calls) == 1
+        calls.clear()
+        assert len(enumerate_torus_connections(plus).families) == 3
+        assert len(calls) == 1
 
     def test_rejects_untwisted(self):
         mat = SL2ZMatrix(1, 3, 0, 1)
@@ -439,11 +477,11 @@ class TestChernSimons:
         # can no longer be built, so no route computes from it
         mat = SL2ZMatrix(-2, 1, 1, -1)
         with pytest.raises(DomainError):
-            TorusFlatConnection((F(6, 5), F(3, 5)), (0, 0), None, False, False)
+            TorusFlatConnection((F(6, 5), F(3, 5)), (0, 0))
         # nu in range but m != (Id - M^t) nu: chern_simons_mod1 reads m
         good = connection_from_nu(mat, (F(1, 5), F(3, 5)))
         assert good.m != (0, 0)
-        bad = TorusFlatConnection(good.nu, (0, 0), None, False, False)
+        bad = TorusFlatConnection(good.nu, (0, 0))
         with pytest.raises(DomainError):
             chern_simons_mod1(mat, bad)
         assert chern_simons_mod1(mat, good) == F(3, 5)
@@ -460,7 +498,7 @@ class TestChernSimons:
         for matrix, nu, m, why in cases:
             for route in (rho_torus, rho_hyperbolic_prep, chern_simons_mod1):
                 with pytest.raises(DomainError, match=why):
-                    route(matrix, TorusFlatConnection(nu, m, None, False, False))
+                    route(matrix, TorusFlatConnection(nu, m))
 
 
 class TestParabolicCircleCoincidence:
