@@ -21,7 +21,7 @@ import os
 import random
 import sys
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import analytic, dedekind, moduli, rho
 from .analytic import SeriesParams
@@ -41,19 +41,11 @@ KRONECKER_TOL = 1e-6
 ETA_TRANSFORM_TOL = 1e-9
 ETA_TRANSFORM_GEN_TOL = 1e-8
 
-_VALUE_FLAGS = {
-    "--matrix",
-    "--nu",
-    "--sigma",
-    "--gauge-lambda",
-    "--x",
-    "--y",
-    "--a",
-    "--c",
-    "--degree",
-    "--chern",
-    "--genus",
-}
+_Row = Dict[str, object]
+_Outcome = Tuple[List[_Row], Dict[str, object]]
+
+# argparse bookkeeping, and the output switch: never echoed under inputs
+_NOT_INPUTS = {"command", "target", "func", "json"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,32 +63,24 @@ def _parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational 'p/q': {text!r}") from exc
 
 
-def _parse_rational_pair(text: str) -> Tuple[Fraction, Fraction]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected 'p/q,p/q': {text!r}")
-    return _parse_rational(parts[0]), _parse_rational(parts[1])
+def _comma_tuple(convert: Callable[[str], object], form: str) -> Callable[[str], tuple]:
+    """argparse type for comma-separated values shaped like form, each read by convert."""
+
+    def parse(text: str) -> tuple:
+        parts = text.split(",")
+        try:
+            if len(parts) == form.count(",") + 1:
+                return tuple(map(convert, parts))
+        except (ValueError, ZeroDivisionError):
+            pass
+        raise argparse.ArgumentTypeError(f"expected {form!r}: {text!r}")
+
+    return parse
 
 
-def _parse_matrix(text: str) -> Tuple[int, int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError(f"expected 'a,b,c,d': {text!r}")
-    try:
-        a, b, c, d = (int(p.strip()) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"matrix entries must be integers: {text!r}") from exc
-    return a, b, c, d
-
-
-def _parse_sigma(text: str) -> Tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected 're,im': {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"sigma components must be reals: {text!r}") from exc
+_parse_matrix = _comma_tuple(int, "a,b,c,d")
+_parse_rational_pair = _comma_tuple(Fraction, "p/q,p/q")
+_parse_sigma = _comma_tuple(float, "re,im")
 
 
 def _bounded_int(minimum: int, maximum: Optional[int] = None) -> Callable[[str], int]:
@@ -116,9 +100,14 @@ def _bounded_int(minimum: int, maximum: Optional[int] = None) -> Callable[[str],
     return parse
 
 
-def _exact_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+def _text(value: object) -> object:
+    """Canonical text of a parsed value: "p/q" for a rational, comma-joined
+    entries for a matrix or a pair; other values pass through."""
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, tuple):
+        return ",".join(str(_text(v)) for v in value)
+    return value
 
 
 def _entry(
@@ -126,10 +115,10 @@ def _entry(
     exact: Optional[Fraction] = None,
     float_value: Union[float, Fraction, None] = None,
     branch: Optional[str] = None,
-) -> Dict[str, object]:
-    row: Dict[str, object] = {"name": name}
+) -> _Row:
+    row: _Row = {"name": name}
     if exact is not None:
-        row["exact"] = _exact_str(exact)
+        row["exact"] = _text(Fraction(exact))
     if float_value is not None:
         try:
             row["float"] = float(float_value)
@@ -141,23 +130,6 @@ def _entry(
     if branch is not None:
         row["branch"] = branch
     return row
-
-
-def _document(
-    inputs: Dict[str, object],
-    results: List[Dict[str, object]],
-    terms_used: int = 0,
-    achieved_tolerance: Optional[float] = None,
-) -> Dict[str, object]:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "inputs": inputs,
-        "results": results,
-        "diagnostics": {
-            "terms_used": terms_used,
-            "achieved_tolerance": achieved_tolerance,
-        },
-    }
 
 
 def _emit(doc: Dict[str, object], as_json: bool) -> None:
@@ -179,42 +151,29 @@ def _emit(doc: Dict[str, object], as_json: bool) -> None:
 
 
 def _series_params(args: argparse.Namespace) -> SeriesParams:
-    quad_tol = 1e-9
-    if args.quad_tol is not None:
-        quad_tol = args.quad_tol
-    else:
-        env = os.environ.get("RHO_CALC_TOL")
-        if env is not None:
-            try:
-                quad_tol = float(env)
-            except ValueError:
-                raise DomainError(
-                    f"RHO_CALC_TOL must be a positive real, got {env!r}"
-                )
-    kwargs = {"quad_tolerance": quad_tol}
-    if args.tail_tol is not None:
-        kwargs["tail_tolerance"] = args.tail_tol
-    if args.max_terms is not None:
-        kwargs["max_terms"] = args.max_terms
-    if args.poisson_switch is not None:
-        kwargs["poisson_switch_u"] = args.poisson_switch
-    return SeriesParams(**kwargs)
-
-
-def _matrix(args: argparse.Namespace) -> SL2ZMatrix:
-    a, b, c, d = args.matrix
-    return SL2ZMatrix(a, b, c, d)
-
-
-def _sigma_point(args: argparse.Namespace) -> UpperHalfPoint:
-    re, im = args.sigma
-    return UpperHalfPoint(re, im)
+    quad_tol = args.quad_tol
+    if quad_tol is None:
+        env = os.environ.get("RHO_CALC_TOL", "1e-9")
+        try:
+            quad_tol = float(env)
+        except ValueError:
+            raise DomainError(f"RHO_CALC_TOL must be a positive real, got {env!r}") from None
+    kwargs = {
+        "quad_tolerance": quad_tol,
+        "tail_tolerance": args.tail_tol,
+        "max_terms": args.max_terms,
+        "poisson_switch_u": args.poisson_switch,
+    }
+    return SeriesParams(**{k: v for k, v in kwargs.items() if v is not None})
 
 
 # -- subcommand implementations --------------------------------------------
+#
+# Each returns (results, diagnostics); diagnostics may hold terms_used,
+# achieved_tolerance and, for a verification suite, passed.
 
 
-def _cmd_rho_circle(args: argparse.Namespace) -> int:
+def _cmd_rho_circle(args: argparse.Namespace) -> _Outcome:
     conn = moduli.CircleFlatConnection(args.degree, args.chern, args.trivial)
     value = rho.rho_circle(conn)
     results = [
@@ -230,105 +189,65 @@ def _cmd_rho_circle(args: argparse.Namespace) -> int:
                 exact=Fraction(rho.dai_correction_circle(args.degree, args.trivial)),
             )
         )
-    inputs = {"subcommand": "rho circle", "degree": args.degree, "chern": args.chern, "trivial": args.trivial}
-    _emit(_document(inputs, results), args.json)
-    return EXIT_OK
+    return results, {}
 
 
-def _family_connection(M: SL2ZMatrix, nu1_prime: Fraction) -> moduli.TorusFlatConnection:
-    # generic representative of a parabolic family: nu2' = 1/2 keeps it twisted
-    nu = moduli.transport_nu_from_normal_form(M, (nu1_prime, Fraction(1, 2)))
-    return moduli.connection_from_nu(M, nu)
-
-
-def _cmd_rho_torus(args: argparse.Namespace) -> int:
-    M = _matrix(args)
-    inputs: Dict[str, object] = {
-        "subcommand": "rho torus",
-        "matrix": ",".join(str(x) for x in args.matrix),
-    }
-    results: List[Dict[str, object]] = []
-    if args.enumerate:
-        inputs["enumerate"] = True
-        mod = moduli.enumerate_torus_connections(M)
-        for conn in mod.isolated:
-            tag = f"{_exact_str(conn.nu[0])},{_exact_str(conn.nu[1])}"
-            try:
-                value = rho.rho_torus(M, conn)
-                results.append(
-                    _entry(
-                        f"rho_torus[{tag}]",
-                        exact=value.value,
-                        float_value=value.value,
-                        branch=value.branch.value,
-                    )
-                )
-            except DomainError as exc:
-                results.append({"name": f"rho_torus[{tag}]", "branch": f"out-of-scope: {exc}"})
-            results.append(_entry(f"cs_mod1[{tag}]", exact=rho.chern_simons_mod1(M, conn)))
-        for family in mod.families:
-            conn = _family_connection(M, family.nu1)
-            value = rho.rho_torus(M, conn)
-            tag = f"family nu1'={_exact_str(family.nu1)}"
-            results.append(
-                _entry(
-                    f"rho_torus[{tag}]",
-                    exact=value.value,
-                    float_value=value.value,
-                    branch=value.branch.value + " (nu2 free)",
-                )
-            )
-            results.append(_entry(f"cs_mod1[{tag}]", exact=rho.chern_simons_mod1(M, conn)))
-    else:
-        if args.nu is None:
-            raise DomainError("rho torus needs --nu or --enumerate")
-        inputs["nu"] = f"{_exact_str(args.nu[0])},{_exact_str(args.nu[1])}"
-        if args.gauge_lambda is not None:
-            inputs["gauge_lambda"] = _exact_str(args.gauge_lambda)
-        conn = moduli.connection_from_nu(M, args.nu, gauge_lambda=args.gauge_lambda)
+def _torus_rows(
+    M: SL2ZMatrix, conn: moduli.TorusFlatConnection, tag: str = "", qualifier: str = ""
+) -> List[_Row]:
+    """The rho_torus row (out of scope if rho_torus rejects an enumerated
+    class) and the cs_mod1 row of one class."""
+    try:
         value = rho.rho_torus(M, conn)
-        results.append(
-            _entry("rho_torus", exact=value.value, float_value=value.value, branch=value.branch.value)
+    except DomainError as exc:
+        if not tag:  # a single class: its error is the command's
+            raise
+        row: _Row = {"name": f"rho_torus{tag}", "branch": f"out-of-scope: {exc}"}
+    else:
+        row = _entry(
+            f"rho_torus{tag}",
+            exact=value.value,
+            float_value=value.value,
+            branch=value.branch.value + qualifier,
         )
-        results.append(_entry("cs_mod1", exact=rho.chern_simons_mod1(M, conn)))
-    _emit(_document(inputs, results), args.json)
-    return EXIT_OK
+    return [row, _entry(f"cs_mod1{tag}", exact=rho.chern_simons_mod1(M, conn))]
 
 
-def _cmd_eta_torus(args: argparse.Namespace) -> int:
-    M = _matrix(args)
-    value = rho.eta_untwisted_torus(M)
-    inputs = {"subcommand": "eta torus", "matrix": ",".join(str(x) for x in args.matrix)}
-    _emit(_document(inputs, [_entry("eta_untwisted", exact=value, float_value=value)]), args.json)
-    return EXIT_OK
-
-
-def _cmd_dedekind_classic(args: argparse.Namespace) -> int:
-    value = dedekind.classical_sum(args.a, args.c)
-    inputs = {"subcommand": "dedekind classic", "a": args.a, "c": args.c}
-    _emit(_document(inputs, [_entry("classical_sum", exact=value, float_value=value)]), args.json)
-    return EXIT_OK
-
-
-def _cmd_dedekind_general(args: argparse.Namespace) -> int:
-    value = dedekind.generalized_sum(args.x, args.y, args.a, args.c)
-    inputs = {
-        "subcommand": "dedekind general",
-        "x": _exact_str(args.x),
-        "y": _exact_str(args.y),
-        "a": args.a,
-        "c": args.c,
-    }
-    _emit(_document(inputs, [_entry("generalized_sum", exact=value, float_value=value)]), args.json)
-    return EXIT_OK
-
-
-def _cmd_moduli_torus(args: argparse.Namespace) -> int:
-    M = _matrix(args)
+def _cmd_rho_torus(args: argparse.Namespace) -> _Outcome:
+    if args.enumerate and args.gauge_lambda is not None:
+        raise argparse.ArgumentError(None, "argument --gauge-lambda: not allowed with argument --enumerate")
+    M = SL2ZMatrix(*args.matrix)
+    if not args.enumerate:
+        conn = moduli.connection_from_nu(M, args.nu, gauge_lambda=args.gauge_lambda)
+        return _torus_rows(M, conn), {}
+    results: List[_Row] = []
     mod = moduli.enumerate_torus_connections(M)
-    results: List[Dict[str, object]] = [
-        _entry("isolated_count", exact=Fraction(len(mod.isolated)))
-    ]
+    for conn in mod.isolated:
+        results += _torus_rows(M, conn, f"[{_text(conn.nu)}]")
+    for family in mod.families:
+        tag = f"[family nu1'={_text(family.nu1)}]"
+        results += _torus_rows(M, family.representative, tag, " (nu2 free)")
+    return results, {}
+
+
+def _cmd_eta_torus(args: argparse.Namespace) -> _Outcome:
+    value = rho.eta_untwisted_torus(SL2ZMatrix(*args.matrix))
+    return [_entry("eta_untwisted", exact=value, float_value=value)], {}
+
+
+def _cmd_dedekind_classic(args: argparse.Namespace) -> _Outcome:
+    value = dedekind.classical_sum(args.a, args.c)
+    return [_entry("classical_sum", exact=value, float_value=value)], {}
+
+
+def _cmd_dedekind_general(args: argparse.Namespace) -> _Outcome:
+    value = dedekind.generalized_sum(args.x, args.y, args.a, args.c)
+    return [_entry("generalized_sum", exact=value, float_value=value)], {}
+
+
+def _cmd_moduli_torus(args: argparse.Namespace) -> _Outcome:
+    mod = moduli.enumerate_torus_connections(SL2ZMatrix(*args.matrix))
+    results = [_entry("isolated_count", exact=Fraction(len(mod.isolated)))]
     for i, conn in enumerate(mod.isolated):
         results.append(_entry(f"conn[{i}].nu1", exact=conn.nu[0], branch="isolated"))
         results.append(_entry(f"conn[{i}].nu2", exact=conn.nu[1], branch="isolated"))
@@ -338,43 +257,30 @@ def _cmd_moduli_torus(args: argparse.Namespace) -> int:
         results.append(
             _entry(f"family[{j}].nu1", exact=family.nu1, branch="nu2-free (normal-form coordinates)")
         )
-    inputs = {"subcommand": "moduli torus", "matrix": ",".join(str(x) for x in args.matrix)}
-    _emit(_document(inputs, results), args.json)
-    return EXIT_OK
+    return results, {}
 
 
-def _cmd_moduli_circle(args: argparse.Namespace) -> int:
+def _cmd_moduli_circle(args: argparse.Namespace) -> _Outcome:
     summary = moduli.circle_moduli_summary(args.genus, args.degree)
     results = [
         _entry("torus_rank", exact=Fraction(summary.torus_rank)),
         _entry("torsion_order", exact=Fraction(summary.torsion_order)),
     ]
-    inputs = {"subcommand": "moduli circle", "genus": args.genus, "degree": args.degree}
-    _emit(_document(inputs, results), args.json)
-    return EXIT_OK
+    return results, {}
 
 
-def _cmd_spectrum_torus(args: argparse.Namespace) -> int:
-    sigma = _sigma_point(args)
-    spectrum = analytic.torus_spectrum(sigma, args.nu, args.max_norm)
+def _cmd_spectrum_torus(args: argparse.Namespace) -> _Outcome:
+    spectrum = analytic.torus_spectrum(UpperHalfPoint(*args.sigma), args.nu, args.max_norm)
     results = [
         _entry(f"eig[{i}]", float_value=lam, branch=f"multiplicity={mult}")
         for i, (lam, mult) in enumerate(spectrum)
     ]
-    inputs = {
-        "subcommand": "spectrum torus",
-        "sigma": f"{sigma.sigma1},{sigma.sigma2}",
-        "nu": f"{_exact_str(args.nu[0])},{_exact_str(args.nu[1])}",
-        "max_norm": args.max_norm,
-    }
-    count = (2 * args.max_norm + 1) ** 2
-    _emit(_document(inputs, results, terms_used=count), args.json)
-    return EXIT_OK
+    return results, {"terms_used": (2 * args.max_norm + 1) ** 2}
 
 
-def _cmd_verify_kronecker(args: argparse.Namespace) -> int:
+def _cmd_verify_kronecker(args: argparse.Namespace) -> _Outcome:
     params = _series_params(args)
-    sigma = _sigma_point(args)
+    sigma = UpperHalfPoint(*args.sigma)
     integral, info = analytic.kronecker_integral_info(sigma, args.nu, params)
     closed = analytic.kronecker_closed(sigma, args.nu, params)
     diff = abs(integral.as_complex() - closed.as_complex())
@@ -385,20 +291,18 @@ def _cmd_verify_kronecker(args: argparse.Namespace) -> int:
         _entry("kronecker_closed.im", float_value=closed.im),
         _entry("abs_difference", float_value=diff),
     ]
-    inputs = {
-        "subcommand": "verify kronecker",
-        "sigma": f"{sigma.sigma1},{sigma.sigma2}",
-        "nu": f"{_exact_str(args.nu[0])},{_exact_str(args.nu[1])}",
+    return results, {
+        "terms_used": int(info["neval"]),
+        "achieved_tolerance": diff,
+        "passed": diff < KRONECKER_TOL,
     }
-    _emit(
-        _document(inputs, results, terms_used=int(info["neval"]), achieved_tolerance=diff),
-        args.json,
-    )
-    return EXIT_OK if diff < KRONECKER_TOL else EXIT_NUMERIC
 
 
-def _cmd_verify_eta_transform(args: argparse.Namespace) -> int:
+def _cmd_verify_eta_transform(args: argparse.Namespace) -> _Outcome:
+    """The eta transformation law on random M and sigma; eta-transform-gen
+    also draws a non-integral twist (g, h) after each M."""
     params = _series_params(args)
+    general = args.target == "eta-transform-gen"
     rng = random.Random(args.seed)
     worst = 0.0
     for _ in range(args.count):
@@ -406,105 +310,77 @@ def _cmd_verify_eta_transform(args: argparse.Namespace) -> int:
             M = random_sl2z(rng, args.max_entry)
             if M.c != 0:
                 break
-        sigma = UpperHalfPoint(rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0))
-        defect = analytic.transform_defect(M, sigma, params)
-        worst = max(worst, abs(defect.as_complex()))
-    results = [
-        _entry("count", exact=Fraction(args.count)),
-        _entry("max_defect", float_value=worst),
-    ]
-    inputs = {"subcommand": "verify eta-transform", "count": args.count, "seed": args.seed}
-    _emit(_document(inputs, results, achieved_tolerance=worst), args.json)
-    return EXIT_OK if worst < ETA_TRANSFORM_TOL else EXIT_NUMERIC
-
-
-def _cmd_verify_eta_transform_gen(args: argparse.Namespace) -> int:
-    params = _series_params(args)
-    rng = random.Random(args.seed)
-    worst = 0.0
-    for _ in range(args.count):
-        while True:
-            M = random_sl2z(rng, args.max_entry)
-            if M.c != 0:
-                break
-        while True:
+        while general:
             g = Fraction(rng.randint(0, 11), rng.randint(1, 12))
             h = Fraction(rng.randint(-11, 11), rng.randint(1, 12))
             if g.denominator != 1 or h.denominator != 1:
                 break
         sigma = UpperHalfPoint(rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0))
-        defect = analytic.transform_defect_gen(M, g, h, sigma, params)
+        if general:
+            defect = analytic.transform_defect_gen(M, g, h, sigma, params)
+        else:
+            defect = analytic.transform_defect(M, sigma, params)
         worst = max(worst, abs(defect.as_complex()))
     results = [
         _entry("count", exact=Fraction(args.count)),
         _entry("max_defect", float_value=worst),
     ]
-    inputs = {"subcommand": "verify eta-transform-gen", "count": args.count, "seed": args.seed}
-    _emit(_document(inputs, results, achieved_tolerance=worst), args.json)
-    return EXIT_OK if worst < ETA_TRANSFORM_GEN_TOL else EXIT_NUMERIC
+    tol = ETA_TRANSFORM_GEN_TOL if general else ETA_TRANSFORM_TOL
+    return results, {"achieved_tolerance": worst, "passed": worst < tol}
 
 
-def _cmd_verify_two_path(args: argparse.Namespace) -> int:
-    rng = random.Random(args.seed)
-    checked = 0
-    mismatches = 0
-    for _ in range(args.count):
-        M = random_hyperbolic(rng, args.max_entry)
-        for conn in moduli.enumerate_torus_connections(M).isolated:
-            if conn.restriction_trivial:
+def _agreement(pairs: Iterable[Tuple[Fraction, Fraction]]) -> _Outcome:
+    """pairs_checked and mismatches over pairs of values that must agree."""
+    checked = mismatches = 0
+    for first, second in pairs:
+        checked += 1
+        mismatches += first != second
+    results = [
+        _entry("pairs_checked", exact=Fraction(checked)),
+        _entry("mismatches", exact=Fraction(mismatches)),
+    ]
+    passed = mismatches == 0
+    return results, {"achieved_tolerance": 0.0 if passed else None, "passed": passed}
+
+
+def _cmd_verify_two_path(args: argparse.Namespace) -> _Outcome:
+    def pairs():
+        rng = random.Random(args.seed)
+        for _ in range(args.count):
+            M = random_hyperbolic(rng, args.max_entry)
+            for conn in moduli.enumerate_torus_connections(M).isolated:
+                if not conn.restriction_trivial:
+                    yield rho.rho_torus(M, conn).value, rho.rho_hyperbolic_prep(M, conn).value
+
+    return _agreement(pairs())
+
+
+def _cmd_verify_parabolic_circle(args: argparse.Namespace) -> _Outcome:
+    def pairs():
+        for l in range(-12, 13):
+            if l == 0:
                 continue
-            direct = rho.rho_torus(M, conn).value
-            prep = rho.rho_hyperbolic_prep(M, conn).value
-            checked += 1
-            if direct != prep:
-                mismatches += 1
-    results = [
-        _entry("pairs_checked", exact=Fraction(checked)),
-        _entry("mismatches", exact=Fraction(mismatches)),
-    ]
-    inputs = {
-        "subcommand": "verify two-path",
-        "count": args.count,
-        "max_entry": args.max_entry,
-        "seed": args.seed,
-    }
-    _emit(_document(inputs, results, achieved_tolerance=0.0 if mismatches == 0 else None), args.json)
-    return EXIT_OK if mismatches == 0 else EXIT_NUMERIC
+            M = SL2ZMatrix(1, l, 0, 1)
+            for k in range(abs(l)):
+                conn = moduli.connection_from_nu(M, (Fraction(k, l), Fraction(1, 2)))
+                yield rho.rho_torus(M, conn).value, rho.rho_circle(moduli.CircleFlatConnection(l, k)).value
 
-
-def _cmd_verify_parabolic_circle(args: argparse.Namespace) -> int:
-    checked = 0
-    mismatches = 0
-    for l in range(-12, 13):
-        if l == 0:
-            continue
-        M = SL2ZMatrix(1, l, 0, 1)
-        for k in range(abs(l)):
-            conn = moduli.connection_from_nu(M, (Fraction(k, l), Fraction(1, 2)))
-            torus_value = rho.rho_torus(M, conn).value
-            circle_value = rho.rho_circle(moduli.CircleFlatConnection(l, k)).value
-            checked += 1
-            if torus_value != circle_value:
-                mismatches += 1
-    results = [
-        _entry("pairs_checked", exact=Fraction(checked)),
-        _entry("mismatches", exact=Fraction(mismatches)),
-    ]
-    inputs = {"subcommand": "verify parabolic-circle"}
-    _emit(_document(inputs, results, achieved_tolerance=0.0 if mismatches == 0 else None), args.json)
-    return EXIT_OK if mismatches == 0 else EXIT_NUMERIC
+    return _agreement(pairs())
 
 
 # -- parser wiring ----------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _leaf(group, name: str, func: Callable[[argparse.Namespace], _Outcome], **kwargs):
+    """The parser of one subcommand: it runs func and takes --json."""
+    parser = group.add_parser(name, **kwargs)
+    parser.set_defaults(func=func)
     parser.add_argument("--json", action="store_true", help="emit a JSON ResultDocument")
+    return parser
 
 
 def _add_series(parser: argparse.ArgumentParser) -> None:
-    """--json plus the series controls that _series_params reads."""
-    _add_common(parser)
+    """The series controls that _series_params reads."""
     parser.add_argument("--tail-tol", type=float, default=None, help="series tail tolerance")
     parser.add_argument("--max-terms", type=int, default=None, help="series term cap")
     parser.add_argument("--quad-tol", type=float, default=None, help="quadrature tolerance")
@@ -515,95 +391,64 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rhocalc", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     top = parser.add_subparsers(dest="command", required=True)
 
-    p_rho = top.add_parser("rho", help="rho invariants")
-    rho_sub = p_rho.add_subparsers(dest="target", required=True)
-    p_rc = rho_sub.add_parser("circle", help="circle bundle over a surface")
-    p_rc.add_argument("--degree", type=int, required=True)
-    p_rc.add_argument("--chern", type=int, required=True)
-    p_rc.add_argument("--trivial", action="store_true", help="use the trivial connection")
-    _add_common(p_rc)
-    p_rc.set_defaults(func=_cmd_rho_circle)
-    p_rt = rho_sub.add_parser("torus", help="torus mapping torus")
-    p_rt.add_argument("--matrix", type=_parse_matrix, required=True)
-    p_rt.add_argument("--nu", type=_parse_rational_pair, default=None)
-    p_rt.add_argument("--gauge-lambda", type=_parse_rational, default=None)
-    p_rt.add_argument("--enumerate", action="store_true", help="all flat classes at once")
-    _add_common(p_rt)
-    p_rt.set_defaults(func=_cmd_rho_torus)
+    def group(name: str, help: str):
+        return top.add_parser(name, help=help).add_subparsers(dest="target", required=True)
 
-    p_eta = top.add_parser("eta", help="untwisted eta invariants")
-    eta_sub = p_eta.add_subparsers(dest="target", required=True)
-    p_et = eta_sub.add_parser("torus")
-    p_et.add_argument("--matrix", type=_parse_matrix, required=True)
-    _add_common(p_et)
-    p_et.set_defaults(func=_cmd_eta_torus)
+    rho_sub = group("rho", "rho invariants")
+    p = _leaf(rho_sub, "circle", _cmd_rho_circle, help="circle bundle over a surface")
+    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--chern", type=int, required=True)
+    p.add_argument("--trivial", action="store_true", help="use the trivial connection")
+    p = _leaf(rho_sub, "torus", _cmd_rho_torus, help="torus mapping torus")
+    p.add_argument("--matrix", type=_parse_matrix, required=True)
+    one_or_all = p.add_mutually_exclusive_group(required=True)
+    one_or_all.add_argument("--nu", type=_parse_rational_pair, default=None)
+    one_or_all.add_argument("--enumerate", action="store_true", help="all flat classes at once")
+    p.add_argument("--gauge-lambda", type=_parse_rational, default=None, help="gauge phase when nu = 0")
 
-    p_ded = top.add_parser("dedekind", help="Dedekind sums")
-    ded_sub = p_ded.add_subparsers(dest="target", required=True)
-    p_dc = ded_sub.add_parser("classic")
-    p_dc.add_argument("--a", type=int, required=True)
-    p_dc.add_argument("--c", type=int, required=True)
-    _add_common(p_dc)
-    p_dc.set_defaults(func=_cmd_dedekind_classic)
-    p_dg = ded_sub.add_parser("general")
-    p_dg.add_argument("--x", type=_parse_rational, required=True)
-    p_dg.add_argument("--y", type=_parse_rational, required=True)
-    p_dg.add_argument("--a", type=int, required=True)
-    p_dg.add_argument("--c", type=int, required=True)
-    _add_common(p_dg)
-    p_dg.set_defaults(func=_cmd_dedekind_general)
+    p = _leaf(group("eta", "untwisted eta invariants"), "torus", _cmd_eta_torus)
+    p.add_argument("--matrix", type=_parse_matrix, required=True)
 
-    p_mod = top.add_parser("moduli", help="flat connection moduli")
-    mod_sub = p_mod.add_subparsers(dest="target", required=True)
-    p_mt = mod_sub.add_parser("torus")
-    p_mt.add_argument("--matrix", type=_parse_matrix, required=True)
-    _add_common(p_mt)
-    p_mt.set_defaults(func=_cmd_moduli_torus)
-    p_mc = mod_sub.add_parser("circle")
-    p_mc.add_argument("--genus", type=int, required=True)
-    p_mc.add_argument("--degree", type=int, required=True)
-    _add_common(p_mc)
-    p_mc.set_defaults(func=_cmd_moduli_circle)
+    ded_sub = group("dedekind", "Dedekind sums")
+    p = _leaf(ded_sub, "classic", _cmd_dedekind_classic)
+    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--c", type=int, required=True)
+    p = _leaf(ded_sub, "general", _cmd_dedekind_general)
+    p.add_argument("--x", type=_parse_rational, required=True)
+    p.add_argument("--y", type=_parse_rational, required=True)
+    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--c", type=int, required=True)
 
-    p_spectrum = top.add_parser("spectrum", help="flat-torus Laplace spectrum")
-    spectrum_sub = p_spectrum.add_subparsers(dest="target", required=True)
-    p_st = spectrum_sub.add_parser("torus")
-    p_st.add_argument("--sigma", type=_parse_sigma, required=True)
-    p_st.add_argument("--nu", type=_parse_rational_pair, required=True)
+    mod_sub = group("moduli", "flat connection moduli")
+    p = _leaf(mod_sub, "torus", _cmd_moduli_torus)
+    p.add_argument("--matrix", type=_parse_matrix, required=True)
+    p = _leaf(mod_sub, "circle", _cmd_moduli_circle)
+    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--degree", type=int, required=True)
+
+    p = _leaf(group("spectrum", "flat-torus Laplace spectrum"), "torus", _cmd_spectrum_torus)
+    p.add_argument("--sigma", type=_parse_sigma, required=True)
+    p.add_argument("--nu", type=_parse_rational_pair, required=True)
     # (2n+1)^2 lattice eigenvalues: n = 300 already takes about half a second
-    p_st.add_argument("--max-norm", type=_bounded_int(0, 300), default=3)
-    _add_common(p_st)
-    p_st.set_defaults(func=_cmd_spectrum_torus)
+    p.add_argument("--max-norm", type=_bounded_int(0, 300), default=3)
 
-    p_ver = top.add_parser("verify", help="numerical verification suites")
-    ver_sub = p_ver.add_subparsers(dest="target", required=True)
-    p_vk = ver_sub.add_parser("kronecker")
-    p_vk.add_argument("--sigma", type=_parse_sigma, required=True)
-    p_vk.add_argument("--nu", type=_parse_rational_pair, required=True)
-    _add_series(p_vk)
-    p_vk.set_defaults(func=_cmd_verify_kronecker)
-    p_ve = ver_sub.add_parser("eta-transform")
-    p_ve.add_argument("--count", type=_bounded_int(0), default=100)
-    p_ve.add_argument("--max-entry", type=_bounded_int(1), default=20)
-    p_ve.add_argument("--seed", type=int, default=20260822)
-    _add_series(p_ve)
-    p_ve.set_defaults(func=_cmd_verify_eta_transform)
-    p_vg = ver_sub.add_parser("eta-transform-gen")
-    p_vg.add_argument("--count", type=_bounded_int(0), default=100)
-    p_vg.add_argument("--max-entry", type=_bounded_int(1), default=20)
-    p_vg.add_argument("--seed", type=int, default=20260822)
-    _add_series(p_vg)
-    p_vg.set_defaults(func=_cmd_verify_eta_transform_gen)
-    p_vt = ver_sub.add_parser("two-path")
-    p_vt.add_argument("--count", type=_bounded_int(0), default=500)
+    ver_sub = group("verify", "numerical verification suites")
+    p = _leaf(ver_sub, "kronecker", _cmd_verify_kronecker)
+    p.add_argument("--sigma", type=_parse_sigma, required=True)
+    p.add_argument("--nu", type=_parse_rational_pair, required=True)
+    _add_series(p)
+    for name in ("eta-transform", "eta-transform-gen"):
+        p = _leaf(ver_sub, name, _cmd_verify_eta_transform)
+        p.add_argument("--count", type=_bounded_int(0), default=100)
+        p.add_argument("--max-entry", type=_bounded_int(1), default=20)
+        p.add_argument("--seed", type=int, default=20260822)
+        _add_series(p)
+    p = _leaf(ver_sub, "two-path", _cmd_verify_two_path)
+    p.add_argument("--count", type=_bounded_int(0), default=500)
     # the smallest hyperbolic matrices, such as [[2, 1], [1, 1]], need entries up to 2
-    p_vt.add_argument("--max-entry", type=_bounded_int(2), default=30)
-    p_vt.add_argument("--seed", type=int, default=20260822)
-    _add_common(p_vt)
-    p_vt.set_defaults(func=_cmd_verify_two_path)
-    p_vp = ver_sub.add_parser("parabolic-circle")
-    _add_common(p_vp)
-    p_vp.set_defaults(func=_cmd_verify_parabolic_circle)
+    p.add_argument("--max-entry", type=_bounded_int(2), default=30)
+    p.add_argument("--seed", type=int, default=20260822)
+    _leaf(ver_sub, "parabolic-circle", _cmd_verify_parabolic_circle)
 
     return parser
 
@@ -612,34 +457,46 @@ def _preprocess(argv: Sequence[str]) -> List[str]:
     # join "--flag -2,1,1,-1" into "--flag=-2,1,1,-1" so negative-leading
     # values survive argparse's option detection
     out: List[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if (
-            tok in _VALUE_FLAGS
-            and i + 1 < len(argv)
-            and argv[i + 1].startswith("-")
-            and any(ch.isdigit() for ch in argv[i + 1])
-        ):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and "=" not in flag and tok.startswith("-") and any(map(str.isdigit, tok)):
+            out[-1] = f"{flag}={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 
 def run_command(argv: Sequence[str]) -> int:
+    """Parse argv, run the subcommand and print its ResultDocument.
+
+    inputs echoes every parsed argument that is not None; the exit code
+    is 3 when a verification suite did not pass.
+    """
     parser = build_parser()
     args = parser.parse_args(_preprocess(argv))
     try:
-        return args.func(args)
+        results, diagnostics = args.func(args)
+    except argparse.ArgumentError as exc:
+        parser.error(str(exc))
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    inputs = {k: _text(v) for k, v in vars(args).items() if v is not None and k not in _NOT_INPUTS}
+    inputs["subcommand"] = f"{args.command} {args.target}"
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "inputs": inputs,
+        "results": results,
+        "diagnostics": {
+            "terms_used": diagnostics.get("terms_used", 0),
+            "achieved_tolerance": diagnostics.get("achieved_tolerance"),
+        },
+    }
+    _emit(doc, args.json)
+    return EXIT_OK if diagnostics.get("passed", True) else EXIT_NUMERIC
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

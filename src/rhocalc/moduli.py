@@ -160,7 +160,10 @@ class TorusFlatConnection:
     restriction_trivial: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        nu1, nu2 = self.nu
+        try:
+            nu1, nu2 = self.nu
+        except (TypeError, ValueError):
+            raise DomainError(f"TorusFlatConnection requires nu to be a pair, got {self.nu!r}") from None
         if not all(map(_is_rational, self.nu)):
             raise DomainError(f"TorusFlatConnection requires nu to be a pair of Fractions or ints, got {self.nu!r}")
         if tuple(map(type, self.m)) != (int, int):
@@ -205,9 +208,13 @@ class CircleFlatConnection:
 
 @dataclass(frozen=True)
 class ParabolicFamily:
-    """One connected family nu1 = const, nu2 free (normal-form coordinates)."""
+    """One connected family nu1 = const, nu2 free (normal-form coordinates).
+
+    representative is its twisted class at nu2 = 1/2, in M's coordinates.
+    """
 
     nu1: Fraction
+    representative: TorusFlatConnection
 
 
 @dataclass(frozen=True)
@@ -253,10 +260,13 @@ def connection_from_nu(
     constant gauge phase lambda only exists when the fiber restriction is
     trivial (nu in Z^2).
     """
-    if not all(_is_rational(v) for v in (*nu, gauge_lambda) if v is not None):
+    try:
+        nu1, nu2 = nu
+    except (TypeError, ValueError):
+        raise DomainError(f"connection_from_nu requires nu to be a pair, got {nu!r}") from None
+    if not all(_is_rational(v) for v in (nu1, nu2, gauge_lambda) if v is not None):
         raise DomainError(f"connection_from_nu requires Fraction or int nu and lambda, got {nu!r}, {gauge_lambda!r}")
-    nu1 = _reduce_mod1(nu[0])
-    nu2 = _reduce_mod1(nu[1])
+    nu1, nu2 = _reduce_mod1(nu1), _reduce_mod1(nu2)
     q1, q2 = nu1.denominator, nu2.denominator
     return TorusFlatConnection(
         nu=(nu1, nu2),
@@ -274,7 +284,8 @@ def enumerate_torus_connections(M: SL2ZMatrix) -> TorusModuliSet:
     listed in [0,1)^2, sorted by nu.  For a parabolic M with trace 2 the
     solution set is a disjoint union of circles; the returned families
     are expressed in the coordinates of the normal form
-    eps*[[1, l], [0, 1]] as nu1 = j/|l| with nu2 free.
+    eps*[[1, l], [0, 1]] as nu1 = j/|l| with nu2 free, each with its
+    class at nu2 = 1/2 moved back by the conjugator classify returned.
     """
     cls = classify(M)
     if isinstance(cls, Identity):
@@ -284,8 +295,14 @@ def enumerate_torus_connections(M: SL2ZMatrix) -> TorusModuliSet:
     if isinstance(cls, Parabolic) and cls.epsilon == 1:
         # trace 2: det(Id - M^t) = 2 - tr M = 0
         l = abs(cls.l)
-        families = tuple(ParabolicFamily(Fraction(j, l)) for j in range(l))
-        return TorusModuliSet(isolated=(), families=families)
+        den = 2 * l
+        families = []
+        for j in range(l):
+            # nu' = (j/l, 1/2) = (2j, l)/den moved back to M's coordinates
+            n1, n2 = _from_normal_form(cls.conjugator, 2 * j, l, den)
+            rep = TorusFlatConnection((Fraction(n1, den), Fraction(n2, den)), _admissible_m(M, n1, n2, den))
+            families.append(ParabolicFamily(Fraction(j, l), rep))
+        return TorusModuliSet(isolated=(), families=tuple(families))
     _, S, V = smith_normal_form(_one_minus_mt(M))
     d1, d2 = S[0][0], S[1][1]
     # nu = V (i/d1, j/d2) = n/d2 with n = V (i k, j) mod d2, k = d2/d1
@@ -330,10 +347,13 @@ def transport_nu_from_normal_form(
     M: SL2ZMatrix, nu_prime: Tuple[Fraction, Fraction]
 ) -> Tuple[Fraction, Fraction]:
     """Inverse of transport_nu_to_normal_form (normal form back to M)."""
-    _, _, conj = parabolic_normal_form(M)
-    inv_t = conj.inverse()
-    nu = (
-        inv_t.a * nu_prime[0] + inv_t.c * nu_prime[1],
-        inv_t.b * nu_prime[0] + inv_t.d * nu_prime[1],
-    )
-    return (_reduce_mod1(nu[0]), _reduce_mod1(nu[1]))
+    (p1, q1), (p2, q2) = (Fraction(v).as_integer_ratio() for v in nu_prime)
+    den = q1 * q2
+    n1, n2 = _from_normal_form(parabolic_normal_form(M)[2], p1 * q2, p2 * q1, den)
+    return Fraction(n1, den), Fraction(n2, den)
+
+
+def _from_normal_form(conj: SL2ZMatrix, n1: int, n2: int, den: int) -> Tuple[int, int]:
+    """Numerators over den of nu = g^{-t} nu' mod Z^2, for nu' = (n1, n2)/den
+    and g the conjugator of the normal form."""
+    return (conj.d * n1 - conj.c * n2) % den, (conj.a * n2 - conj.b * n1) % den

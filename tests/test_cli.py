@@ -7,6 +7,10 @@ end.
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import random
@@ -16,6 +20,8 @@ import textwrap
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rhocalc
 from rhocalc.cli import (
@@ -79,12 +85,22 @@ class TestParsing:
             ["spectrum", "torus", "--sigma", "0,1", "--nu", "0,0", "--max-norm", "301"],
             # the series controls exist only on the suites that read them
             ["rho", "circle", "--degree", "1", "--chern", "0", "--tail-tol", "1e-3"],
+            # exactly one of --nu and --enumerate; lambda belongs to one class
+            ["rho", "torus", "--matrix", "3,2,4,3"],
+            ["rho", "torus", "--matrix", "3,2,4,3", "--enumerate", "--nu", "1/2,1/2"],
+            ["rho", "torus", "--matrix", "0,-1,1,0", "--enumerate", "--gauge-lambda", "1/2"],
         ],
     )
     def test_usage_error_unsatisfiable_suite_sizes(self, argv):
         with pytest.raises(SystemExit) as exc:
             run_command(argv)
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag", ["--tail-tol", "--quad-tol"])
+    @pytest.mark.parametrize("value", ["0", "-1e-3"])
+    def test_nonpositive_series_tolerance_is_a_domain_error(self, capsys, flag, value):
+        assert run_command(["verify", "kronecker", "--sigma", "0,1", "--nu", "1/2,1/2", flag, value]) == EXIT_DOMAIN
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
         "argv,code",
@@ -123,6 +139,79 @@ class TestParsing:
         code, doc, _ = run_json(capsys, ["rho", "torus", "--matrix", "-2,1,1,-1", "--nu", "1/5,3/5"])
         assert code == EXIT_OK
         assert doc["inputs"]["matrix"] == "-2,1,1,-1"
+        # every flag takes a negative-leading value, not only a listed few
+        code, doc, _ = run_json(capsys, ["dedekind", "general", "--x", "-1/3", "--y", "1/2", "--a", "3", "--c", "4"])
+        assert code == EXIT_OK
+        assert doc["inputs"]["x"] == "-1/3"
+        code, doc, _ = run_json(
+            capsys, ["rho", "torus", "--matrix", "0,-1,1,0", "--nu", "0,0", "--gauge-lambda", "-1/3"]
+        )
+        assert code == EXIT_OK
+        assert doc["inputs"]["gauge_lambda"] == "-1/3"
+
+
+SERIES_ARGV = ["--tail-tol", "1e-14", "--max-terms", "1000000", "--quad-tol", "1e-9", "--poisson-switch", "1"]
+SERIES_INPUTS = {"tail_tol": 1e-14, "max_terms": 1000000, "quad_tol": 1e-9, "poisson_switch": 1.0}
+SUITE_INPUTS = {"count": 2, "max_entry": 20, "seed": 20260822}
+
+# per subcommand: a valid argv that sets or defaults every argument, and
+# the inputs it must echo, in canonical text
+INPUTS_CASES = {
+    "rho circle": (["--degree", "3", "--chern", "2"], {"degree": 3, "chern": 2, "trivial": False}),
+    "rho torus": (
+        ["--matrix", "0,-1,1,0", "--nu", "0,0", "--gauge-lambda", "5/2"],
+        {"matrix": "0,-1,1,0", "nu": "0/1,0/1", "gauge_lambda": "5/2", "enumerate": False},
+    ),
+    "eta torus": (["--matrix", "2,1,1,1"], {"matrix": "2,1,1,1"}),
+    "dedekind classic": (["--a", "3", "--c", "4"], {"a": 3, "c": 4}),
+    "dedekind general": (
+        ["--x", "2/4", "--y", "1/2", "--a", "3", "--c", "4"],
+        {"x": "1/2", "y": "1/2", "a": 3, "c": 4},
+    ),
+    "moduli torus": (["--matrix", "1,3,0,1"], {"matrix": "1,3,0,1"}),
+    "moduli circle": (["--genus", "2", "--degree", "3"], {"genus": 2, "degree": 3}),
+    "spectrum torus": (["--sigma", "0,1", "--nu", "0,0"], {"sigma": "0.0,1.0", "nu": "0/1,0/1", "max_norm": 3}),
+    "verify kronecker": (
+        ["--sigma", "0,1", "--nu", "1/2,1/2", *SERIES_ARGV],
+        {"sigma": "0.0,1.0", "nu": "1/2,1/2", **SERIES_INPUTS},
+    ),
+    "verify eta-transform": (["--count", "2", *SERIES_ARGV], {**SUITE_INPUTS, **SERIES_INPUTS}),
+    "verify eta-transform-gen": (["--count", "2", *SERIES_ARGV], {**SUITE_INPUTS, **SERIES_INPUTS}),
+    "verify two-path": (["--count", "2"], {**SUITE_INPUTS, "max_entry": 30}),
+    "verify parabolic-circle": ([], {}),
+}
+
+
+def leaf_parsers():
+    """Every subcommand parser of build_parser(), keyed "group target"."""
+
+    def choices(parser):
+        return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    return {
+        f"{group} {target}": leaf
+        for group, group_parser in choices(build_parser()).items()
+        for target, leaf in choices(group_parser).items()
+    }
+
+
+class TestInputsEcho:
+    def test_every_argument_is_echoed(self, capsys):
+        leaves = leaf_parsers()
+        assert set(leaves) == set(INPUTS_CASES)
+        for subcommand, leaf in leaves.items():
+            argv, echoed = INPUTS_CASES[subcommand]
+            dests = {a.dest for a in leaf._actions} - {"help", "json"}
+            assert set(echoed) == dests, subcommand
+            code, doc, _ = run_json(capsys, subcommand.split() + argv)
+            assert code == EXIT_OK, subcommand
+            assert doc["inputs"] == {"subcommand": subcommand, **echoed}, subcommand
+
+    def test_unset_optional_arguments_are_left_out(self, capsys):
+        _, doc, _ = run_json(capsys, ["rho", "torus", "--matrix", "3,2,4,3", "--enumerate"])
+        assert doc["inputs"] == {"subcommand": "rho torus", "matrix": "3,2,4,3", "enumerate": True}
+        _, doc, _ = run_json(capsys, ["verify", "eta-transform", "--count", "2"])
+        assert doc["inputs"] == {"subcommand": "verify eta-transform", **SUITE_INPUTS}
 
 
 class TestRhoCommands:
@@ -146,6 +235,27 @@ class TestRhoCommands:
         by_name = {r["name"]: r for r in doc["results"]}
         assert by_name["rho_torus[1/2,1/2]"]["exact"] == "1/1"
         assert by_name["rho_torus[0/1,0/1]"]["branch"].startswith("out-of-scope")
+
+    @pytest.mark.parametrize("matrix,families", [("1,7,0,1", 7), ("-5,12,-3,7", 3)])
+    def test_enumerate_one_normal_form_per_family(self, monkeypatch, capsys, matrix, families):
+        # the enumeration classifies once and builds each family's class from
+        # that conjugator; rho_torus classifies each class once more
+        import rhocalc.moduli
+        import rhocalc.sl2z
+
+        calls = []
+        real = rhocalc.sl2z.parabolic_normal_form
+
+        def counting(mat):
+            calls.append(mat)
+            return real(mat)
+
+        for module in (rhocalc.sl2z, rhocalc.moduli):
+            monkeypatch.setattr(module, "parabolic_normal_form", counting)
+        code, doc, _ = run_json(capsys, ["rho", "torus", "--matrix", matrix, "--enumerate"])
+        assert code == EXIT_OK
+        assert len([r for r in doc["results"] if r["name"].startswith("rho_torus[family")]) == families
+        assert len(calls) == 1 + families
 
     def test_circle_zero_degree(self, capsys):
         code, doc, _ = run_json(capsys, ["rho", "circle", "--degree", "0", "--chern", "3"])
@@ -281,6 +391,103 @@ class TestVerify:
         assert code == EXIT_OK
         by_name = {r["name"]: r for r in doc["results"]}
         assert by_name["mismatches"]["exact"] == "0/1"
+
+
+    def test_failed_suite_exits_3_with_its_document(self, monkeypatch, capsys):
+        # a planted disagreement between the two paths fails the suite
+        real = rhocalc.rho.rho_hyperbolic_prep
+
+        def off_by_one(mat, conn):
+            value = real(mat, conn)
+            return dataclasses.replace(value, value=value.value + 1)
+
+        monkeypatch.setattr(rhocalc.rho, "rho_hyperbolic_prep", off_by_one)
+        code, doc, _ = run_json(capsys, ["verify", "two-path", "--count", "3"])
+        assert code == EXIT_NUMERIC
+        by_name = {r["name"]: r for r in doc["results"]}
+        assert by_name["mismatches"]["exact"] == by_name["pairs_checked"]["exact"] != "0/1"
+        assert doc["diagnostics"]["achieved_tolerance"] is None
+
+
+# flags of the fuzzed subcommands, by the kind of value each takes (None: a switch)
+FUZZ_FLAGS = [
+    ("rho circle", {"--degree": "int", "--chern": "int", "--trivial": None}),
+    ("rho torus", {"--matrix": "matrix", "--nu": "pair", "--gauge-lambda": "rational"}),
+    ("rho torus", {"--matrix": "matrix", "--enumerate": None}),
+    ("eta torus", {"--matrix": "matrix"}),
+    ("dedekind classic", {"--a": "int", "--c": "int"}),
+    ("dedekind general", {"--x": "rational", "--y": "rational", "--a": "int", "--c": "int"}),
+    ("moduli torus", {"--matrix": "matrix"}),
+    ("moduli circle", {"--genus": "int", "--degree": "int"}),
+    ("spectrum torus", {"--sigma": "sigma", "--nu": "pair", "--max-norm": "max_norm"}),
+    ("verify parabolic-circle", {}),
+]
+FOREIGN_FLAGS = sorted({flag for _, flags in FUZZ_FLAGS for flag in flags} | {"--json", "--tail-tol"})
+FUZZ_JUNK = st.sampled_from(
+    ["", " ", ",", "x", "-", "--", "-x", "1/0", "1/", "/2", "1/2/3", "1,2,3", "1,,2",
+     "1.5", "-1.5", "1e400", "nan", "-inf", "0x10", "-1/3", "-2,1,1,-1", "1.5,0,0,1"]
+)
+
+
+def fuzz_values():
+    """Well-formed values by kind.  Entries and moduli stay within 10^3: the
+    Dedekind sums and the enumeration still loop over |c| and |2 - tr M|."""
+    small = st.integers(-1000, 1000)
+    rational = st.builds(lambda p, q: f"{p}/{q}", small, st.integers(1, 50)) | small.map(str)
+    matrix = (
+        st.sampled_from(["3,2,4,3", "-2,1,1,-1", "1,7,0,1", "-5,12,-3,7", "0,-1,1,0", "2,1,1,1", "1,0,0,1", "-1,0,0,-1"])
+        | st.tuples(*[st.integers(-3, 3)] * 4).map(lambda t: ",".join(map(str, t)))
+        | st.tuples(*[small] * 4).map(lambda t: ",".join(map(str, t)))
+    )
+    real = st.floats(-1e3, 1e3).map(repr) | st.sampled_from(["0", "1", "1e-300", "inf", "nan", "-0.5"])
+    return {
+        "int": small.map(str),
+        "rational": rational,
+        "pair": st.builds(lambda a, b: f"{a},{b}", rational, rational),
+        "matrix": matrix,
+        "sigma": st.builds(lambda a, b: f"{a},{b}", real, real),
+        "max_norm": st.sampled_from(["-1", "0", "1", "3", "301", "1.5"]),
+    }
+
+
+def rarely(draw, n: int) -> bool:
+    """True about once in n draws (hypothesis favours the ends of a range)."""
+    return draw(st.integers(0, n - 1)) == n // 2
+
+
+@st.composite
+def fuzz_argv(draw):
+    values = fuzz_values()
+    subcommand, own = draw(st.sampled_from(FUZZ_FLAGS))
+    flags = [f for f in own if not rarely(draw, 10)]
+    if rarely(draw, 5):
+        flags.append(draw(st.sampled_from(FOREIGN_FLAGS)))  # a foreign or repeated flag
+    argv = subcommand.split()
+    for flag in draw(st.permutations(flags)):
+        argv.append(flag)
+        kind = own.get(flag, "int")
+        if kind is None or rarely(draw, 20):
+            continue  # a switch, or a value left out
+        argv.append(draw(FUZZ_JUNK if rarely(draw, 4) else values[kind]))
+    if rarely(draw, 20):
+        argv.append(draw(FUZZ_JUNK))  # a stray token
+    return argv
+
+
+class TestArgvFuzz:
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(argv=fuzz_argv())
+    def test_every_argv_ends_in_a_documented_exit_code(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = run_command(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_NUMERIC, EXIT_USAGE), (argv, code)
+        if code in (EXIT_DOMAIN, EXIT_USAGE):
+            assert out.getvalue() == "", argv
+        assert "Traceback" not in err.getvalue()
 
 
 class TestByteStability:

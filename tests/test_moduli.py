@@ -198,6 +198,21 @@ class TestEnumeration:
             else:
                 assert len(mod.isolated) == abs(2 - m.trace)
 
+    def test_family_representative_is_the_twisted_class_at_half(self):
+        # built from the conjugator classify returned; the same class as the
+        # transport that recomputes the normal form
+        rng = random.Random(44)
+        checked = 0
+        for _ in range(40):
+            m = random_parabolic(rng, 6, 5)
+            for fam in enumerate_torus_connections(m).families:
+                rep = fam.representative
+                assert rep == connection_from_nu(m, transport_nu_from_normal_form(m, (fam.nu1, F(1, 2))))
+                assert not rep.restriction_trivial
+                assert transport_nu_to_normal_form(m, rep.nu)[2] == (fam.nu1, F(1, 2))
+                checked += 1
+        assert checked > 20
+
     def test_integer_enumeration_matches_fraction_oracle(self):
         mats = oracle_matrices()
         for m in mats:
@@ -242,7 +257,11 @@ class TestConnectionFromNu:
 
     @pytest.mark.parametrize(
         "nu,lam",
-        [((0.5, 0.5), None), ((F(1, 2), 0.5), None), ((0, 0), 0.3), (("1/2", F(1, 2)), None), ((0, 0), True)],
+        [
+            ((0.5, 0.5), None), ((F(1, 2), 0.5), None), ((0, 0), 0.3), (("1/2", F(1, 2)), None), ((0, 0), True),
+            # nu must be a pair: a third component is not dropped
+            ((F(1, 2), F(1, 2), F(1, 3)), None), ((F(1, 2),), None), (None, None),
+        ],
     )
     def test_rejects_float_nu_or_lambda(self, nu, lam):
         with pytest.raises(DomainError):
@@ -289,7 +308,9 @@ class TestTorusFlatConnection:
         with pytest.raises(DomainError):
             TorusFlatConnection((F(1, 7), F(0)), m)
 
-    @pytest.mark.parametrize("nu", [(0.5, 0.25), (F(1, 2), 0.25), (False, F(1, 2)), ("1/2", F(0))])
+    @pytest.mark.parametrize(
+        "nu", [(0.5, 0.25), (F(1, 2), 0.25), (False, F(1, 2)), ("1/2", F(0)), (F(1, 2),), None, (F(1, 2), 0, 0)]
+    )
     def test_rejects_nu_not_a_pair_of_fractions(self, nu):
         with pytest.raises(DomainError):
             TorusFlatConnection(nu, (0, 0))
