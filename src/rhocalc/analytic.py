@@ -113,9 +113,22 @@ def _params(params: Optional[SeriesParams]) -> SeriesParams:
     return DEFAULT_SERIES_PARAMS if params is None else params
 
 
+def _nu_floats(nu: Tuple[RationalLike, RationalLike]) -> Tuple[float, float]:
+    """nu reduced mod Z^2 exactly, then as floats: every float path here
+    depends on nu only mod Z^2, and a huge nu would overflow or lose its
+    fractional part in float."""
+    return float(_reduce_mod1(nu[0])), float(_reduce_mod1(nu[1]))
+
+
 def _qz(sigma: complex, nu1: Fraction, nu2: Fraction) -> complex:
-    z = float(nu1) * sigma - float(nu2)
-    return cmath.exp(2j * math.pi * z)
+    """q_z = e^{2 pi i z}; raises DomainError when a nonzero nu1 is too
+    small for q_z to differ from 1 in double precision, since the nu1 != 0
+    branch divides by 1 - q_z and takes Log(1 - q_z)."""
+    z = float(nu1) * sigma - float(_reduce_mod1(nu2))
+    q_z = cmath.exp(2j * math.pi * z)
+    if nu1 != 0 and q_z == 1:
+        raise DomainError(f"nu1 = {nu1} is nonzero but q_z rounds to 1 in double precision")
+    return q_z
 
 
 # -- E series ---------------------------------------------------------------
@@ -306,7 +319,7 @@ def f_series_direct(
     if u <= 0:
         raise DomainError("f_series requires u > 0")
     s1, s2 = sigma.sigma1, sigma.sigma2
-    nu1f, nu2f = float(Fraction(nu[0])), float(Fraction(nu[1]))
+    nu1f, nu2f = _nu_floats(nu)
     gamma = u * math.pi * math.pi / s2
     big_l = -math.log(_tail_cut(params)) + 10.0
     x_max = math.sqrt(big_l / gamma)
@@ -337,7 +350,7 @@ def f_series_poisson(
     if u <= 0:
         raise DomainError("f_series requires u > 0")
     s1, s2 = sigma.sigma1, sigma.sigma2
-    nu1f, nu2f = float(Fraction(nu[0])), float(Fraction(nu[1]))
+    nu1f, nu2f = _nu_floats(nu)
     big_l = -math.log(_tail_cut(params)) + 10.0
     x_max = math.sqrt(big_l * u * s2)
     half = x_max / s2 + 1.0
@@ -397,7 +410,7 @@ def kronecker_integral_info(
 
     params = _params(params)
     switch = params.poisson_switch_u
-    nu1f, nu2f = float(Fraction(nu[0])), float(Fraction(nu[1]))
+    nu1f, nu2f = _nu_floats(nu)
     rate = (math.pi**2 / sigma.sigma2) * _min_lattice_dist2(sigma, nu1f, nu2f)
     scale = abs(f_series(sigma, switch, nu, params).as_complex()) + 1.0
     u_max = switch + max(1.0, math.log(20.0 * math.pi * scale / (rate * params.quad_tolerance)) / rate)
@@ -582,12 +595,13 @@ def torus_spectrum(
     max_lattice_norm: int,
 ) -> List[Tuple[float, int]]:
     """Sorted 1-form Laplace eigenvalues 4 sigma2 |w_{n-nu}|^2 over lattice
-    points |n|_inf <= max_lattice_norm, each with doubled multiplicity.
+    points |n|_inf <= max_lattice_norm, each with doubled multiplicity,
+    for nu reduced mod Z^2 (exactly, before any float is taken).
     Raises DomainError when an eigenvalue is not finite."""
     if max_lattice_norm < 0:
         raise DomainError("max_lattice_norm must be nonnegative")
     s1, s2 = sigma.sigma1, sigma.sigma2
-    nu1f, nu2f = float(Fraction(nu[0])), float(Fraction(nu[1]))
+    nu1f, nu2f = _nu_floats(nu)
     raw: List[float] = []
     for n1 in range(-max_lattice_norm, max_lattice_norm + 1):
         m1 = n1 - nu1f

@@ -2,11 +2,17 @@
 Fourier toolkit.
 
 The three exact sums have private numerator forms (_classical_num,
-_generalized_num, _difference_num) that sum in integers over one common
-denominator and return (num, den), so moduli of order 10^4 stay cheap
-and denominators can grow past machine-word size without harm.  The
-public sums build one Fraction from them; :mod:`rhocalc.rho` assembles
-the pairs in integers.  The module owns every Dedekind-type sum.
+_generalized_num, _difference_num) that work in integers over one common
+denominator and return (num, den).  None of them loops over the |c|
+terms of its sum: each runs O(log |c|) Euclid steps, so a modulus of
+10^50 costs about as much as one of 10.  The classical and generalized
+sums telescope the reciprocity laws of Rademacher-Grosswald (Dedekind
+Sums, 1972) and Rademacher (Some remarks on certain generalized Dedekind
+sums, Acta Arith. 9, 1964); the closed difference counts its partial
+sawtooth sum with a floor sum instead.  So the two hyperbolic rho routes
+of :mod:`rhocalc.rho` share no sum code.  The public sums build one
+Fraction from the numerator forms; :mod:`rhocalc.rho` assembles the
+pairs in integers.  The module owns every Dedekind-type sum.
 Float paths (cotangent formula, discrete Fourier transforms) are strictly
 separate and never feed back into exact results; they import numpy
 themselves, so the exact sums run without it.
@@ -103,22 +109,34 @@ def _p1_int(n: int, den: int) -> Tuple[int, bool]:
 
 
 def _classical_num(a: int, c: int) -> Tuple[int, int]:
-    """(num, den) with s(a, c) = num/den.
+    """(num, den) with s(a, c) = num/den, in O(log |c|) Euclid steps.
 
-    Equal to s(a, |c|) (both sawtooth factors flip sign with c), so the
-    loop runs over the positive modulus.
+    s(a, c) = s(h, |c|) with h = a mod |c| (both sawtooth factors flip
+    sign with c).  Reciprocity s(h, m) + s(m, h) = -1/4 + (h/m + 1/(hm)
+    + m/h)/12, telescoped along Euclid's quotients q_0, q_1, ... of
+    (m, h) (Rademacher-Grosswald, Dedekind Sums, ch. 3), gives
+
+        12 m s(h, m) = m (q_0 - q_1 + q_2 - ... - e) + h + h'
+
+    with h' = h^{-1} mod m in [0, m) and e = 3 for an odd number of
+    quotients, 1 for an even one.
     """
     if c == 0:
         raise DomainError("classical_sum requires a nonzero modulus c")
     if gcd(a, c) != 1:
         raise DomainError("classical_sum requires gcd(a, c) = 1")
     m = abs(c)
-    a0 = a % m
-    acc = 0
-    for k in range(1, m):
-        # both arguments are nonintegral: gcd(a0, m) = 1 and 0 < k < m
-        acc += (2 * ((a0 * k) % m) - m) * (2 * k - m)
-    return acc, 4 * m * m
+    if m == 1:
+        return 0, 1
+    h = a % m
+    alt, odd, r0, r1 = 0, False, m, h
+    while r1:
+        q, r = divmod(r0, r1)
+        alt += -q if odd else q
+        odd = not odd
+        r0, r1 = r1, r
+    # after the loop, odd says whether the number of quotients is odd
+    return m * (alt - (3 if odd else 1)) + h + pow(h, -1, m), 12 * m
 
 
 def classical_sum(a: int, c: int) -> Fraction:
@@ -131,32 +149,75 @@ def generalized_sum(x: RationalLike, y: RationalLike, a: int, c: int) -> Fractio
     return Fraction(*_generalized_num(Fraction(x), Fraction(y), a, c))
 
 
+def _p2_num(u: int, den: int) -> int:
+    """6*den^2*P_2(u/den) as an integer (den > 0)."""
+    r = u % den
+    return 6 * r * (r - den) + den * den
+
+
 def _generalized_num(x: RationalLike, y: RationalLike, a: int, c: int) -> Tuple[int, int]:
-    """(num, den) with s_{x,y}(a, c) = num/den, for Fraction or int x, y;
-    the loop runs over |c|*den(x) and |c|*den(x)*den(y)."""
+    """(num, den = 12 |c| L^2) with s_{x,y}(a, c) = num/den, for Fraction
+    or int x, y and L = lcm(den x, den y), in O(log |c|) Euclid steps.
+
+    In Rademacher's notation (Some remarks on certain generalized
+    Dedekind sums, Acta Arith. 9, 1964),
+
+        s(b, c; X, Y) = sum_{mu mod c} P_1(b (mu+Y)/c + X) P_1((mu+Y)/c),
+
+    s_{x,y}(a, c) = s(a, m; sgn(c) y, x) with m = |c|.  The shift
+    s(b + q c, c; X, Y) = s(b, c; X + q Y, Y) brings a to h = a mod m,
+    and the reciprocity law
+
+        s(b, c; X, Y) + s(c, b; Y, X) = P_1(X) P_1(Y) - [X, Y in Z]/4
+            + (b/c P_2(Y) + P_2(b Y + c X)/(b c) + c/b P_2(X))/2
+
+    walks Euclid's steps (b, c) -> (c mod b, b) down to the base
+    s(0, 1; X, Y) = P_1(X) P_1(Y).  Along the walk b Y + c X = W is
+    fixed, the c/b P_2(X) term of one step and the b/c P_2(Y) term of the
+    next add up to q P_2(X), and the alternating sum of 1/(b c) is t/m
+    with t = h^{-1} mod m, less m for an even number of steps.  So with
+    X = u/L and Y = v/L,
+
+        12 m L^2 s = h B(v_0) + t B(W) + m sum_i (-1)^i (q_i B(u_i)
+                     + 3 S(u_i) S(v_i) - 3 L^2 [u_i = v_i = 0]) + (-1)^n 3 m S(u_n) S(v_n)
+
+    where B(u) = 6 L^2 P_2(u/L) and S(u) = 2 L P_1(u/L) are integers.
+    """
     if c == 0:
         raise DomainError("generalized_sum requires a nonzero modulus c")
     if gcd(a, c) != 1:
         raise DomainError("generalized_sum requires gcd(a, c) = 1")
     m = abs(c)
-    s = 1 if c > 0 else -1
     qx, qy = x.denominator, y.denominator
-    px, py = x.numerator % qx, y.numerator % qy  # (x, y) reduced mod Z^2
-    den1 = m * qx           # (k+x)/c = s*(k*qx + px) / den1
-    den2 = m * qx * qy      # a(k+x)/c + y = s*(a*qy*(k*qx+px) + c*qx*py) / den2
-    acc = 0
-    cqxpy = c * qx * py
-    for k in range(m):
-        n1 = s * (k * qx + px)
-        n2 = s * (a * qy * (k * qx + px) + cqxpy)
-        v1, int1 = _p1_int(n1, den1)
-        if int1:
-            continue
-        v2, int2 = _p1_int(n2, den2)
-        if int2:
-            continue
-        acc += v1 * v2
-    return acc, 4 * den1 * den2
+    den = qx // gcd(qx, qy) * qy
+    den2 = den * den
+    v = x.numerator * (den // qx) % den            # L * Y
+    u = y.numerator * (den // qy)                  # L * X before the shift
+    u = ((u if c > 0 else -u) + (a // m) * v) % den
+    h = a % m
+    if m == 1:
+        return 3 * _p1_int(u, den)[0] * _p1_int(v, den)[0], 12 * den2
+    t = pow(h, -1, m)
+    head = h * _p2_num(v, den)
+    w = h * v + m * u                              # L * W
+    alt, odd, b, r0 = 0, False, h, m
+    # u, v stay reduced mod L, so S and B are written out in the loop
+    sv = 2 * v - den if v else 0
+    while b:
+        q, r = divmod(r0, b)
+        su = 2 * u - den if u else 0
+        step = q * (6 * u * (u - den) + den2) + 3 * su * sv
+        if not (u or v):
+            step -= 3 * den2
+        alt += -step if odd else step
+        odd = not odd
+        u, v, sv = (v + q * u) % den, u, su
+        r0, b = b, r
+    last = 3 * (2 * u - den if u else 0) * sv
+    alt += -last if odd else last
+    if not odd:
+        t -= m
+    return head + t * _p2_num(w, den) + m * alt, 12 * m * den2
 
 
 def cotangent_sum(a: int, c: int) -> float:
@@ -220,6 +281,29 @@ def p1_closed_fourier(
     return sign * 0.5 * (1j * cot - delta) * phase
 
 
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{k=0}^{n-1} floor((a k + b)/m) for n >= 0, m > 0, a, b >= 0.
+
+    The Euclid-like floor sum of the AtCoder Library: O(log m) steps, each
+    peeling off the whole parts of a/m and b/m and then swapping the roles
+    of m and a by counting lattice points under the line from the other
+    axis.
+    """
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
+
+
 def sum_difference_closed(x: RationalLike, y: RationalLike, M: SL2ZMatrix) -> Fraction:
     """Exact closed form of s_{x,y}(a, c) - s(a, c) for admissible (x, y).
 
@@ -252,9 +336,10 @@ def _difference_num(x: RationalLike, y: RationalLike, M: SL2ZMatrix) -> Tuple[in
     r = m_int % cabs
     # every term over the common denominator 4 q^2 |c| (x = p/q): on [0, 1)
     # P_2(x) - 1/6 = x (x - 1), and d k/|c| is integral only at k = |c|
-    acc = 0
-    for k in range(1, min(cabs - r, cabs - 1) + 1):
-        acc += 2 * ((d * k) % cabs) - cabs
+    n = min(cabs - r, cabs - 1)
+    # sum_{k=1}^{n} (2 (d k mod |c|) - |c|), with the residues summed as
+    # d n (n+1)/2 - |c| sum_{k<=n} floor(d k/|c|)
+    acc = d * n * (n + 1) - 2 * cabs * _floor_sum(n + 1, cabs, d, 0) - cabs * n
     if q == 1:
         tail = _p1_int(d * m_int, cabs)[0]
     else:

@@ -484,6 +484,23 @@ class TestKronecker:
             fd = (plus - minus) / (2 * h)
             assert abs(d - fd) < 1e-7, nu
 
+    def test_nonzero_nu1_that_rounds_q_z_to_one_is_a_domain_error(self):
+        # 1e-20 is nonzero exactly, but e^{-2 pi 1e-20} is 1.0 in double
+        nu = (F(1, 10**20), F(0))
+        with pytest.raises(DomainError):
+            kronecker_closed(SIGMA_I, nu)
+        with pytest.raises(DomainError):
+            e_series(SIGMA_I, nu)
+
+    def test_huge_nu_is_reduced_exactly(self):
+        # nu and nu + (k, l) give the same floats, also past float range
+        k, l = 10**400, -(10**30)
+        nu = (F(2, 7), F(1, 3))
+        for u in (0.5, 2.0):
+            assert f_series(SIGMA_I, u, (nu[0] + k, nu[1] + l)) == f_series(SIGMA_I, u, nu)
+        assert e_series(SIGMA_I, (nu[0] + k, nu[1] + l)) == e_series(SIGMA_I, nu)
+        assert kronecker_closed(SIGMA_I, (nu[0] + k, nu[1] + l)) == kronecker_closed(SIGMA_I, nu)
+
 
 class TestLogEta:
     def test_shift_by_one_adds_pi_over_twelve(self):
@@ -612,6 +629,11 @@ class TestTorusSpectrum:
         # 4 pi^2 / sigma2 overflows at sigma2 = 1e-308
         with pytest.raises(DomainError):
             torus_spectrum(UpperHalfPoint(1e308, 1e-308), (0, 0), 2)
+
+    def test_huge_nu_is_reduced_before_float(self):
+        # 10^400/3 overflows a float; mod Z^2 it is 1/3
+        huge = torus_spectrum(SIGMA_I, (F(10**400, 3), F(0)), 1)
+        assert huge == torus_spectrum(SIGMA_I, (F(1, 3), F(0)), 1)
 
     def test_lattice_shift_invariance(self):
         # the shift relabels n, so spectra agree away from the enumeration

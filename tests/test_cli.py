@@ -17,6 +17,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -114,6 +115,8 @@ class TestParsing:
             (["spectrum", "torus", "--sigma", "1e308,1e-308", "--nu", "0,0", "--json"], EXIT_DOMAIN),
             # ~4e150 lattice rows: over max_terms before anything is allocated
             (["verify", "kronecker", "--sigma", "0,1e-300", "--nu", "1/2,1/2"], EXIT_NUMERIC),
+            # a nonzero nu1 whose q_z rounds to 1 in double precision
+            (["verify", "kronecker", "--sigma", "0,1", "--nu", "1/100000000000000000000,0"], EXIT_DOMAIN),
         ],
     )
     def test_non_finite_and_oversized_inputs_exit_cleanly(self, capsys, argv, code):
@@ -318,6 +321,17 @@ class TestEtaAndDedekind:
         assert code == EXIT_OK
         assert doc["results"][0]["exact"] == "-5/16"
 
+    def test_dedekind_at_huge_modulus_is_fast(self, capsys):
+        c = str(10**50 + 1)
+        for argv in (
+            ["dedekind", "classic", "--a", "3", "--c", c],
+            ["dedekind", "general", "--x", "1/3", "--y", "2/7", "--a", "3", "--c", c],
+        ):
+            t0 = time.perf_counter()
+            code, doc, _ = run_json(capsys, argv)
+            assert code == EXIT_OK and time.perf_counter() - t0 < 1.0, argv
+            assert F(doc["results"][0]["exact"]).denominator > 10**50
+
     def test_dedekind_rejects_non_coprime(self):
         assert run_command(["dedekind", "classic", "--a", "2", "--c", "4"]) == EXIT_DOMAIN
 
@@ -355,6 +369,14 @@ class TestModuliAndSpectrum:
         by_name = {r["name"]: r for r in doc["results"]}
         assert by_name["torus_rank"]["exact"] == "4/1"
         assert by_name["torsion_order"]["exact"] == "3/1"
+
+    def test_spectrum_torus_huge_nu(self, capsys):
+        # nu1 = 10^400/3 overflows a float; it is reduced mod 1 first
+        argv = ["spectrum", "torus", "--sigma", "0,1", "--max-norm", "1", "--nu"]
+        code, huge, _ = run_json(capsys, argv + [f"{10**400}/3,0"])
+        assert code == EXIT_OK
+        _, small, _ = run_json(capsys, argv + ["1/3,0"])
+        assert huge["results"] == small["results"]
 
     def test_spectrum_torus(self, capsys):
         code, doc, _ = run_json(
@@ -415,12 +437,13 @@ FUZZ_FLAGS = [
     ("rho torus", {"--matrix": "matrix", "--nu": "pair", "--gauge-lambda": "rational"}),
     ("rho torus", {"--matrix": "matrix", "--enumerate": None}),
     ("eta torus", {"--matrix": "matrix"}),
-    ("dedekind classic", {"--a": "int", "--c": "int"}),
-    ("dedekind general", {"--x": "rational", "--y": "rational", "--a": "int", "--c": "int"}),
+    ("dedekind classic", {"--a": "modulus", "--c": "modulus"}),
+    ("dedekind general", {"--x": "rational", "--y": "rational", "--a": "modulus", "--c": "modulus"}),
     ("moduli torus", {"--matrix": "matrix"}),
     ("moduli circle", {"--genus": "int", "--degree": "int"}),
     ("spectrum torus", {"--sigma": "sigma", "--nu": "pair", "--max-norm": "max_norm"}),
     ("verify parabolic-circle", {}),
+    ("verify kronecker", {"--sigma": "sigma_kronecker", "--nu": "pair"}),
 ]
 FOREIGN_FLAGS = sorted({flag for _, flags in FUZZ_FLAGS for flag in flags} | {"--json", "--tail-tol"})
 FUZZ_JUNK = st.sampled_from(
@@ -430,10 +453,16 @@ FUZZ_JUNK = st.sampled_from(
 
 
 def fuzz_values():
-    """Well-formed values by kind.  Entries and moduli stay within 10^3: the
-    Dedekind sums and the enumeration still loop over |c| and |2 - tr M|."""
+    """Well-formed values by kind.  Dedekind moduli and twists reach 10^50,
+    since the sums cost O(log |c|); matrix entries stay within 10^3, since
+    the enumeration lists |2 - tr M| classes."""
     small = st.integers(-1000, 1000)
+    # about 10^e for e up to 50, so every size shows in a few hundred draws
+    huge = st.builds(
+        lambda e, k, sign: sign * (10**e + k), st.integers(0, 50), small, st.sampled_from((1, -1))
+    )
     rational = st.builds(lambda p, q: f"{p}/{q}", small, st.integers(1, 50)) | small.map(str)
+    any_rational = rational | st.builds(lambda p, q: f"{p}/{abs(q) or 1}", huge, huge)
     matrix = (
         st.sampled_from(["3,2,4,3", "-2,1,1,-1", "1,7,0,1", "-5,12,-3,7", "0,-1,1,0", "2,1,1,1", "1,0,0,1", "-1,0,0,-1"])
         | st.tuples(*[st.integers(-3, 3)] * 4).map(lambda t: ",".join(map(str, t)))
@@ -442,10 +471,12 @@ def fuzz_values():
     real = st.floats(-1e3, 1e3).map(repr) | st.sampled_from(["0", "1", "1e-300", "inf", "nan", "-0.5"])
     return {
         "int": small.map(str),
+        "modulus": huge.map(str),
         "rational": rational,
-        "pair": st.builds(lambda a, b: f"{a},{b}", rational, rational),
+        "pair": st.builds(lambda a, b: f"{a},{b}", any_rational, any_rational),
         "matrix": matrix,
         "sigma": st.builds(lambda a, b: f"{a},{b}", real, real),
+        "sigma_kronecker": st.builds(lambda a, b: f"{a!r},{b!r}", st.floats(-2, 2), st.floats(0.5, 2)),
         "max_norm": st.sampled_from(["-1", "0", "1", "3", "301", "1.5"]),
     }
 

@@ -1,9 +1,12 @@
 """Exact Dedekind sums, the finite-Fourier oracle, and the closed difference.
 
-Oracle strategy: the brute-force sums are restated here directly in terms
-of periodic_bernoulli on Fractions (a fully independent code path from the
-integer common-denominator loops in the library), then the library
-functions are required to match both the literals and that oracle.
+Oracle strategy: the library computes every exact sum in O(log |c|)
+Euclid steps (reciprocity, a floor sum).  Two slow oracles share none of
+that code: the brute-force sums restated in terms of periodic_bernoulli
+on Fractions, and the O(|c|) integer loops over one common denominator
+below, fast enough to sweep every coprime pair up to a modulus of a few
+hundred.  At huge moduli, where no loop can follow, the classical laws
+(reciprocity, inversion, oddness, integrality, periodicity) stand in.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from math import gcd
 import numpy as np
 import pytest
 
-from conftest import random_sl2z
+from conftest import random_hyperbolic, random_sl2z
+from dedekind_batch import dedekind_batch_exact
 from rhocalc import (
     CoprimePair,
     DomainError,
@@ -52,6 +56,48 @@ def oracle_generalized(x, y, a: int, c: int) -> F:
         ),
         F(0),
     )
+
+
+def _saw2(n: int, den: int) -> int:
+    """2*den*P_1(n/den) as an integer (den > 0)."""
+    r = n % den
+    return 2 * r - den if r else 0
+
+
+def loop_classical_num(a: int, c: int):
+    """(num, 4 c^2) with s(a, c) = num/4c^2, summed over the |c| terms."""
+    m = abs(c)
+    a0 = a % m
+    return sum((2 * (a0 * k % m) - m) * (2 * k - m) for k in range(1, m)), 4 * m * m
+
+
+def loop_generalized_num(x: F, y: F, a: int, c: int):
+    """(num, den) with s_{x,y}(a, c) = num/den, summed over the |c| terms."""
+    m, s = abs(c), (1 if c > 0 else -1)
+    qx, qy = x.denominator, y.denominator
+    px, py = x.numerator % qx, y.numerator % qy
+    den1, den2 = m * qx, m * qx * qy  # (k+x)/c and a(k+x)/c + y over these
+    acc = 0
+    for k in range(m):
+        n1 = s * (k * qx + px)
+        n2 = s * (a * qy * (k * qx + px) + c * qx * py)
+        acc += _saw2(n1, den1) * _saw2(n2, den2)
+    return acc, 4 * den1 * den2
+
+
+def loop_difference_num(x: F, M: SL2ZMatrix, m1: int):
+    """(num, den) for sum_difference_closed at x = p/q with m1 = x - x',
+    the partial sawtooth sum taken over its |c| - (m1 mod |c|) terms."""
+    p, q = x.numerator, x.denominator
+    cabs = abs(M.c)
+    d = pow(M.a, -1, cabs) if cabs > 1 else 0
+    r = m1 % cabs
+    acc = sum(_saw2(d * k, cabs) for k in range(1, cabs - r + 1))
+    if q == 1:
+        tail = _saw2(d * m1, cabs)
+    else:
+        tail = cabs if m1 % cabs == 0 else _saw2(m1, cabs)
+    return 4 * p * (p - q) + q * q * (2 * acc + tail), 4 * q * q * cabs
 
 
 def random_coprime(rng: random.Random, bound: int):
@@ -104,6 +150,64 @@ class TestClassicalSum:
             a, c = random_coprime(rng, 50)
             assert classical_sum(-a, c) == -classical_sum(a, c)
 
+    def test_every_coprime_pair_up_to_300_against_loops(self):
+        # the batch loop gives 4 m^2 s(a, m) for all residues a at once;
+        # each pair is also checked shifted by a multiple of m and at -m
+        rng = random.Random(21)
+        for m in range(1, 301):
+            residues = np.array([a for a in range(m) if gcd(a, m) == 1], dtype=np.int64)
+            for a, num in zip(residues.tolist(), dedekind_batch_exact(residues, m).tolist()):
+                want = F(num, 4 * m * m)
+                assert classical_sum(a, m) == want, (a, m)
+                assert classical_sum(a + rng.randint(-2, 2) * m, -m) == want, (a, -m)
+
+    def test_seeded_pairs_against_integer_loop(self):
+        rng = random.Random(22)
+        for _ in range(300):
+            a, c = random_coprime(rng, 1000)
+            assert classical_sum(a, c) == F(*loop_classical_num(a, c)), (a, c)
+
+
+def huge_coprime(rng: random.Random, digits: int):
+    """(a, c) coprime with 0 < a, c < 10^digits."""
+    while True:
+        a, c = rng.randrange(1, 10**digits), rng.randrange(2, 10**digits)
+        if gcd(a, c) == 1:
+            return a, c
+
+
+@pytest.mark.parametrize("digits", [12, 50])
+class TestLawsAtHugeModulus:
+    """Laws that hold at any modulus, at |c| far past any loop."""
+
+    def test_reciprocity(self, digits):
+        rng = random.Random(digits)
+        for _ in range(100):
+            a, c = huge_coprime(rng, digits)
+            want = F(-1, 4) + (F(a, c) + F(1, a * c) + F(c, a)) / 12
+            assert classical_sum(a, c) + classical_sum(c, a) == want
+
+    def test_inverse_oddness_and_sign_of_c(self, digits):
+        rng = random.Random(digits + 1)
+        for _ in range(100):
+            a, c = huge_coprime(rng, digits)
+            s = classical_sum(a, c)
+            assert classical_sum(pow(a, -1, c), c) == s
+            assert classical_sum(-a, c) == -s
+            assert classical_sum(a, -c) == s
+            assert (6 * c * s).denominator == 1
+
+    def test_generalized_periodicity_and_classical_limit(self, digits):
+        rng = random.Random(digits + 2)
+        for _ in range(100):
+            a, c = huge_coprime(rng, digits)
+            c *= rng.choice((1, -1))
+            x = F(rng.randrange(10**6), rng.randrange(1, 10**6))
+            y = F(rng.randrange(-(10**6), 10**6), rng.randrange(1, 10**6))
+            k, l = rng.randrange(-(10**30), 10**30), rng.randrange(-(10**30), 10**30)
+            assert generalized_sum(x + k, y + l, a, c) == generalized_sum(x, y, a, c)
+            assert generalized_sum(k, l, a, c) == classical_sum(a, c)
+
 
 class TestGeneralizedSum:
     def test_pins(self):
@@ -124,6 +228,38 @@ class TestGeneralizedSum:
             x = F(rng.randint(0, 11), rng.randint(1, 12))
             y = F(rng.randint(-11, 11), rng.randint(1, 12))
             assert generalized_sum(x, y, a, c) == oracle_generalized(x, y, a, c)
+
+    def test_every_coprime_pair_up_to_40_against_loop(self):
+        # seeded (x, y) of five kinds at each pair, a shifted by a
+        # multiple of |c|: generic, x integral, y integral, x = y = 0,
+        # and unreduced values outside [0, 1)
+        rng = random.Random(23)
+
+        def rational(lo, hi):
+            return F(rng.randint(lo, hi), rng.randint(1, 30))
+
+        for c in [c for c in range(-40, 41) if c]:
+            for a in range(abs(c)):
+                if gcd(a, c) != 1:
+                    continue
+                a += rng.randint(-2, 2) * abs(c)
+                for x, y in (
+                    (rational(0, 29), rational(0, 29)),
+                    (F(rng.randint(-3, 3)), rational(-29, 29)),
+                    (rational(-29, 29), F(rng.randint(-3, 3))),
+                    (F(0), F(0)),
+                    (rational(-200, 200), rational(-200, 200)),
+                ):
+                    want = F(*loop_generalized_num(x, y, a, c))
+                    assert generalized_sum(x, y, a, c) == want, (x, y, a, c)
+
+    def test_seeded_pairs_up_to_300_against_loop(self):
+        rng = random.Random(24)
+        for _ in range(300):
+            a, c = random_coprime(rng, 300)
+            x = F(rng.randint(-50, 50), rng.randint(1, 1000))
+            y = F(rng.randint(-50, 50), rng.randint(1, 1000))
+            assert generalized_sum(x, y, a, c) == F(*loop_generalized_num(x, y, a, c)), (x, y, a, c)
 
     def test_periodicity_in_x_and_y(self):
         rng = random.Random(15)
@@ -284,6 +420,22 @@ class TestSumDifferenceClosed:
                 want = generalized_sum(x, y, m.a, m.c) - classical_sum(m.a, m.c)
                 assert got == want, (m, x, y)
                 checked += 1
+
+    def test_matches_integer_loop_on_admissible_classes(self):
+        # up to 20 classes each of random hyperbolic matrices with |c| up
+        # to 300, both signs of c, x = 0 and m_1 = 0 mod |c| among them
+        from rhocalc import enumerate_torus_connections
+
+        rng = random.Random(25)
+        seen = set()
+        for _ in range(150):
+            M = random_hyperbolic(rng, 300)
+            for conn in enumerate_torus_connections(M).isolated[:20]:
+                x, y = conn.nu
+                got = sum_difference_closed(x, y, M)
+                assert got == F(*loop_difference_num(x, M, conn.m[0])), (M, x, y)
+                seen.add((M.c < 0, x == 0, conn.m[0] % abs(M.c) == 0))
+        assert {s[0] for s in seen} == {s[1] for s in seen} == {s[2] for s in seen} == {True, False}
 
     def test_rejects_inadmissible(self):
         m = SL2ZMatrix(3, 2, 4, 3)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -46,6 +47,18 @@ from test_moduli import oracle_enumerate, oracle_matrices
 
 def _p1(x):
     return periodic_bernoulli(1, x)
+
+
+def huge_sl2z(rng: random.Random, digits: int) -> SL2ZMatrix:
+    """[[p, r], [q, s]] in SL(2, Z) with p, q of the given number of digits
+    and 0 <= s < q, so every entry is about that size."""
+    while True:
+        p, q = rng.randrange(10 ** (digits - 1), 10**digits), rng.randrange(10 ** (digits - 1), 10**digits)
+        if gcd(p, q) == 1:
+            break
+    s = pow(p, -1, q)
+    g = SL2ZMatrix(p, (p * s - 1) // q, q, s)
+    return g if rng.random() < 0.5 else g @ SL2ZMatrix(0, -1, 1, 0)
 
 
 def oracle_sixterm(M: SL2ZMatrix, nu1: F, m1: int) -> F:
@@ -300,6 +313,27 @@ class TestRhoTorusHyperbolic:
                 a = rho_torus(mat, conn)
                 b = rho_hyperbolic_prep(mat, conn)
                 assert a.value == b.value, (mat, conn.nu)
+                checked += 1
+
+    def test_conjugation_and_two_path_at_huge_modulus(self):
+        # g M g^-1 with |entries of g| near 10^25 has |c| near 10^50; its
+        # class g^-t nu carries the same rho, and the floor-sum route of
+        # rho_torus meets the reciprocity route of rho_hyperbolic_prep
+        rng = random.Random(54)
+        checked = 0
+        while checked < 160:
+            mat = random_hyperbolic(rng, 6)
+            g = huge_sl2z(rng, 25)
+            big = g @ mat @ g.inverse()
+            assert abs(big.c) > 10**40
+            for conn in enumerate_torus_connections(mat).isolated:
+                if conn.nu == (F(0), F(0)):
+                    continue
+                nu = g.inverse().transpose_apply(conn.nu)
+                moved = connection_from_nu(big, (nu[0] % 1, nu[1] % 1))
+                want = rho_torus(mat, conn).value
+                assert rho_torus(big, moved).value == want, (mat, g, conn.nu)
+                assert rho_hyperbolic_prep(big, moved).value == want, (mat, g, conn.nu)
                 checked += 1
 
     def test_matches_sixterm_oracle(self):
