@@ -6,21 +6,6 @@ verification of the underlying Kronecker-limit and Dedekind-eta
 transformation identities.
 """
 
-from .analytic import (
-    ComplexValue,
-    SeriesParams,
-    e_series,
-    eta_untwisted_numeric,
-    f_series,
-    kronecker_closed,
-    kronecker_integral,
-    log_eta,
-    log_eta_gen,
-    rho_form_hyp_numeric,
-    torus_spectrum,
-    transform_defect,
-    transform_defect_gen,
-)
 from .bernoulli import (
     Rational,
     bernoulli_number,
@@ -60,7 +45,6 @@ from .moduli import (
     is_bundle_trivial,
     smith_normal_form,
     transport_nu_from_normal_form,
-    transport_nu_to_normal_form,
 )
 from .rho import (
     EigenphaseData,
@@ -91,6 +75,34 @@ from .sl2z import (
 )
 
 __version__ = "0.1.0"
+
+# the float layer's names, bound on first use (PEP 562): importing the
+# package or running an exact computation never loads analytic
+_ANALYTIC_NAMES = (
+    "SeriesParams",
+    "ComplexValue",
+    "e_series",
+    "f_series",
+    "kronecker_integral",
+    "kronecker_closed",
+    "log_eta",
+    "log_eta_gen",
+    "transform_defect",
+    "transform_defect_gen",
+    "torus_spectrum",
+    "rho_form_hyp_numeric",
+    "eta_untwisted_numeric",
+)
+
+
+def __getattr__(name: str):
+    if name == "analytic" or name in _ANALYTIC_NAMES:
+        from importlib import import_module
+
+        analytic = import_module(".analytic", __name__)
+        return analytic if name == "analytic" else getattr(analytic, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",
@@ -138,7 +150,6 @@ __all__ = [
     "CircleModuliSummary",
     "smith_normal_form",
     "transport_nu_from_normal_form",
-    "transport_nu_to_normal_form",
     "connection_from_nu",
     "enumerate_torus_connections",
     "is_bundle_trivial",
@@ -157,17 +168,5 @@ __all__ = [
     "chern_simons_mod1",
     "parabolic_intermediates",
     # analytic
-    "SeriesParams",
-    "ComplexValue",
-    "e_series",
-    "f_series",
-    "kronecker_integral",
-    "kronecker_closed",
-    "log_eta",
-    "log_eta_gen",
-    "transform_defect",
-    "transform_defect_gen",
-    "torus_spectrum",
-    "rho_form_hyp_numeric",
-    "eta_untwisted_numeric",
+    *_ANALYTIC_NAMES,
 ]

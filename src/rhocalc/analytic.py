@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ._record import Record
 from .bernoulli import RationalLike, _reduce_mod1, periodic_bernoulli, sgn
 from .dedekind import classical_sum, generalized_sum
 from .errors import (
@@ -73,17 +73,28 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class SeriesParams:
+class SeriesParams(Record):
     """Truncation and quadrature policy for every series in this module."""
 
-    tail_tolerance: float = 1e-14
-    max_terms: int = 10**6
-    quad_tolerance: float = 1e-9
-    poisson_switch_u: float = 1.0
+    tail_tolerance: float
+    max_terms: int
+    quad_tolerance: float
+    poisson_switch_u: float
 
-    def __post_init__(self) -> None:
-        for name in ("tail_tolerance", "max_terms", "quad_tolerance", "poisson_switch_u"):
+    def __init__(
+        self,
+        tail_tolerance: float = 1e-14,
+        max_terms: int = 10**6,
+        quad_tolerance: float = 1e-9,
+        poisson_switch_u: float = 1.0,
+    ) -> None:
+        self.__dict__.update(
+            tail_tolerance=tail_tolerance,
+            max_terms=max_terms,
+            quad_tolerance=quad_tolerance,
+            poisson_switch_u=poisson_switch_u,
+        )
+        for name in self._fields:
             # also rejects nan, and never converts a huge max_terms to float
             if not 0 < getattr(self, name) < math.inf:
                 raise DomainError(f"SeriesParams.{name} must be positive and finite")
@@ -92,14 +103,14 @@ class SeriesParams:
 DEFAULT_SERIES_PARAMS = SeriesParams()
 
 
-@dataclass(frozen=True)
-class ComplexValue:
+class ComplexValue(Record):
     re: float
     im: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
+    def __init__(self, re: float, im: float) -> None:
+        if not (math.isfinite(re) and math.isfinite(im)):
             raise DomainError("ComplexValue components must be finite")
+        self.__dict__.update(re=re, im=im)
 
     @classmethod
     def from_complex(cls, value: complex) -> "ComplexValue":
@@ -121,13 +132,16 @@ def _nu_floats(nu: Tuple[RationalLike, RationalLike]) -> Tuple[float, float]:
 
 
 def _qz(sigma: complex, nu1: Fraction, nu2: Fraction) -> complex:
-    """q_z = e^{2 pi i z}; raises DomainError when a nonzero nu1 is too
-    small for q_z to differ from 1 in double precision, since the nu1 != 0
-    branch divides by 1 - q_z and takes Log(1 - q_z)."""
-    z = float(nu1) * sigma - float(_reduce_mod1(nu2))
+    """q_z = e^{2 pi i z} for nu1 in [0, 1); raises DomainError when a
+    nonzero nu1 is too close to 0 for q_z to differ from 1 in double
+    precision (the nu1 != 0 branch divides by 1 - q_z and takes
+    Log(1 - q_z)), or too close to 1 to differ from 1.0 (the series would
+    be summed for nu1 = 1, which is nu1 = 0)."""
+    nu1f = float(nu1)
+    z = nu1f * sigma - float(_reduce_mod1(nu2))
     q_z = cmath.exp(2j * math.pi * z)
-    if nu1 != 0 and q_z == 1:
-        raise DomainError(f"nu1 = {nu1} is nonzero but q_z rounds to 1 in double precision")
+    if nu1 != 0 and (q_z == 1 or nu1f == 1.0):
+        raise DomainError(f"nu1 = {nu1} is nonzero but rounds to 0 or 1 in double precision")
     return q_z
 
 

@@ -9,7 +9,8 @@ Exit codes: 0 success, 2 domain or admissibility error (a non-finite
 float among the inputs or the results included), 3 numeric
 non-convergence or a verification suite missing its tolerance, 64 usage.
 The environment variable RHO_CALC_TOL overrides the default quadrature
-tolerance; explicit flags win over the environment.
+tolerance, and inputs then echoes it; explicit flags win over the
+environment.
 """
 
 from __future__ import annotations
@@ -21,12 +22,14 @@ import os
 import random
 import sys
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from . import analytic, dedekind, moduli, rho
-from .analytic import SeriesParams
+from . import dedekind, moduli, rho
 from .errors import ConvergenceError, DomainError
 from .sl2z import SL2ZMatrix, UpperHalfPoint, random_hyperbolic, random_sl2z
+
+if TYPE_CHECKING:
+    from .analytic import SeriesParams
 
 __all__ = ["main", "run_command"]
 
@@ -151,11 +154,15 @@ def _emit(doc: Dict[str, object], as_json: bool) -> None:
 
 
 def _series_params(args: argparse.Namespace) -> SeriesParams:
+    """The series controls of args; a RHO_CALC_TOL that stands in for an
+    unset --quad-tol is put on args, so that inputs echoes it."""
+    from .analytic import SeriesParams
+
     quad_tol = args.quad_tol
-    if quad_tol is None:
-        env = os.environ.get("RHO_CALC_TOL", "1e-9")
+    env = os.environ.get("RHO_CALC_TOL")
+    if quad_tol is None and env is not None:
         try:
-            quad_tol = float(env)
+            quad_tol = args.RHO_CALC_TOL = float(env)
         except ValueError:
             raise DomainError(f"RHO_CALC_TOL must be a positive real, got {env!r}") from None
     kwargs = {
@@ -270,6 +277,8 @@ def _cmd_moduli_circle(args: argparse.Namespace) -> _Outcome:
 
 
 def _cmd_spectrum_torus(args: argparse.Namespace) -> _Outcome:
+    from . import analytic
+
     spectrum = analytic.torus_spectrum(UpperHalfPoint(*args.sigma), args.nu, args.max_norm)
     results = [
         _entry(f"eig[{i}]", float_value=lam, branch=f"multiplicity={mult}")
@@ -279,6 +288,8 @@ def _cmd_spectrum_torus(args: argparse.Namespace) -> _Outcome:
 
 
 def _cmd_verify_kronecker(args: argparse.Namespace) -> _Outcome:
+    from . import analytic
+
     params = _series_params(args)
     sigma = UpperHalfPoint(*args.sigma)
     integral, info = analytic.kronecker_integral_info(sigma, args.nu, params)
@@ -301,6 +312,8 @@ def _cmd_verify_kronecker(args: argparse.Namespace) -> _Outcome:
 def _cmd_verify_eta_transform(args: argparse.Namespace) -> _Outcome:
     """The eta transformation law on random M and sigma; eta-transform-gen
     also draws a non-integral twist (g, h) after each M."""
+    from . import analytic
+
     params = _series_params(args)
     general = args.target == "eta-transform-gen"
     rng = random.Random(args.seed)

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Tuple
 
+from ._record import Record
 from .bernoulli import RationalLike, periodic_bernoulli
 from .errors import DomainError
 from .moduli import _admissible_m
@@ -59,24 +59,22 @@ def _inverse_mod(a: int, c: int) -> int:
     return pow(a % m, -1, m)
 
 
-@dataclass(frozen=True)
-class CoprimePair:
+class CoprimePair(Record):
     """A pair (a, c) with c != 0 and gcd(a, c) = 1; carries d = a^{-1} mod c."""
 
     a: int
     c: int
-    d: int = field(init=False)
+    d: int
 
-    def __post_init__(self) -> None:
-        if self.c == 0:
+    def __init__(self, a: int, c: int) -> None:
+        if c == 0:
             raise DomainError("CoprimePair requires c != 0")
-        if gcd(self.a, self.c) != 1:
+        if gcd(a, c) != 1:
             raise DomainError("CoprimePair requires gcd(a, c) = 1")
-        object.__setattr__(self, "d", _inverse_mod(self.a, self.c))
+        self.__dict__.update(a=a, c=c, d=_inverse_mod(a, c))
 
 
-@dataclass(frozen=True)
-class PeriodicFunctionTable:
+class PeriodicFunctionTable(Record):
     """A function on Z/|c| given by its |c| sampled complex values.
 
     The signed modulus c is retained: the transform below uses the root
@@ -86,15 +84,15 @@ class PeriodicFunctionTable:
     c: int
     values: Tuple[complex, ...]
 
-    def __post_init__(self) -> None:
-        if self.c == 0:
+    def __init__(self, c: int, values: Tuple[complex, ...]) -> None:
+        if c == 0:
             raise DomainError("PeriodicFunctionTable requires c != 0")
-        vals = tuple(complex(v) for v in self.values)
-        if len(vals) != abs(self.c):
+        vals = tuple(complex(v) for v in values)
+        if len(vals) != abs(c):
             raise DomainError(
                 "PeriodicFunctionTable requires exactly |c| values"
             )
-        object.__setattr__(self, "values", vals)
+        self.__dict__.update(c=c, values=vals)
 
     def __call__(self, k: int) -> complex:
         return self.values[k % abs(self.c)]

@@ -11,10 +11,10 @@ Smith-normal-form kernel with the unimodular transforms retained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Tuple
 
+from ._record import Record
 from .bernoulli import RationalLike, _reduce_mod1
 from .errors import AdmissibilityError, DomainError, UnsupportedClassError
 from .sl2z import Identity, Parabolic, SL2ZMatrix, classify, parabolic_normal_form
@@ -30,7 +30,6 @@ __all__ = [
     "connection_from_nu",
     "is_bundle_trivial",
     "circle_moduli_summary",
-    "transport_nu_to_normal_form",
     "transport_nu_from_normal_form",
 ]
 
@@ -141,8 +140,7 @@ def smith_normal_form(A: Mat2) -> Tuple[Mat2, Mat2, Mat2]:
     return U, S, V
 
 
-@dataclass(frozen=True)
-class TorusFlatConnection:
+class TorusFlatConnection(Record):
     """A gauge class of flat U(1) connections on the mapping torus of M.
 
     Data: the twist nu, a pair of Fractions or ints in [0,1)^2; the
@@ -156,32 +154,34 @@ class TorusFlatConnection:
 
     nu: Tuple[Fraction, Fraction]
     m: Tuple[int, int]
-    gauge_lambda: Optional[Fraction] = None
-    restriction_trivial: bool = field(init=False)
+    gauge_lambda: Optional[Fraction]
+    restriction_trivial: bool
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, nu: Tuple[Fraction, Fraction], m: Tuple[int, int], gauge_lambda: Optional[Fraction] = None
+    ) -> None:
         try:
-            nu1, nu2 = self.nu
+            nu1, nu2 = nu
         except (TypeError, ValueError):
-            raise DomainError(f"TorusFlatConnection requires nu to be a pair, got {self.nu!r}") from None
-        if not all(map(_is_rational, self.nu)):
-            raise DomainError(f"TorusFlatConnection requires nu to be a pair of Fractions or ints, got {self.nu!r}")
-        if tuple(map(type, self.m)) != (int, int):
-            raise DomainError(f"TorusFlatConnection requires m to be a pair of ints, got {self.m!r}")
+            raise DomainError(f"TorusFlatConnection requires nu to be a pair, got {nu!r}") from None
+        if not all(map(_is_rational, nu)):
+            raise DomainError(f"TorusFlatConnection requires nu to be a pair of Fractions or ints, got {nu!r}")
+        if tuple(map(type, m)) != (int, int):
+            raise DomainError(f"TorusFlatConnection requires m to be a pair of ints, got {m!r}")
         if not (0 <= nu1 < 1 and 0 <= nu2 < 1):
             raise DomainError(f"TorusFlatConnection requires nu in [0, 1)^2, got ({nu1}, {nu2})")
         trivial = nu1 == 0 and nu2 == 0
-        object.__setattr__(self, "restriction_trivial", trivial)
-        lam = self.gauge_lambda
-        if lam is not None:
-            if not (_is_rational(lam) and 0 <= lam < 1):
-                raise DomainError(f"TorusFlatConnection requires lambda to be a Fraction or int in [0, 1), got {lam!r}")
+        if gauge_lambda is not None:
+            if not (_is_rational(gauge_lambda) and 0 <= gauge_lambda < 1):
+                raise DomainError(
+                    f"TorusFlatConnection requires lambda to be a Fraction or int in [0, 1), got {gauge_lambda!r}"
+                )
             if not trivial:
                 raise DomainError("gauge phase lambda is only defined when nu is integral")
+        self.__dict__.update(nu=nu, m=m, gauge_lambda=gauge_lambda, restriction_trivial=trivial)
 
 
-@dataclass(frozen=True)
-class CircleFlatConnection:
+class CircleFlatConnection(Record):
     """A flat U(1) connection datum on a degree-l circle bundle.
 
     The fiber holonomy is e^{2 pi i q} with q = chern_k / degree_l; the
@@ -191,13 +191,14 @@ class CircleFlatConnection:
 
     degree_l: int
     chern_k: int
-    is_trivial: bool = False
+    is_trivial: bool
 
-    def __post_init__(self) -> None:
-        if self.degree_l != 0 and self.is_trivial and self.chern_k % self.degree_l != 0:
+    def __init__(self, degree_l: int, chern_k: int, is_trivial: bool = False) -> None:
+        if degree_l != 0 and is_trivial and chern_k % degree_l != 0:
             raise DomainError(
                 "CircleFlatConnection cannot be trivial with fractional q = k/l"
             )
+        self.__dict__.update(degree_l=degree_l, chern_k=chern_k, is_trivial=is_trivial)
 
     @property
     def q(self) -> Fraction:
@@ -206,8 +207,7 @@ class CircleFlatConnection:
         return Fraction(self.chern_k, self.degree_l)
 
 
-@dataclass(frozen=True)
-class ParabolicFamily:
+class ParabolicFamily(Record):
     """One connected family nu1 = const, nu2 free (normal-form coordinates).
 
     representative is its twisted class at nu2 = 1/2, in M's coordinates.
@@ -216,17 +216,26 @@ class ParabolicFamily:
     nu1: Fraction
     representative: TorusFlatConnection
 
+    def __init__(self, nu1: Fraction, representative: TorusFlatConnection) -> None:
+        self.__dict__.update(nu1=nu1, representative=representative)
 
-@dataclass(frozen=True)
-class TorusModuliSet:
+
+class TorusModuliSet(Record):
     isolated: Tuple[TorusFlatConnection, ...]
     families: Tuple[ParabolicFamily, ...]
 
+    def __init__(
+        self, isolated: Tuple[TorusFlatConnection, ...], families: Tuple[ParabolicFamily, ...]
+    ) -> None:
+        self.__dict__.update(isolated=isolated, families=families)
 
-@dataclass(frozen=True)
-class CircleModuliSummary:
+
+class CircleModuliSummary(Record):
     torus_rank: int
     torsion_order: int
+
+    def __init__(self, torus_rank: int, torsion_order: int) -> None:
+        self.__dict__.update(torus_rank=torus_rank, torsion_order=torsion_order)
 
 
 def is_bundle_trivial(M: SL2ZMatrix, m: Tuple[int, int]) -> bool:
@@ -327,26 +336,12 @@ def circle_moduli_summary(genus: int, degree_l: int) -> CircleModuliSummary:
     return CircleModuliSummary(torus_rank=2 * genus, torsion_order=abs(degree_l))
 
 
-def transport_nu_to_normal_form(
-    M: SL2ZMatrix, nu: Tuple[Fraction, Fraction]
-) -> Tuple[int, int, Tuple[Fraction, Fraction]]:
-    """Transport a connection on the mapping torus of parabolic M to the
-    normal-form coordinates.
-
-    With g the conjugator (g^{-1} M g = N the normal form), constant
-    1-forms pull back through the transpose, so nu' = g^t nu mod Z^2;
-    then (Id - N^t) nu' = g^t (Id - M^t) nu, and admissibility carries
-    over.  Returns (eps, l, nu').
-    """
-    eps, l, conj = parabolic_normal_form(M)
-    nup = conj.transpose_apply(nu)
-    return eps, l, (_reduce_mod1(nup[0]), _reduce_mod1(nup[1]))
-
-
 def transport_nu_from_normal_form(
     M: SL2ZMatrix, nu_prime: Tuple[Fraction, Fraction]
 ) -> Tuple[Fraction, Fraction]:
-    """Inverse of transport_nu_to_normal_form (normal form back to M)."""
+    """Transport nu' from the normal-form coordinates of parabolic M back to
+    M's: with g the conjugator (g^{-1} M g = N the normal form), constant
+    1-forms pull back through the transpose, so nu = g^{-t} nu' mod Z^2."""
     (p1, q1), (p2, q2) = (Fraction(v).as_integer_ratio() for v in nu_prime)
     den = q1 * q2
     n1, n2 = _from_normal_form(parabolic_normal_form(M)[2], p1 * q2, p2 * q1, den)

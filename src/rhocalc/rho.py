@@ -27,11 +27,11 @@ float route and a literal six-term oracle in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Tuple
 
+from ._record import Record
 from .bernoulli import RationalLike, _reduce_mod1, periodic_bernoulli, sgn
 from .dedekind import _classical_num, _difference_num, _generalized_num, classical_sum
 from .errors import AdmissibilityError, DomainError, UnsupportedClassError
@@ -75,14 +75,15 @@ class RhoBranch(str, Enum):
     HYPERBOLIC_PREP = "hyperbolic-prep"
 
 
-@dataclass(frozen=True)
-class RhoValue:
+class RhoValue(Record):
     value: Fraction
     branch: RhoBranch
 
+    def __init__(self, value: Fraction, branch: RhoBranch) -> None:
+        self.__dict__.update(value=value, branch=branch)
 
-@dataclass(frozen=True)
-class EigenphaseData:
+
+class EigenphaseData(Record):
     """Eigenphase input for the generic finite-order mapping-torus formula.
 
     plus_phases / minus_phases are the phases (in [0,1)) of the unitarized
@@ -96,25 +97,37 @@ class EigenphaseData:
     untwisted_plus_phases: Tuple[Fraction, ...]
     rank_k: int
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        plus_phases: Tuple[Fraction, ...],
+        minus_phases: Tuple[Fraction, ...],
+        untwisted_plus_phases: Tuple[Fraction, ...],
+        rank_k: int,
+    ) -> None:
+        self.__dict__.update(
+            plus_phases=tuple(map(Fraction, plus_phases)),
+            minus_phases=tuple(map(Fraction, minus_phases)),
+            untwisted_plus_phases=tuple(map(Fraction, untwisted_plus_phases)),
+            rank_k=rank_k,
+        )
         for name in ("plus_phases", "minus_phases", "untwisted_plus_phases"):
-            phases = tuple(Fraction(p) for p in getattr(self, name))
-            object.__setattr__(self, name, phases)
-            if any(not 0 <= p < 1 for p in phases):
+            if any(not 0 <= p < 1 for p in getattr(self, name)):
                 raise DomainError(f"{name} must lie in [0, 1)")
         if len(self.plus_phases) != len(self.minus_phases):
             raise DomainError(
                 "eigenphase data requires equally many plus and minus phases"
             )
-        if self.rank_k < 1:
+        if rank_k < 1:
             raise DomainError("rank_k must be a positive integer")
 
 
-@dataclass(frozen=True)
-class ParabolicIntermediates:
+class ParabolicIntermediates(Record):
     form_integral: float
     cohom_rho: float
     assembled: float
+
+    def __init__(self, form_integral: float, cohom_rho: float, assembled: float) -> None:
+        self.__dict__.update(form_integral=form_integral, cohom_rho=cohom_rho, assembled=assembled)
 
 
 def rho_circle(conn: CircleFlatConnection) -> RhoValue:

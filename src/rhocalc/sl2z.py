@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from typing import Tuple, Union
 
+from ._record import Record
 from .errors import DomainError, UnsupportedClassError
 
 __all__ = [
@@ -40,16 +40,16 @@ __all__ = [
 _ELLIPTIC_THETA = {1: Fraction(1, 6), 0: Fraction(1, 4), -1: Fraction(1, 3)}
 
 
-@dataclass(frozen=True)
-class SL2ZMatrix:
+class SL2ZMatrix(Record):
     a: int
     b: int
     c: int
     d: int
 
-    def __post_init__(self) -> None:
-        if self.a * self.d - self.b * self.c != 1:
+    def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        if a * d - b * c != 1:
             raise DomainError("SL2ZMatrix requires determinant ad - bc = 1")
+        self.__dict__.update(a=a, b=b, c=c, d=d)
 
     @classmethod
     def identity(cls) -> "SL2ZMatrix":
@@ -87,37 +87,40 @@ class SL2ZMatrix:
         return (self.a * v[0] + self.c * v[1], self.b * v[0] + self.d * v[1])
 
 
-@dataclass(frozen=True)
-class UpperHalfPoint:
+class UpperHalfPoint(Record):
     """A point sigma = sigma1 + i*sigma2 of the upper half-plane."""
 
     sigma1: float
     sigma2: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma1) and math.isfinite(self.sigma2)):
+    def __init__(self, sigma1: float, sigma2: float) -> None:
+        if not (math.isfinite(sigma1) and math.isfinite(sigma2)):
             raise DomainError("UpperHalfPoint requires finite sigma1 and sigma2")
-        if not self.sigma2 > 0:
+        if not sigma2 > 0:
             raise DomainError("UpperHalfPoint requires sigma2 > 0")
+        self.__dict__.update(sigma1=sigma1, sigma2=sigma2)
 
     def as_complex(self) -> complex:
         return complex(self.sigma1, self.sigma2)
 
 
-@dataclass(frozen=True)
-class Elliptic:
+class Elliptic(Record):
     theta: Fraction
 
+    def __init__(self, theta: Fraction) -> None:
+        self.__dict__.update(theta=theta)
 
-@dataclass(frozen=True)
-class Parabolic:
+
+class Parabolic(Record):
     epsilon: int
     l: int
     conjugator: SL2ZMatrix
 
+    def __init__(self, epsilon: int, l: int, conjugator: SL2ZMatrix) -> None:
+        self.__dict__.update(epsilon=epsilon, l=l, conjugator=conjugator)
 
-@dataclass(frozen=True)
-class Hyperbolic:
+
+class Hyperbolic(Record):
     """A hyperbolic class, holding its exact matrix.
 
     kappa is the eigenvalue with |kappa| > 1, so the invariant path flows
@@ -128,6 +131,9 @@ class Hyperbolic:
     """
 
     matrix: SL2ZMatrix
+
+    def __init__(self, matrix: SL2ZMatrix) -> None:
+        self.__dict__.update(matrix=matrix)
 
     @cached_property
     def _floats(self) -> Tuple[float, float, float]:
@@ -156,9 +162,11 @@ class Hyperbolic:
         return self._floats[2]
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(Record):
     epsilon: int
+
+    def __init__(self, epsilon: int) -> None:
+        self.__dict__.update(epsilon=epsilon)
 
 
 MonodromyClass = Union[Elliptic, Parabolic, Hyperbolic, Identity]

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import io
 import json
-import os
 import random
 import subprocess
 import sys
@@ -25,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rhocalc
+from conftest import child_env
 from rhocalc.cli import (
     EXIT_DOMAIN,
     EXIT_NUMERIC,
@@ -36,16 +35,8 @@ from rhocalc.cli import (
     run_command,
 )
 from rhocalc.errors import DomainError
+from rhocalc.rho import RhoValue
 from rhocalc.sl2z import random_hyperbolic, random_sl2z
-
-
-def child_env():
-    """The environment for a child interpreter that imports the same
-    rhocalc as this session, also when pytest's pythonpath setting, not
-    PYTHONPATH, put the source tree on the path."""
-    src = os.path.dirname(os.path.dirname(rhocalc.__file__))
-    path = os.environ.get("PYTHONPATH")
-    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 def run_json(capsys, argv):
@@ -117,6 +108,10 @@ class TestParsing:
             (["verify", "kronecker", "--sigma", "0,1e-300", "--nu", "1/2,1/2"], EXIT_NUMERIC),
             # a nonzero nu1 whose q_z rounds to 1 in double precision
             (["verify", "kronecker", "--sigma", "0,1", "--nu", "1/100000000000000000000,0"], EXIT_DOMAIN),
+            # and one just below 1, whose float is 1.0
+            (["verify", "kronecker", "--sigma", "0,1", "--nu", "-1/100000000000000000000,0"], EXIT_DOMAIN),
+            # below 1 but apart from it in float: (q_sigma/q_z)^n hardly decays
+            (["verify", "kronecker", "--sigma", "0,1", "--nu", "-1/100000000,0"], EXIT_NUMERIC),
         ],
     )
     def test_non_finite_and_oversized_inputs_exit_cleanly(self, capsys, argv, code):
@@ -421,7 +416,7 @@ class TestVerify:
 
         def off_by_one(mat, conn):
             value = real(mat, conn)
-            return dataclasses.replace(value, value=value.value + 1)
+            return RhoValue(value.value + 1, value.branch)
 
         monkeypatch.setattr(rhocalc.rho, "rho_hyperbolic_prep", off_by_one)
         code, doc, _ = run_json(capsys, ["verify", "two-path", "--count", "3"])
@@ -547,6 +542,25 @@ class TestEnvironmentTolerance:
         code, doc, _ = run_json(capsys, ["verify", "kronecker", "--sigma", "0,1", "--nu", "1/3,2/3"])
         assert code == EXIT_OK
 
+    def test_environment_tolerance_is_echoed(self, monkeypatch, capsys):
+        # it changes the results, so the document records it; without the
+        # variable the document is as before
+        argv = ["verify", "kronecker", "--sigma", "0,1", "--nu", "1/3,1/2"]
+        monkeypatch.delenv("RHO_CALC_TOL", raising=False)
+        code, plain, _ = run_json(capsys, argv)
+        assert code == EXIT_OK
+        assert "RHO_CALC_TOL" not in plain["inputs"]
+        monkeypatch.setenv("RHO_CALC_TOL", "1e-3")
+        code, loose, _ = run_json(capsys, argv)
+        assert code == EXIT_OK
+        assert loose["inputs"] == {**plain["inputs"], "RHO_CALC_TOL": 1e-3}
+        assert loose["diagnostics"]["achieved_tolerance"] != plain["diagnostics"]["achieved_tolerance"]
+        # an explicit --quad-tol wins and is the one echoed
+        code, flagged, _ = run_json(capsys, argv + ["--quad-tol", "1e-9"])
+        assert code == EXIT_OK
+        assert "RHO_CALC_TOL" not in flagged["inputs"]
+        assert flagged["inputs"]["quad_tol"] == 1e-9
+
     def test_flag_wins_over_environment(self, monkeypatch, capsys):
         # an explicit --quad-tol bypasses the env entirely, so even a
         # malformed RHO_CALC_TOL cannot break the invocation
@@ -556,6 +570,11 @@ class TestEnvironmentTolerance:
         )
         capsys.readouterr()
         assert code == EXIT_OK
+
+
+#: modules that only the float commands need: the float layer, numpy and
+#: scipy, and dataclasses and inspect, which no exact path uses
+FLOAT_ONLY_MODULES = ("rhocalc.analytic", "numpy", "scipy", "dataclasses", "inspect")
 
 
 class TestSubprocessSmoke:
@@ -575,14 +594,16 @@ class TestSubprocessSmoke:
         capsys.readouterr()
 
     def test_exact_commands_load_neither_numpy_nor_scipy(self):
-        # a fresh interpreter, since this test session has loaded both already
+        # a fresh interpreter, since this test session has loaded all of
+        # FLOAT_ONLY_MODULES already
         script = textwrap.dedent(
-            """
+            f"""
             import contextlib, io, json, sys
 
             import rhocalc
             from rhocalc import cli
 
+            watched = {FLOAT_ONLY_MODULES!r}
             exact = [
                 ["rho", "circle", "--degree", "3", "--chern", "2"],
                 ["rho", "torus", "--matrix", "3,2,4,3", "--enumerate"],
@@ -598,17 +619,17 @@ class TestSubprocessSmoke:
             for argv in exact:
                 with contextlib.redirect_stdout(io.StringIO()):
                     codes.append(cli.run_command(argv + ["--json"]))
-            loaded = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+            loaded = sorted(m for m in watched if m in sys.modules)
             with contextlib.redirect_stdout(io.StringIO()):
                 kronecker = cli.run_command(
                     ["verify", "kronecker", "--sigma", "0,1", "--nu", "1/2,1/2", "--json"]
                 )
-            print(json.dumps({
+            print(json.dumps({{
                 "codes": codes,
                 "loaded_by_exact": loaded,
                 "kronecker": kronecker,
-                "loaded_after": sorted(m for m in ("numpy", "scipy") if m in sys.modules),
-            }))
+                "loaded_after": sorted(m for m in watched if m in sys.modules),
+            }}))
             """
         )
         proc = subprocess.run(
@@ -623,7 +644,24 @@ class TestSubprocessSmoke:
         assert out["codes"] == [EXIT_OK] * 9
         assert out["loaded_by_exact"] == []
         assert out["kronecker"] == EXIT_OK
-        assert out["loaded_after"] == ["numpy", "scipy"]
+        assert {"numpy", "scipy", "rhocalc.analytic"} <= set(out["loaded_after"])
+
+    def test_exact_cli_call_imports_no_float_module(self):
+        # the whole import report of one exact call, interpreter start included
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "rhocalc", "eta", "torus", "--matrix", "2,1,1,1", "--json"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=child_env(),
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["results"][0]["exact"] == "0/1"
+        imported = {
+            line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")
+        }
+        assert "rhocalc.cli" in imported
+        assert imported.isdisjoint(FLOAT_ONLY_MODULES)
 
 
 class TestParserHelp:

@@ -34,9 +34,24 @@ from rhocalc import (
     rho_hyperbolic_prep,
     rho_torus,
     smith_normal_form,
+    parabolic_normal_form,
     transport_nu_from_normal_form,
-    transport_nu_to_normal_form,
 )
+from rhocalc.bernoulli import _reduce_mod1
+
+
+def transport_nu_to_normal_form(M: SL2ZMatrix, nu):
+    """A connection on the mapping torus of parabolic M moved to the
+    normal-form coordinates, as (eps, l, nu').
+
+    With g the conjugator (g^{-1} M g = N the normal form), constant
+    1-forms pull back through the transpose, so nu' = g^t nu mod Z^2;
+    then (Id - N^t) nu' = g^t (Id - M^t) nu, and admissibility carries
+    over.
+    """
+    eps, l, conj = parabolic_normal_form(M)
+    nup = conj.transpose_apply(nu)
+    return eps, l, (_reduce_mod1(nup[0]), _reduce_mod1(nup[1]))
 
 
 def mat_mul(A, B):
@@ -216,7 +231,7 @@ class TestEnumeration:
     def test_integer_enumeration_matches_fraction_oracle(self):
         mats = oracle_matrices()
         for m in mats:
-            # dataclass equality: nu, m, lambda, both flags, and the order
+            # record equality: nu, m, lambda, the derived flag, and the order
             assert enumerate_torus_connections(m).isolated == oracle_enumerate(m), m
         kinds = {(type(classify(m)), m.c < 0) for m in mats}
         assert {(Elliptic, False), (Parabolic, False), (Hyperbolic, True)} <= kinds
