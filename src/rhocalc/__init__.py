@@ -43,7 +43,6 @@ from .moduli import (
     connection_from_nu,
     enumerate_torus_connections,
     is_bundle_trivial,
-    smith_normal_form,
     transport_nu_from_normal_form,
 )
 from .rho import (
@@ -148,7 +147,6 @@ __all__ = [
     "ParabolicFamily",
     "TorusModuliSet",
     "CircleModuliSummary",
-    "smith_normal_form",
     "transport_nu_from_normal_form",
     "connection_from_nu",
     "enumerate_torus_connections",

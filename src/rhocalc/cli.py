@@ -483,7 +483,8 @@ def run_command(argv: Sequence[str]) -> int:
     """Parse argv, run the subcommand and print its ResultDocument.
 
     inputs echoes every parsed argument that is not None; the exit code
-    is 3 when a verification suite did not pass.
+    is 3 when a verification suite did not pass.  A reader that closed
+    standard output early does not change the exit code.
     """
     parser = build_parser()
     args = parser.parse_args(_preprocess(argv))
@@ -508,7 +509,13 @@ def run_command(argv: Sequence[str]) -> int:
             "achieved_tolerance": diagnostics.get("achieved_tolerance"),
         },
     }
-    _emit(doc, args.json)
+    try:
+        _emit(doc, args.json)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; stdout on devnull keeps the interpreter's
+        # final flush from reporting the closed pipe once more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK if diagnostics.get("passed", True) else EXIT_NUMERIC
 
 

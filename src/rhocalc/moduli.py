@@ -5,14 +5,31 @@ A gauge class on the mapping torus of M is a pair nu in [0,1)^2 with
 the restriction to a fiber-transverse torus, and m lying in the integer
 image of (Id - M^t) decides triviality of the flat bundle itself.
 Whether nu is admissible is decided in one place, :func:`_admissible_m`,
-in integers over one denominator.  All lattice work runs through one
-Smith-normal-form kernel with the unimodular transforms retained.
+in integers over one denominator.
+
+The lattice work is two facts about A = Id - M^t = [[1 - a, -c], [-b, 1 - d]],
+whose determinant is 2 - tr M:
+
+- Classes.  For D = |2 - tr M| > 0 the numerators n = D nu of the classes
+  are the subgroup of (Z/D)^2 spanned by the columns c1, c2 of
+  adj A = [[1 - d, c], [b, 1 - a]], since A nu = z in Z^2 iff
+  nu = adj(A) z / det A.  The subgroup has |Z^2 / A Z^2| = D elements;
+  c1 has order o = D / gcd(D, c1) and c2 generates the quotient by <c1>,
+  so each class is i c1 + j c2 mod D for exactly one 0 <= i < o,
+  0 <= j < D/o.
+- Triviality.  Let x_k = det[a_k | m] for the columns a_k of A.  When
+  det A != 0, m = A z has an integer solution iff det A divides x1 and
+  x2, by Cramer's rule z = (-x2, x1) / det A.  When det A = 0, it has one
+  iff x1 = x2 = 0 and g divides m, g the gcd of the entries of A (g = 0
+  leaves only m = 0): the columns are t_k u for one primitive u, so the
+  image is gcd(t1, t2) Z u = g Z u.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Tuple
+from math import gcd
+from typing import List, Optional, Tuple
 
 from ._record import Record
 from .bernoulli import RationalLike, _reduce_mod1
@@ -25,7 +42,6 @@ __all__ = [
     "ParabolicFamily",
     "TorusModuliSet",
     "CircleModuliSummary",
-    "smith_normal_form",
     "enumerate_torus_connections",
     "connection_from_nu",
     "is_bundle_trivial",
@@ -33,12 +49,10 @@ __all__ = [
     "transport_nu_from_normal_form",
 ]
 
-Mat2 = Tuple[Tuple[int, int], Tuple[int, int]]
-
-
-def _one_minus_mt(M: SL2ZMatrix) -> Mat2:
-    """(Id - M^t) as an integer matrix."""
-    return ((1 - M.a, -M.c), (-M.b, 1 - M.d))
+#: the most classes, or trace-2 families, enumerate_torus_connections lists;
+#: the cost grows linearly in the count: at this many, `moduli torus --json`
+#: takes about 6 s and 420 MB
+MAX_CLASSES = 10**5
 
 
 def _admissible_m(M: SL2ZMatrix, n1: int, n2: int, den: int) -> Tuple[int, int]:
@@ -60,84 +74,6 @@ def _admissible_m(M: SL2ZMatrix, n1: int, n2: int, den: int) -> Tuple[int, int]:
 def _is_rational(v) -> bool:
     """Is v a Fraction or an int (not a bool, float or string)?"""
     return isinstance(v, Fraction) or type(v) is int
-
-
-def smith_normal_form(A: Mat2) -> Tuple[Mat2, Mat2, Mat2]:
-    """Smith normal form of an integer 2x2 matrix.
-
-    Returns (U, S, V) with U, V in GL(2, Z), S = U A V = diag(d1, d2),
-    d1, d2 >= 0 and d1 | d2.
-    """
-    a = [list(A[0]), list(A[1])]
-    u = [[1, 0], [0, 1]]
-    v = [[1, 0], [0, 1]]
-
-    def row_op(i, j, k):  # row_i += k * row_j, tracked in U
-        for t in range(2):
-            a[i][t] += k * a[j][t]
-            u[i][t] += k * u[j][t]
-
-    def col_op(i, j, k):  # col_i += k * col_j, tracked in V
-        for t in range(2):
-            a[t][i] += k * a[t][j]
-            v[t][i] += k * v[t][j]
-
-    def row_swap():
-        a[0], a[1] = a[1], a[0]
-        u[0], u[1] = u[1], u[0]
-
-    def col_swap():
-        for t in range(2):
-            a[t][0], a[t][1] = a[t][1], a[t][0]
-            v[t][0], v[t][1] = v[t][1], v[t][0]
-
-    def reduce_once() -> None:
-        # Euclidean clearing of the off-diagonal entries around pivot (0,0);
-        # terminates because every swap strictly shrinks |pivot|
-        while True:
-            if a[0][0] == 0:
-                if a[1][0] != 0:
-                    row_swap()
-                elif a[0][1] != 0:
-                    col_swap()
-                elif a[1][1] != 0:
-                    row_swap()
-                    col_swap()
-                else:
-                    return
-                continue
-            if a[1][0] != 0:
-                row_op(1, 0, -(a[1][0] // a[0][0]))
-                if a[1][0] != 0:
-                    row_swap()
-                continue
-            if a[0][1] != 0:
-                col_op(1, 0, -(a[0][1] // a[0][0]))
-                if a[0][1] != 0:
-                    col_swap()
-                continue
-            return
-
-    reduce_once()
-    # enforce d1 | d2 (0 % d == 0, so a zero corner needs no fix)
-    if a[0][0] != 0 and a[1][1] % a[0][0] != 0:
-        col_op(0, 1, 1)
-        reduce_once()
-
-    # sign normalization of the diagonal, pushed into V
-    for i in range(2):
-        if a[i][i] < 0:
-            for t in range(2):
-                a[t][i] = -a[t][i]
-                v[t][i] = -v[t][i]
-
-    assert a[0][1] == 0 and a[1][0] == 0
-    assert a[1][1] == 0 or (a[0][0] != 0 and a[1][1] % a[0][0] == 0)
-
-    U = (tuple(u[0]), tuple(u[1]))
-    S = (tuple(a[0]), tuple(a[1]))
-    V = (tuple(v[0]), tuple(v[1]))
-    return U, S, V
 
 
 class TorusFlatConnection(Record):
@@ -239,22 +175,17 @@ class CircleModuliSummary(Record):
 
 
 def is_bundle_trivial(M: SL2ZMatrix, m: Tuple[int, int]) -> bool:
-    """Is m in the image of (Id - M^t) acting on Z^2?
-
-    Decided through U A V = diag(d1, d2): m = A z has an integer solution
-    iff each component of U m is divisible by the matching d (zero d
-    demands a zero component).
-    """
-    U, S, _ = smith_normal_form(_one_minus_mt(M))
-    (u00, u01), (u10, u11) = U
-    w = (u00 * m[0] + u01 * m[1], u10 * m[0] + u11 * m[1])
-    for i in range(2):
-        if S[i][i] == 0:
-            if w[i] != 0:
-                return False
-        elif w[i] % S[i][i] != 0:
-            return False
-    return True
+    """Is m in the image of (Id - M^t) acting on Z^2?  The rule and its
+    proof are in the module docstring."""
+    p, q, r, s = 1 - M.a, -M.c, -M.b, 1 - M.d
+    m1, m2 = m
+    x1, x2 = p * m2 - r * m1, q * m2 - s * m1
+    det = p * s - q * r
+    if det:
+        return x1 % det == 0 and x2 % det == 0
+    # gcd(g, m1, m2) == g: g divides m, and for g = 0, m = 0
+    g = gcd(p, q, r, s)
+    return x1 == x2 == 0 and gcd(g, m1, m2) == g
 
 
 def connection_from_nu(
@@ -284,27 +215,44 @@ def connection_from_nu(
     )
 
 
+def _numerators(M: SL2ZMatrix, D: int) -> List[Tuple[int, int]]:
+    """The numerators n = D nu of the isolated classes of M, D = |2 - tr M|
+    > 0, sorted: i c1 + j c2 mod D over the columns of adj(Id - M^t)."""
+    c1, c2 = ((1 - M.d) % D, M.b % D), (M.c % D, (1 - M.a) % D)
+    o = D // gcd(D, *c1)
+    return sorted(
+        ((i * c1[0] + j * c2[0]) % D, (i * c1[1] + j * c2[1]) % D) for i in range(o) for j in range(D // o)
+    )
+
+
 def enumerate_torus_connections(M: SL2ZMatrix) -> TorusModuliSet:
     """All gauge classes of flat U(1) connections on the mapping torus of M.
 
-    For tr M != 2 the classes are the |det(Id - M^t)| = |2 - tr M|
-    isolated solutions of (Id - M^t) nu in Z^2, enumerated through the
-    Smith normal form diag(d1, d2) as integer numerators over d2 and
-    listed in [0,1)^2, sorted by nu.  For a parabolic M with trace 2 the
-    solution set is a disjoint union of circles; the returned families
-    are expressed in the coordinates of the normal form
-    eps*[[1, l], [0, 1]] as nu1 = j/|l| with nu2 free, each with its
-    class at nu2 = 1/2 moved back by the conjugator classify returned.
+    For tr M != 2 the classes are the D = |2 - tr M| isolated solutions
+    of (Id - M^t) nu in Z^2, built as integer numerators over D from the
+    columns of adj(Id - M^t) (see the module docstring) and listed in
+    [0,1)^2, sorted by nu.  For a parabolic M with trace 2 the solution
+    set is a disjoint union of circles; the returned families are
+    expressed in the coordinates of the normal form eps*[[1, l], [0, 1]]
+    as nu1 = j/|l| with nu2 free, each with its class at nu2 = 1/2 moved
+    back by the conjugator classify returned.  More than MAX_CLASSES
+    classes or families raise DomainError before any is built.
     """
     cls = classify(M)
     if isinstance(cls, Identity):
         raise UnsupportedClassError(
             "enumerate_torus_connections requires M != +-Id"
         )
-    if isinstance(cls, Parabolic) and cls.epsilon == 1:
-        # trace 2: det(Id - M^t) = 2 - tr M = 0
-        l = abs(cls.l)
-        den = 2 * l
+    # trace 2: det(Id - M^t) = 2 - tr M = 0, and |l| circles
+    circles = isinstance(cls, Parabolic) and cls.epsilon == 1
+    count = abs(cls.l) if circles else abs(2 - M.trace)
+    if count > MAX_CLASSES:
+        raise DomainError(
+            f"the mapping torus of M has {count} {'families' if circles else 'classes'} of flat connections; "
+            f"enumerate_torus_connections lists at most {MAX_CLASSES}"
+        )
+    if circles:
+        l, den = count, 2 * count
         families = []
         for j in range(l):
             # nu' = (j/l, 1/2) = (2j, l)/den moved back to M's coordinates
@@ -312,17 +260,9 @@ def enumerate_torus_connections(M: SL2ZMatrix) -> TorusModuliSet:
             rep = TorusFlatConnection((Fraction(n1, den), Fraction(n2, den)), _admissible_m(M, n1, n2, den))
             families.append(ParabolicFamily(Fraction(j, l), rep))
         return TorusModuliSet(isolated=(), families=tuple(families))
-    _, S, V = smith_normal_form(_one_minus_mt(M))
-    d1, d2 = S[0][0], S[1][1]
-    # nu = V (i/d1, j/d2) = n/d2 with n = V (i k, j) mod d2, k = d2/d1
-    k = d2 // d1
-    (v00, v01), (v10, v11) = V
-    nums = sorted({((v00 * i * k + v01 * j) % d2, (v10 * i * k + v11 * j) % d2)
-                   for i in range(d1) for j in range(d2)})
-    assert len(nums) == abs(2 - M.trace)
     conns = tuple(
-        TorusFlatConnection((Fraction(n1, d2), Fraction(n2, d2)), _admissible_m(M, n1, n2, d2))
-        for n1, n2 in nums
+        TorusFlatConnection((Fraction(n1, count), Fraction(n2, count)), _admissible_m(M, n1, n2, count))
+        for n1, n2 in _numerators(M, count)
     )
     return TorusModuliSet(isolated=conns, families=())
 

@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -662,6 +663,42 @@ class TestSubprocessSmoke:
         }
         assert "rhocalc.cli" in imported
         assert imported.isdisjoint(FLOAT_ONLY_MODULES)
+
+    def test_closed_stdout_ends_without_a_traceback(self):
+        # the reader closes its end before the document is written
+        read_end, write_end = os.pipe()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rhocalc", "spectrum", "torus", "--sigma", "0,1", "--nu", "1/3,0",
+             "--max-norm", "30", "--json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+        )
+        os.close(write_end)
+        os.close(read_end)
+        _, err = proc.communicate(timeout=120)
+        assert b"Traceback" not in err and b"Exception ignored" not in err, err
+        assert proc.returncode == EXIT_OK
+
+    def test_more_classes_than_the_cap_exit_2(self):
+        # 10^8 classes would need hundreds of GB: the child's address space
+        # is limited to 1 GiB, so a missing cap ends in a MemoryError
+        def limit():
+            import resource
+
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "rhocalc", "moduli", "torus", "--matrix", "100000000,1,99999999,1"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=child_env(),
+            preexec_fn=limit,
+        )
+        assert proc.returncode == EXIT_DOMAIN, proc.stderr
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert "99999999 classes" in proc.stderr
 
 
 class TestParserHelp:

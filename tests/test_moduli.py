@@ -1,16 +1,18 @@
-"""Flat-connection moduli: Smith form, enumeration, triviality, transport.
+"""Flat-connection moduli: enumeration, triviality, transport.
 
-The library enumerates the classes as integer numerators over d2 of the
-Smith form; `oracle_enumerate` is the Fraction-based enumeration it
-replaced, and `oracle_matrices` the seeded matrices both are run on.
+The library builds the classes as integer numerators over D = |2 - tr M|
+from the columns of adj(Id - M^t); `oracle_enumerate` finds them by brute
+force over the whole D x D grid of numerators, and `oracle_matrices` are
+the seeded matrices both are run on.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction as F
-from math import floor
+from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -33,11 +35,11 @@ from rhocalc import (
     is_bundle_trivial,
     rho_hyperbolic_prep,
     rho_torus,
-    smith_normal_form,
     parabolic_normal_form,
     transport_nu_from_normal_form,
 )
 from rhocalc.bernoulli import _reduce_mod1
+from rhocalc.moduli import MAX_CLASSES, _numerators
 
 
 def transport_nu_to_normal_form(M: SL2ZMatrix, nu):
@@ -54,36 +56,19 @@ def transport_nu_to_normal_form(M: SL2ZMatrix, nu):
     return eps, l, (_reduce_mod1(nup[0]), _reduce_mod1(nup[1]))
 
 
-def mat_mul(A, B):
-    return (
-        (A[0][0] * B[0][0] + A[0][1] * B[1][0], A[0][0] * B[0][1] + A[0][1] * B[1][1]),
-        (A[1][0] * B[0][0] + A[1][1] * B[1][0], A[1][0] * B[0][1] + A[1][1] * B[1][1]),
-    )
-
-
 def det2(A):
     return A[0][0] * A[1][1] - A[0][1] * A[1][0]
 
 
 def oracle_enumerate(M: SL2ZMatrix):
-    """The isolated classes of M (tr M != 2) as Fractions: nu = V (i/d1,
-    j/d2) mod Z^2 through the Smith form, deduplicated, validated by
-    connection_from_nu and sorted by nu."""
-    A = ((1 - M.a, -M.c), (-M.b, 1 - M.d))
-    _, S, V = smith_normal_form(A)
-    d1, d2 = S[0][0], S[1][1]
-    seen = set()
-    conns = []
-    for i in range(d1):
-        for j in range(d2):
-            w = (F(i, d1), F(j, d2))
-            nu = (V[0][0] * w[0] + V[0][1] * w[1], V[1][0] * w[0] + V[1][1] * w[1])
-            nu = (nu[0] - floor(nu[0]), nu[1] - floor(nu[1]))
-            if nu in seen:
-                continue
-            seen.add(nu)
-            conns.append(connection_from_nu(M, nu))
-    assert len(conns) == abs(det2(A))
+    """The isolated classes of M (tr M != 2) by brute force: every n in
+    {0, ..., D-1}^2 with (Id - M^t) n = 0 mod D, D = |2 - tr M|, made a
+    class nu = n/D by connection_from_nu, sorted by nu."""
+    D = abs(2 - M.trace)
+    n1, n2 = np.meshgrid(np.arange(D, dtype=np.int64), np.arange(D, dtype=np.int64), indexing="ij")
+    on = (((1 - M.a) * n1 - M.c * n2) % D == 0) & ((-M.b * n1 + (1 - M.d) * n2) % D == 0)
+    conns = [connection_from_nu(M, (F(int(p), D), F(int(q), D))) for p, q in zip(n1[on], n2[on])]
+    assert len(conns) == D
     conns.sort(key=lambda conn: conn.nu)
     return tuple(conns)
 
@@ -112,31 +97,6 @@ def oracle_matrices():
         a, c = rng.choice([(2, -7), (3, 7), (-4, 9), (5, -11), (1, 1), (1, -1)])
         mats.append(_with_trace_near(a, c, t))
     return [m for m in mats if m.trace != 2]
-
-
-class TestSmithNormalForm:
-    def test_decomposition_properties(self):
-        rng = random.Random(40)
-        for _ in range(300):
-            A = (
-                (rng.randint(-20, 20), rng.randint(-20, 20)),
-                (rng.randint(-20, 20), rng.randint(-20, 20)),
-            )
-            U, S, V = smith_normal_form(A)
-            assert abs(det2(U)) == 1
-            assert abs(det2(V)) == 1
-            assert mat_mul(mat_mul(U, A), V) == S
-            assert S[0][1] == 0 and S[1][0] == 0
-            d1, d2 = S[0][0], S[1][1]
-            assert d1 >= 0 and d2 >= 0
-            if d1 != 0 and d2 != 0:
-                assert d2 % d1 == 0
-            if d2 != 0:
-                assert d1 != 0  # zero divisors come last
-
-    def test_zero_matrix(self):
-        U, S, V = smith_normal_form(((0, 0), (0, 0)))
-        assert S == ((0, 0), (0, 0))
 
 
 class TestEnumeration:
@@ -238,12 +198,11 @@ class TestEnumeration:
         assert max(abs(2 - m.trace) for m in mats) >= 1000
 
     def test_every_class_is_checked_against_m(self, monkeypatch):
-        # a Smith form whose V does not solve (Id - M^t) nu in Z^2 gives
-        # numerators off the lattice; each class is checked, so this raises
-        true_snf = smith_normal_form
+        # numerators with their coordinates swapped lie off the lattice of
+        # (Id - M^t) nu in Z^2; each class is checked, so this raises
         monkeypatch.setattr(
-            "rhocalc.moduli.smith_normal_form",
-            lambda A: true_snf(A)[:2] + (((1, 0), (0, 1)),),
+            "rhocalc.moduli._numerators",
+            lambda M, D: [(n2, n1) for n1, n2 in _numerators(M, D)],
         )
         with pytest.raises(AdmissibilityError):
             enumerate_torus_connections(SL2ZMatrix(-2, 1, 1, -1))
@@ -252,6 +211,19 @@ class TestEnumeration:
         mod = enumerate_torus_connections(SL2ZMatrix(1, 3, 0, 1))
         assert mod.isolated == ()
         assert len(mod.families) == 3
+
+    @pytest.mark.parametrize(
+        "M,kind",
+        [
+            # |2 - tr M| = 100001 isolated classes
+            (SL2ZMatrix(100002, 1, 100001, 1), "classes"),
+            # the trace-2 shear with l = 100001: that many families
+            (SL2ZMatrix(1, 100001, 0, 1), "families"),
+        ],
+    )
+    def test_more_classes_than_the_cap_raise(self, M, kind):
+        with pytest.raises(DomainError, match=f"100001 {kind} .* at most {MAX_CLASSES}"):
+            enumerate_torus_connections(M)
 
 
 class TestConnectionFromNu:
@@ -389,6 +361,23 @@ class TestAdmissibilityProperty:
                     route(mat, conn)
 
 
+class TestEnumerationProperty:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(sl2z_not_pm_identity())
+    def test_classes_are_the_brute_force_subgroup(self, mat):
+        assume(mat.trace != 2)
+        classes = enumerate_torus_connections(mat).isolated
+        # record equality: nu, m, lambda, the derived flag, and the order
+        assert classes == oracle_enumerate(mat)
+        # closed under nu + nu' and -nu mod Z^2, read on the numerators D nu
+        D = abs(2 - mat.trace)
+        nums = {(int(nu1 * D), int(nu2 * D)) for nu1, nu2 in (conn.nu for conn in classes)}
+        for n1, n2 in nums:
+            assert (-n1 % D, -n2 % D) in nums
+            for k1, k2 in nums:
+                assert ((n1 + k1) % D, (n2 + k2) % D) in nums
+
+
 class TestBundleTrivial:
     def test_pins(self):
         assert is_bundle_trivial(SL2ZMatrix(1, 2, 0, 1), (0, 1)) is False
@@ -425,6 +414,41 @@ class TestBundleTrivial:
                     q2 = F((1 - m.a) * vec[1] + m.b * vec[0], det)
                     found = q1.denominator == 1 and q2.denominator == 1
                 assert got is found, (m, vec)
+
+    def test_rank_at_most_one_branch_is_exact(self):
+        # det(Id - M^t) = 0 for Id and trace 2: the image of A = Id - M^t is
+        # g Z u, u primitive along A's columns and g the gcd of A's entries
+        # (A = 0 for Id); -Id, whose image is 2 Z^2, rides along.  The
+        # shears give A a zero column, where one of x1, x2 is always 0
+        rng = random.Random(48)
+        mats = [SL2ZMatrix(1, 0, 0, 1), SL2ZMatrix(-1, 0, 0, -1)]
+        mats += [SL2ZMatrix(1, k, 0, 1) for k in (-3, -1, 1, 4)] + [SL2ZMatrix(1, 0, k, 1) for k in (-4, -1, 1, 3)]
+        while len(mats) < 110:
+            m = random_parabolic(rng, 6, 5)
+            if m.trace == 2:
+                mats.append(m)
+        on_line = 0
+        for m in mats:
+            A = ((1 - m.a, -m.c), (-m.b, 1 - m.d))
+            g = gcd(*A[0], *A[1])
+            if m.trace != 2 or g == 0:
+                offsets = [(1, 0), (0, 1), (1, 1)]
+            else:
+                col = (A[0][0], A[1][0]) if (A[0][0], A[1][0]) != (0, 0) else (A[0][1], A[1][1])
+                u = (col[0] // gcd(*col), col[1] // gcd(*col))
+                t, k = rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(-9, 9)
+                # off the image line, and on it at multiples of u that g does not divide
+                offsets = [(-t * u[1] + k * u[0], t * u[0] + k * u[1])]
+                offsets += [(j * u[0], j * u[1]) for j in range(1, g)]
+                on_line += g - 1
+            for _ in range(5):
+                z = (rng.randint(-50, 50), rng.randint(-50, 50))
+                image = (A[0][0] * z[0] + A[0][1] * z[1], A[1][0] * z[0] + A[1][1] * z[1])
+                assert is_bundle_trivial(m, image) is True, (m, image)
+                for e in offsets:
+                    vec = (image[0] + e[0], image[1] + e[1])
+                    assert is_bundle_trivial(m, vec) is False, (m, vec)
+        assert on_line > 100
 
 
 class TestCircleModuli:
