@@ -419,18 +419,36 @@ def kronecker_integral_info(
     nu: Tuple[RationalLike, RationalLike],
     params: Optional[SeriesParams] = None,
 ) -> Tuple[ComplexValue, Dict[str, float]]:
-    """(1/2 pi) integral_0^inf F_nu(sigma, u) du with quadrature diagnostics."""
+    """(1/2 pi) integral_0^inf F_nu(sigma, u) du with quadrature diagnostics.
+
+    The real and imaginary parts are integrated by separate quad passes on
+    [0, poisson_switch_u] and [poisson_switch_u, u_max].  The two passes
+    on one interval visit mostly the same nodes u, so each distinct node's
+    complex F_nu is computed once and read by both.  Diagnostics: `neval`
+    is quad's integrand-call count over the four passes; `f_evals` is the
+    number of F_nu lattice sums computed, one per distinct u, the scale
+    probe at poisson_switch_u included; `achieved_tolerance` is the summed
+    error estimate of the passes, and `u_max` the upper cut.
+    """
     from scipy.integrate import quad
 
     params = _params(params)
     switch = params.poisson_switch_u
     nu1f, nu2f = _nu_floats(nu)
     rate = (math.pi**2 / sigma.sigma2) * _min_lattice_dist2(sigma, nu1f, nu2f)
-    scale = abs(f_series(sigma, switch, nu, params).as_complex()) + 1.0
+    f_at: Dict[float, complex] = {}
+
+    def f_value(u: float) -> complex:
+        value = f_at.get(u)
+        if value is None:
+            value = f_at[u] = f_series(sigma, u, nu, params).as_complex()
+        return value
+
+    scale = abs(f_value(switch)) + 1.0
     u_max = switch + max(1.0, math.log(20.0 * math.pi * scale / (rate * params.quad_tolerance)) / rate)
 
     def integrand(u: float, take_im: bool) -> float:
-        value = f_series(sigma, u, nu, params).as_complex()
+        value = f_value(u)
         return value.imag if take_im else value.real
 
     total = 0.0 + 0.0j
@@ -463,7 +481,12 @@ def kronecker_integral_info(
         raise QuadratureError(
             f"quadrature achieved only {achieved:.3e}, requested {params.quad_tolerance:.3e}"
         )
-    diagnostics = {"neval": float(neval), "achieved_tolerance": achieved, "u_max": u_max}
+    diagnostics = {
+        "neval": float(neval),
+        "f_evals": float(len(f_at)),
+        "achieved_tolerance": achieved,
+        "u_max": u_max,
+    }
     return ComplexValue.from_complex(total), diagnostics
 
 

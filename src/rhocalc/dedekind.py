@@ -30,6 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Tuple
 
@@ -218,11 +219,27 @@ def _generalized_num(x: RationalLike, y: RationalLike, a: int, c: int) -> Tuple[
     return head + t * _p2_num(w, den) + m * alt, 12 * m * den2
 
 
+@lru_cache(maxsize=1)
+def _cot_table(m: int):
+    """cot(pi p / m) for p = 1, ..., m - 1, as a read-only float64 array:
+    the cache hands the same array to every caller."""
+    import numpy as np
+
+    p = np.arange(1, m, dtype=np.float64)
+    ang = np.pi * p / m
+    table = np.cos(ang) / np.sin(ang)
+    table.flags.writeable = False
+    return table
+
+
 def cotangent_sum(a: int, c: int) -> float:
     """Dedekind sum via the cotangent formula, in double precision.
 
     (1/(4|c|)) * sum_{p=1}^{|c|-1} cot(pi d p / c) cot(pi p / c); the two
-    sign flips for c < 0 cancel, so the positive modulus is used.
+    sign flips for c < 0 cancel, so the positive modulus is used.  Both
+    factors are read from one table of cot(pi p / |c|), and the table of
+    the last modulus is cached, so a sweep over the units mod |c| builds
+    it once.
     """
     import numpy as np
 
@@ -230,14 +247,11 @@ def cotangent_sum(a: int, c: int) -> float:
     m = abs(c)
     if m == 1:
         return 0.0
-    p = np.arange(1, m, dtype=np.float64)
-    ang = np.pi * p / m
-    base = np.cos(ang) / np.sin(ang)
+    base = _cot_table(m)
     # cot(pi d p / c) = cot(pi ((d p) mod |c|) / |c|) by pi-periodicity;
     # (d p) mod |c| is never 0 since gcd(d, c) = 1 and 0 < p < |c|
     idx = (pair.d * np.arange(1, m, dtype=np.int64)) % m
-    lhs = np.cos(np.pi * idx / m) / np.sin(np.pi * idx / m)
-    return float(np.dot(lhs, base) / (4.0 * m))
+    return float(np.dot(base[idx - 1], base) / (4.0 * m))
 
 
 def finite_fourier_transform(table: PeriodicFunctionTable) -> PeriodicFunctionTable:

@@ -14,6 +14,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import rhocalc.analytic as analytic
 from conftest import random_hyperbolic, random_sl2z
 from rhocalc import (
     AdmissibilityError,
@@ -442,6 +443,52 @@ class TestFSeries:
             f_series_poisson(UpperHalfPoint(0.0, 1e-308), 1e308, nu)
 
 
+def two_pass_kronecker(sigma, nu, params=None):
+    """(value, neval) of the Kronecker quadrature with F_nu computed afresh
+    at every integrand call, so the real and imaginary passes each pay
+    for every node: the reference for the shared-node quadrature."""
+    from scipy.integrate import quad
+
+    params = params or SeriesParams()
+    switch = params.poisson_switch_u
+    nu1f, nu2f = analytic._nu_floats(nu)
+    rate = (math.pi**2 / sigma.sigma2) * analytic._min_lattice_dist2(sigma, nu1f, nu2f)
+    scale = abs(f_series(sigma, switch, nu, params).as_complex()) + 1.0
+    u_max = switch + max(1.0, math.log(20.0 * math.pi * scale / (rate * params.quad_tolerance)) / rate)
+
+    def integrand(u, take_im):
+        value = f_series(sigma, u, nu, params).as_complex()
+        return value.imag if take_im else value.real
+
+    total, neval = 0.0 + 0.0j, 0
+    for lo, hi in ((0.0, switch), (switch, u_max)):
+        for take_im in (False, True):
+            piece, _, info = quad(
+                integrand,
+                lo,
+                hi,
+                args=(take_im,),
+                epsabs=params.quad_tolerance / 8.0,
+                epsrel=1e-12,
+                limit=200,
+                full_output=1,
+            )[:3]
+            total += (1j * piece) if take_im else piece
+            neval += int(info["neval"])
+    return ComplexValue.from_complex(total / (2.0 * math.pi)), neval
+
+
+def kronecker_family(seed: int, count: int):
+    """(sigma, nu) near sigma = i with nu in sixths, as the benchmark's
+    Kronecker check draws them, then nu1 = 0 and nu = 0 at the last sigma."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        sigma = UpperHalfPoint(rng.uniform(-0.05, 0.05), rng.uniform(0.97, 1.03))
+        cases.append((sigma, (F(rng.randint(1, 5), 6), F(rng.randint(0, 5), 6))))
+    return cases + [(sigma, (F(0), F(rng.randint(1, 5), 6))), (sigma, (F(0), F(0)))]
+
+
 class TestKronecker:
     GRID = [
         (UpperHalfPoint(0.0, 1.0), (F(1, 2), F(1, 2))),
@@ -460,6 +507,41 @@ class TestKronecker:
         assert info["neval"] > 0
         assert info["achieved_tolerance"] < 1e-9
         assert info["u_max"] > 1.0
+
+    @pytest.mark.parametrize("sp,nu", GRID + kronecker_family(14, 4))
+    def test_shared_nodes_equal_the_two_pass_reference_bitwise(self, sp, nu):
+        value, info = kronecker_integral_info(sp, nu)
+        want, neval = two_pass_kronecker(sp, nu)
+        assert (value.re.hex(), value.im.hex()) == (want.re.hex(), want.im.hex())
+        assert info["neval"] == neval
+
+    @pytest.mark.parametrize("sp,nu", [GRID[0]] + kronecker_family(15, 1)[-2:])
+    def test_one_lattice_sum_per_distinct_node(self, sp, nu, monkeypatch):
+        import scipy.integrate
+
+        sums, nodes, quad_calls = [], set(), []
+        real_f_series, real_quad = analytic.f_series, scipy.integrate.quad
+
+        def counting_f_series(sigma, u, nu, params=None):
+            sums.append(u)
+            return real_f_series(sigma, u, nu, params)
+
+        def recording_quad(func, a, b, args=(), **kwargs):
+            def recorded(u, *rest):
+                nodes.add(u)
+                quad_calls.append(u)
+                return func(u, *rest)
+
+            return real_quad(recorded, a, b, args=args, **kwargs)
+
+        monkeypatch.setattr(analytic, "f_series", counting_f_series)
+        monkeypatch.setattr(scipy.integrate, "quad", recording_quad)
+        _, info = kronecker_integral_info(sp, nu)
+        switch = SeriesParams().poisson_switch_u
+        assert switch not in nodes  # Gauss-Kronrod nodes are interior
+        assert len(sums) == len(set(sums)) == info["f_evals"] == len(nodes) + 1
+        assert len(quad_calls) == info["neval"]
+        assert info["f_evals"] < info["neval"]
 
     def test_closed_untwisted_branch(self):
         # nu = 0: 1/6 - 1/(2 pi sigma2) + derivative term, finite

@@ -6,7 +6,9 @@ that code: the brute-force sums restated in terms of periodic_bernoulli
 on Fractions, and the O(|c|) integer loops over one common denominator
 below, fast enough to sweep every coprime pair up to a modulus of a few
 hundred.  At huge moduli, where no loop can follow, the classical laws
-(reciprocity, inversion, oddness, integrality, periodicity) stand in.
+(reciprocity, inversion, oddness, integrality, periodicity) stand in,
+and so does Rademacher's Phi, computed from a word in S and T without
+any Dedekind sum.
 """
 
 from __future__ import annotations
@@ -28,12 +30,15 @@ from rhocalc import (
     SL2ZMatrix,
     classical_sum,
     cotangent_sum,
+    dedekind,
+    eta_untwisted_torus,
     finite_fourier_transform,
     generalized_sum,
     p1_closed_fourier,
     periodic_bernoulli,
     sum_difference_closed,
 )
+from rhocalc.bernoulli import sgn
 
 
 def oracle_classical(a: int, c: int) -> F:
@@ -209,6 +214,80 @@ class TestLawsAtHugeModulus:
             assert generalized_sum(k, l, a, c) == classical_sum(a, c)
 
 
+def rademacher_phi(M: SL2ZMatrix) -> F:
+    """Rademacher's Phi(M), from M written as a word in T and S.
+
+    M = T^q S M' with q = round(a/c), a' = a - q c, b' = b - q d and
+    M' = [[c, d], [-a', -b']]; the cocycle Phi(AB) = Phi(A) + Phi(B)
+    - 3 sgn(c_A c_B c_AB), Phi(T^q) = q and Phi(S) = 0 give
+    Phi(M) = q + 3 sgn(a' c) + Phi(M'), and Phi = b/d once c = 0
+    (Rademacher-Grosswald, Dedekind Sums, 1972, ch. 4).  The nearest
+    integer quotient halves |c| at each step, so the word has O(log |c|)
+    letters, and no Dedekind sum is used.
+    """
+    a, b, c, d = M.a, M.b, M.c, M.d
+    total = 0
+    while c:
+        q = (2 * a + c) // (2 * c)  # floor(a/c + 1/2), exactly
+        a, b = a - q * c, b - q * d
+        total += q + 3 * sgn(a * c)
+        a, b, c, d = c, d, -a, -b
+    return total + F(b, d)
+
+
+def phi_matrices(scale: str):
+    """Seeded matrices of one size class: small random hyperbolic ones,
+    |c| of 7, 12 or 50 digits with either sign, or c = +-1 with entries of
+    161 and 400 digits (the huge-entry inputs of the CLI tests)."""
+    if scale == "entries<=60":
+        rng = random.Random(60)
+        return [random_hyperbolic(rng, 60) for _ in range(400)]
+    if scale == "c=+-1":
+        out = []
+        for c in (1, -1):
+            for digits in (161, 400):
+                a, d = 10 ** (digits - 1) + 7, 5
+                out.append(SL2ZMatrix(a, (a * d - 1) // c, c, d))
+        return out
+    digits = int(scale.split("~1e")[1])
+    rng = random.Random(digits)
+    out = []
+    while len(out) < 60:
+        a, c = huge_coprime(rng, digits)
+        a, c = a * rng.choice((1, -1)), c * rng.choice((1, -1))
+        d = pow(a, -1, abs(c)) + rng.randint(-2, 2) * abs(c)
+        M = SL2ZMatrix(a, (a * d - 1) // c, c, d)
+        if abs(M.a + M.d) > 2 and abs(c) > 10 ** (digits - 1):
+            out.append(M)
+    return out
+
+
+@pytest.mark.parametrize("scale", ["entries<=60", "|c|~1e7", "|c|~1e12", "|c|~1e50", "c=+-1"])
+class TestRademacherPhi:
+    """Phi against the reciprocity routine behind classical_sum and
+    eta_untwisted_torus, at moduli far past the integer loops."""
+
+    def test_eta_untwisted_torus(self, scale):
+        for M in phi_matrices(scale):
+            want = rademacher_phi(M) / 3 - sgn(M.c * (M.a + M.d))
+            assert eta_untwisted_torus(M) == want, M
+
+    def test_classical_sum(self, scale):
+        for M in phi_matrices(scale):
+            want = F(M.a + M.d, M.c) - 12 * sgn(M.c) * classical_sum(M.d, M.c)
+            assert rademacher_phi(M) == want, M
+
+    def test_psi_is_a_class_function(self, scale):
+        rng = random.Random(7)
+
+        def psi(M):
+            return rademacher_phi(M) - 3 * sgn(M.c * (M.a + M.d))
+
+        for M in phi_matrices(scale)[:40]:
+            g = random_sl2z(rng, 30)
+            assert psi(g @ M @ g.inverse()) == psi(M), (M, g)
+
+
 class TestGeneralizedSum:
     def test_pins(self):
         assert generalized_sum(F(1, 2), F(0), 3, 4) == F(3, 16)
@@ -278,7 +357,55 @@ def test_vanishing_mean_full_residue_system():
         assert total == 0
 
 
+def two_table_cotangent(a: int, c: int) -> float:
+    """The cotangent formula with cot(pi d p / c) computed as its own
+    table, not read from the table of cot(pi p / c)."""
+    m = abs(c)
+    d = pow(a, -1, m)
+    ang = np.pi * np.arange(1, m, dtype=np.float64) / m
+    base = np.cos(ang) / np.sin(ang)
+    idx = (d * np.arange(1, m, dtype=np.int64)) % m
+    lhs = np.cos(np.pi * idx / m) / np.sin(np.pi * idx / m)
+    return float(np.dot(lhs, base) / (4.0 * m))
+
+
+def units(m: int):
+    return [a for a in range(1, m) if gcd(a, m) == 1]
+
+
 class TestCotangentSum:
+    @pytest.mark.parametrize("m", [2, 3, 7, 97, 499, 1000])
+    def test_one_table_equals_two_tables_bitwise(self, m):
+        for c in (m, -m):
+            for a in units(m):
+                assert cotangent_sum(a, c).hex() == two_table_cotangent(a, c).hex(), (a, c)
+
+    def test_cached_table_is_read_only(self):
+        before = cotangent_sum(3, 7)
+        table = dedekind._cot_table(7)
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+        assert cotangent_sum(3, 7) == before
+
+    def test_interleaved_moduli_equal_fresh_calls(self):
+        def fresh(a, c):
+            dedekind._cot_table.cache_clear()
+            return cotangent_sum(a, c)
+
+        sweep = [(a, c) for c in (499, -433, 499) for a in units(abs(c))]
+        want = [fresh(a, c) for a, c in sweep]
+        dedekind._cot_table.cache_clear()
+        assert [cotangent_sum(a, c) for a, c in sweep] == want
+
+    def test_unit_modulus_and_bad_input(self):
+        assert cotangent_sum(0, 1) == 0.0
+        assert cotangent_sum(5, -1) == 0.0
+        dedekind._cot_table.cache_clear()
+        for a, c in ((1, 0), (2, 4), (6, -9)):
+            with pytest.raises(DomainError):
+                cotangent_sum(a, c)
+        assert dedekind._cot_table.cache_info().misses == 0
+
     def test_matches_classical_small(self):
         rng = random.Random(16)
         for _ in range(80):
