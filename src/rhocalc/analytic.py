@@ -9,10 +9,12 @@ the rest of the package computes in rational arithmetic.
 
 Conventions: sigma = sigma1 + i sigma2 with sigma2 > 0; q_sigma =
 e^{2 pi i sigma}; z = nu1 sigma - nu2 and q_z = e^{2 pi i z}.  E_nu, its
-sigma-derivative and log eta_{g,h} share one series
-S2 = sum_{n>=1} (q_z^n + q_z^{-n}) q_sigma^n / (n (1 - q_sigma^n)) and
-one truncation rule: E_nu = S2 - Log(1 - q_z) (S2 alone for nu1 = 0),
-and E_nu = pi i sigma P_2(nu1) - log eta_{nu1,-nu2} for nu1 not in Z.
+sigma-derivative, log eta_{g,h} and log eta share one series
+S2 = sum_{n>=1} (q_z^n + q_z^{-n}) q_sigma^n / (n (1 - q_sigma^n)), summed
+in capped numpy blocks, and one truncation rule: E_nu = S2 - Log(1 - q_z)
+(S2 alone for nu1 = 0), E_nu = pi i sigma P_2(nu1) - log eta_{nu1,-nu2}
+for nu1 not in Z, and log eta = pi i sigma/12 - S2/2 at q_z = 1.
+1 - q_z is formed without subtracting, so a small |z| keeps its digits.
 All series terms are evaluated in forms whose factors stay bounded (for
 example e^{i s}/sin(s) is rewritten as -2i q/(1-q) with q = e^{2 i s}),
 so no intermediate overflows even far along the tail.  Logarithms take
@@ -20,7 +22,8 @@ the principal branch on the plane cut along the negative real axis, and
 every argument is checked to stay off the cut.
 
 scipy and numpy are imported inside the functions that use them, so
-importing this module (and with it the package) loads neither.
+importing this module (and with it the package) loads neither; the E and
+log-eta paths load numpy on their first call.
 """
 
 from __future__ import annotations
@@ -131,50 +134,78 @@ def _nu_floats(nu: Tuple[RationalLike, RationalLike]) -> Tuple[float, float]:
     return float(_reduce_mod1(nu[0])), float(_reduce_mod1(nu[1]))
 
 
-def _qz(sigma: complex, nu1: Fraction, nu2: Fraction) -> complex:
-    """q_z = e^{2 pi i z} for nu1 in [0, 1); raises DomainError when a
-    nonzero nu1 is too close to 0 for q_z to differ from 1 in double
-    precision (the nu1 != 0 branch divides by 1 - q_z and takes
+def _qz(sigma: complex, nu1: Fraction, nu2: Fraction) -> Tuple[complex, complex]:
+    """(q_z, 1 - q_z) with q_z = e^{2 pi i z} for nu1 in [0, 1); raises
+    DomainError when a nonzero nu1 is too close to 0 for q_z to differ from
+    1 in double precision (the nu1 != 0 branch divides by 1 - q_z and takes
     Log(1 - q_z)), or too close to 1 to differ from 1.0 (the series would
     be summed for nu1 = 1, which is nu1 = 0)."""
     nu1f = float(nu1)
-    z = nu1f * sigma - float(_reduce_mod1(nu2))
+    nu2 = _reduce_mod1(nu2)
+    # nu2 mod Z nearest 0, so that z keeps the digits of a nu2 near Z
+    z = nu1f * sigma - float(nu2 - 1 if 2 * nu2.numerator > nu2.denominator else nu2)
     q_z = cmath.exp(2j * math.pi * z)
     if nu1 != 0 and (q_z == 1 or nu1f == 1.0):
         raise DomainError(f"nu1 = {nu1} is nonzero but rounds to 0 or 1 in double precision")
-    return q_z
+    # 1 - q_z = -expm1(2 pi i z) from the parts of z: no cancellation at a
+    # small |z|, and no overflow since Im z >= 0
+    a, b = -_TWO_PI * z.imag, math.pi * z.real
+    return q_z, complex(2.0 * math.sin(b) ** 2 - math.expm1(a) * math.cos(2 * b), -math.exp(a) * math.sin(2 * b))
 
 
 # -- E series ---------------------------------------------------------------
+
+#: most terms in one numpy block: a series run to max_terms holds a few
+#: hundred kB of arrays at a time
+_BLOCK_CAP = 4096
 
 
 def _q_series(term: Callable[..., complex], q_sigma, q_z, params, what: str, total=0j):
     """(total + sum_{n>=1} term(n, q_z^n, (q_sigma/q_z)^n, q_sigma^n), terms).
 
-    The one truncation rule of the E, dE/dsigma and log eta_{g,h} series:
-    stop after three consecutive terms below tail_tolerance/10 once
+    The one truncation rule of the E, dE/dsigma, log eta_{g,h} and log eta
+    series: stop after three consecutive terms below tail_tolerance/10 once
     n >= 8; past max_terms raise ConvergenceError naming `what`.
     (q_sigma/q_z)^n stays bounded since 0 <= nu1 < 1.
+
+    `term` gets numpy blocks of the powers, running products of the
+    scalar recurrence; a run of small terms counts across block edges, so
+    the count is a term-by-term loop's.  The first block is sized from the
+    slower decay rate max(|q_z q_sigma|, |q_sigma/q_z|), later ones double.
     """
-    qzn = rn = qsn = 1.0 + 0.0j
-    ratio_r = q_sigma / q_z
+    import numpy as np
+
+    steps = (q_z, q_sigma / q_z, q_sigma)
     cut = params.tail_tolerance * 0.1
-    small = n = 0
-    while small < 3:
-        n += 1
-        if n > params.max_terms:
+    decay = -math.log(max(abs(q_z * q_sigma), abs(steps[1]), 1e-300))
+    size = int(min(_BLOCK_CAP, max(10.0, (3.0 - math.log(cut)) / max(decay, 1e-300) + 4.0)))
+    tail = b""  # the small-term flags of the last two terms so far
+    n = 0
+    while True:
+        k = min(size, params.max_terms - n)
+        if k <= 0:
             raise ConvergenceError(f"{what}: max_terms exceeded before tail bound")
-        qzn *= q_z
-        rn *= ratio_r
-        qsn *= q_sigma
-        t = term(n, qzn, rn, qsn)
-        total += t
-        small = small + 1 if (n >= 8 and abs(t) < cut) else 0
-    return total, n
+        block = np.empty((3, k), dtype=complex)
+        block.T[:] = steps
+        if n:
+            block[:, 0] *= block_end
+        np.multiply.accumulate(block, axis=1, out=block)
+        t = term(np.arange(n + 1.0, n + k + 1.0), block[0], block[1], block[2])
+        below = np.abs(t) < cut
+        below[: max(0, 7 - n)] = False  # terms before n = 8 never count
+        flags = tail + below.tobytes()  # one byte, 0 or 1, per term
+        end = flags.find(b"\x01\x01\x01")
+        if end >= 0:
+            used = end + 3 - len(tail)
+            return total + complex(t[:used].sum()), n + used
+        total += complex(t.sum())
+        n += k
+        tail, block_end = flags[-2:], block[:, -1]
+        size = min(2 * size, _BLOCK_CAP)
 
 
-def _s2_term(n: int, qzn: complex, rn: complex, qsn: complex) -> complex:
-    """The n-th term (q_z^n + q_z^{-n}) q_sigma^n / (n (1 - q_sigma^n)) of S2."""
+def _s2_term(n, qzn, rn, qsn):
+    """The n-th terms (q_z^n + q_z^{-n}) q_sigma^n / (n (1 - q_sigma^n)) of S2."""
     return (qzn * qsn + rn) / ((1.0 - qsn) * n)
 
 
@@ -185,19 +216,20 @@ def e_series_with_count(
     method: str = "cotangent",
 ) -> Tuple[ComplexValue, int]:
     """e_series plus the number of terms summed: of S2 for the cotangent
-    method, of the single sum and the outer sum for the double sum."""
+    method, of the single sum and the outer sum for the double sum.  The
+    double sum is a literal loop that shares no summation code with S2."""
     params = _params(params)
     if method not in ("cotangent", "double-sum"):
         raise DomainError("method must be 'cotangent' or 'double-sum'")
     sc = sigma.as_complex()
     nu1 = _reduce_mod1(nu[0])
     q_sigma = cmath.exp(2j * math.pi * sc)
-    q_z = _qz(sc, nu1, Fraction(nu[1]))
+    q_z, one_minus_qz = _qz(sc, nu1, Fraction(nu[1]))
     if method == "cotangent":
         # inner geometric sums resummed; S1 = sum q_z^n / n = -Log(1 - q_z)
         total, terms = _q_series(_s2_term, q_sigma, q_z, params, "e_series cotangent sum")
         if nu1 != 0:
-            total -= cmath.log(1.0 - q_z)
+            total -= cmath.log(one_minus_qz)
         return ComplexValue.from_complex(total), terms
 
     # literal truncation of the defining nested sum
@@ -218,7 +250,15 @@ def e_series_with_count(
                 raise ConvergenceError("e_series single sum: max_terms exceeded")
             qn *= q_z
 
-    def outer(n: int, qzn: complex, rn: complex, qsn: complex) -> complex:
+    # outer n-sum, stopped by the rule of _q_series
+    qzn = rn = qsn = 1.0 + 0.0j
+    ratio_r = q_sigma / q_z
+    small = n = 0
+    while small < 3:
+        n += 1
+        if n > params.max_terms:
+            raise ConvergenceError("e_series double sum: max_terms exceeded before tail bound")
+        qzn, rn, qsn = qzn * q_z, rn * ratio_r, qsn * q_sigma
         coeff = (qzn * qsn + rn) / n  # (q_z^n + q_z^{-n}) q_sigma^{n} split
         # inner m-sum done literally: coeff * (1 + q_sigma^n + q_sigma^{2n} + ...)
         inner = 0.0 + 0.0j
@@ -233,10 +273,10 @@ def e_series_with_count(
             if m > params.max_terms:
                 raise ConvergenceError("e_series inner sum: max_terms exceeded")
             powm *= qsn
-        return coeff * inner
-
-    total, outer_terms = _q_series(outer, q_sigma, q_z, params, "e_series double sum", total)
-    return ComplexValue.from_complex(total), terms + outer_terms
+        t = coeff * inner
+        total += t
+        small = small + 1 if (n >= 8 and abs(t) < cut) else 0
+    return ComplexValue.from_complex(total), terms + n
 
 
 def e_series(
@@ -262,10 +302,10 @@ def _e_series_dsigma(
     nu1 = _reduce_mod1(nu[0])
     nu1f = float(nu1)
     q_sigma = cmath.exp(2j * math.pi * sc)
-    q_z = _qz(sc, nu1, Fraction(nu[1]))
-    total = 2j * math.pi * nu1f * q_z / (1.0 - q_z) if nu1 != 0 else 0j
+    q_z, one_minus_qz = _qz(sc, nu1, Fraction(nu[1]))
+    total = 2j * math.pi * nu1f * q_z / one_minus_qz if nu1 != 0 else 0j
 
-    def term(n: int, qzn: complex, rn: complex, qsn: complex) -> complex:
+    def term(n, qzn, rn, qsn):
         # (q_z q_sigma)^n and rn grow in sigma at the rates (1 + nu1) n and (1 - nu1) n
         a = qzn * qsn
         return 2j * math.pi * (nu1f * (a - rn) / (1.0 - qsn) + (a + rn) / (1.0 - qsn) ** 2)
@@ -521,23 +561,12 @@ def kronecker_closed(
 
 
 def log_eta(sigma: UpperHalfPoint, params: Optional[SeriesParams] = None) -> ComplexValue:
-    """log eta(sigma) = pi i sigma/12 - sum_{n>0} q_sigma^n / (n (1 - q_sigma^n))."""
+    """log eta(sigma) = pi i sigma/12 - sum_{n>0} q_sigma^n / (n (1 - q_sigma^n)),
+    the sum being S2/2 at q_z = 1."""
     params = _params(params)
     sc = sigma.as_complex()
-    q_sigma = cmath.exp(2j * math.pi * sc)
-    abs_q = abs(q_sigma)
-    total = 1j * math.pi * sc / 12.0
-    qsn = 1.0 + 0.0j
-    n = 0
-    while True:
-        n += 1
-        if n > params.max_terms:
-            raise ConvergenceError("log_eta: max_terms exceeded before tail bound")
-        qsn *= q_sigma
-        total -= qsn / (n * (1.0 - qsn))
-        if abs_q ** (n + 1) / ((n + 1) * (1.0 - abs_q)) < params.tail_tolerance:
-            break
-    return ComplexValue.from_complex(total)
+    s2, _ = _q_series(_s2_term, cmath.exp(2j * math.pi * sc), 1.0, params, "log_eta")
+    return ComplexValue.from_complex(1j * math.pi * sc / 12.0 - 0.5 * s2)
 
 
 def log_eta_gen(
@@ -557,12 +586,12 @@ def log_eta_gen(
         raise DomainError("log_eta_gen is undefined at lattice points (g, h) in Z^2")
     g = _reduce_mod1(g)
     sc = sigma.as_complex()
-    q_z = cmath.exp(2j * math.pi * (float(g) * sc + float(h)))
+    q_z, one_minus_qz = _qz(sc, g, -h)
     q_sigma = cmath.exp(2j * math.pi * sc)
     s2, _ = _q_series(_s2_term, q_sigma, q_z, params, "log_eta_gen")
     phi = -float(periodic_bernoulli(1, h)) if g == 0 else 0.0
     total = 1j * math.pi * phi + 1j * math.pi * sc * float(periodic_bernoulli(2, g))
-    return ComplexValue.from_complex(total + cmath.log(1.0 - q_z) - s2)
+    return ComplexValue.from_complex(total + cmath.log(one_minus_qz) - s2)
 
 
 def transform_defect(

@@ -359,8 +359,9 @@ class TestESeries:
             lambda sp, nu, p: e_series(sp, nu, p, method="double-sum"),
             lambda sp, nu, p: _e_series_dsigma(sp, nu, p),
             lambda sp, nu, p: log_eta_gen(nu[0], -nu[1], sp, p),
+            lambda sp, nu, p: log_eta(sp, p),
         ],
-        ids=["cotangent", "double-sum", "dsigma", "log_eta_gen"],
+        ids=["cotangent", "double-sum", "dsigma", "log_eta_gen", "log_eta"],
     )
     def test_max_terms_exhaustion_raises(self, series):
         params = SeriesParams(max_terms=3)
@@ -379,9 +380,130 @@ class TestESeries:
             ):
                 assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (s2, nu1)
 
+    @pytest.mark.parametrize("nu1", [F(1, 10**20), F(1, 10**12)])
+    @pytest.mark.parametrize("sigma1", [0.1, -0.4])
+    def test_small_z_does_not_cancel(self, nu1, sigma1):
+        # z = nu1 sigma: -Log(1 - q_z) = -log(-2 pi i z) - pi i z + O(z^2),
+        # and 2 pi i nu1 q_z / (1 - q_z) = -1/sigma - pi i nu1 + O(nu1 z);
+        # the S2 parts at nu1 and at nu = 0 differ by O(nu1)
+        sp, params = UpperHalfPoint(sigma1, 1.0), SeriesParams()
+        sc = sp.as_complex()
+        z = float(nu1) * sc
+        log_part = e_series(sp, (nu1, F(0))).as_complex() - e_series(sp, (F(0), F(0))).as_complex()
+        assert abs(log_part - (-cmath.log(-2j * math.pi * z) - 1j * math.pi * z)) < 1e-11
+        d_part = _e_series_dsigma(sp, (nu1, F(0)), params)[0] - _e_series_dsigma(sp, (F(0), F(0)), params)[0]
+        assert abs(d_part - (-1 / sc - 1j * math.pi * float(nu1))) < 1e-9
+
     def test_unknown_method_rejected(self):
         with pytest.raises(DomainError):
             e_series(SIGMA_I, (F(1, 2), F(1, 2)), method="magic")
+
+
+def scalar_q_series(term, q_sigma, q_z, params, what, total=0j):
+    """The term-by-term loop that the numpy block summation of
+    `analytic._q_series` replaced, kept literally as its oracle."""
+    qzn = rn = qsn = 1.0 + 0.0j
+    ratio_r = q_sigma / q_z
+    cut = params.tail_tolerance * 0.1
+    small = n = 0
+    while small < 3:
+        n += 1
+        if n > params.max_terms:
+            raise ConvergenceError(f"{what}: max_terms exceeded before tail bound")
+        qzn *= q_z
+        rn *= ratio_r
+        qsn *= q_sigma
+        t = term(n, qzn, rn, qsn)
+        total += t
+        small = small + 1 if (n >= 8 and abs(t) < cut) else 0
+    return total, n
+
+
+BLOCK_Q_SERIES = analytic._q_series
+
+
+def q_series_results(monkeypatch, impl, call):
+    """The (sum, terms) of every q-series that call() sums, with impl as
+    the summation routine."""
+    seen = []
+
+    def recording(*args, **kwargs):
+        out = impl(*args, **kwargs)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(analytic, "_q_series", recording)
+    call()
+    return seen
+
+
+def series_calls(sp, nu):
+    """Every q-series user at (sigma, nu): E_nu, its sigma-derivative (a
+    nonzero starting total for nu1 != 0), log eta_{nu1,-nu2} and log eta."""
+    calls = [
+        lambda: e_series_with_count(sp, nu),
+        lambda: _e_series_dsigma(sp, nu, SeriesParams()),
+        lambda: log_eta(sp),
+    ]
+    if nu != (0, 0):
+        calls.append(lambda: log_eta_gen(nu[0], -nu[1], sp))
+    return calls
+
+
+def q_series_grid(seed: int, sigma2s):
+    rng = random.Random(seed)
+    for s2 in sigma2s:
+        for nu1 in (F(0), F(1, 12), F(11, 12), F(99, 100)):
+            sp = UpperHalfPoint(rng.uniform(-0.5, 0.5), s2 * rng.uniform(1.0, 1.5))
+            yield sp, (nu1, F(rng.randint(0, 11), 12))
+
+
+class TestBlockSummation:
+    """`_q_series` sums in numpy blocks; the scalar loop is its oracle."""
+
+    def assert_matches_scalar(self, monkeypatch, sp, nu):
+        for call in series_calls(sp, nu):
+            want = q_series_results(monkeypatch, scalar_q_series, call)
+            got = q_series_results(monkeypatch, BLOCK_Q_SERIES, call)
+            assert len(got) == len(want) == 1
+            (v_got, n_got), (v_want, n_want) = got[0], want[0]
+            assert n_got == n_want, (sp, nu)
+            assert abs(v_got - v_want) <= 1e-13 * max(1.0, abs(v_want)), (sp, nu)
+
+    def test_matches_scalar_loop(self, monkeypatch):
+        # Im sigma from 1e-3 (up to ~4e5 terms at nu1 = 99/100) to 3
+        for sp, nu in q_series_grid(15, (1e-3, 1e-2, 0.1, 0.5, 1.0, 3.0)):
+            self.assert_matches_scalar(monkeypatch, sp, nu)
+
+    def test_small_run_counts_across_block_edges(self, monkeypatch):
+        for cap in (4, 5):
+            monkeypatch.setattr(analytic, "_BLOCK_CAP", cap)
+            for sp, nu in q_series_grid(16, (0.05, 0.4, 2.0)):
+                self.assert_matches_scalar(monkeypatch, sp, nu)
+
+    @pytest.mark.parametrize("cap", [analytic._BLOCK_CAP, 5])
+    def test_max_terms_is_the_needed_count(self, monkeypatch, cap):
+        monkeypatch.setattr(analytic, "_BLOCK_CAP", cap)
+        sp, nu = UpperHalfPoint(0.1, 0.02), (F(1, 12), F(1, 4))
+        value, needed = e_series_with_count(sp, nu)
+        again, count = e_series_with_count(sp, nu, SeriesParams(max_terms=needed))
+        assert count == needed
+        assert abs(again.as_complex() - value.as_complex()) <= 1e-13 * abs(value.as_complex())
+        with pytest.raises(ConvergenceError):
+            e_series_with_count(sp, nu, SeriesParams(max_terms=needed - 1))
+
+    def test_non_convergent_series_runs_out_in_bounded_memory(self):
+        import tracemalloc
+
+        log_eta(SIGMA_I)  # loads numpy outside the traced span
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConvergenceError, match="log_eta"):
+                log_eta(UpperHalfPoint(0.3, 2e-7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestFSeries:
@@ -629,6 +751,33 @@ class TestLogEtaGen:
         a = log_eta_gen(F(1, 3), F(1, 4), SIGMA_I)
         b = log_eta_gen(F(4, 3), F(1, 4), SIGMA_I)
         assert abs(a.as_complex() - b.as_complex()) < 1e-12
+
+    def test_huge_h_is_reduced_exactly(self):
+        sp = UpperHalfPoint(0.1, 1.0)
+        for g, h in [(F(1, 3), F(1, 3)), (F(0), F(2, 5))]:
+            want = log_eta_gen(g, h, sp)
+            for k in (10**20, 10**400):
+                assert log_eta_gen(g, h + k, sp) == want
+        d = transform_defect_gen(SL2ZMatrix(2, 1, 1, 1), F(1, 3), F(1, 3) + 10**20, sp)
+        assert abs(d.as_complex()) < 1e-12
+
+    @pytest.mark.parametrize("h", [F(1, 10**20), F(-1, 10**20), F(1, 10**12), F(10**12 - 1, 10**12)])
+    def test_h_near_an_integer_keeps_its_digits(self, h):
+        # g = 0: log eta_{0,h} = -pi i P_1(h) + Log(1 - e^{2 pi i h}) + 2 log eta
+        # + O(h), and Log(1 - e^{2 pi i h}) = log(-2 pi i h') + O(h'), h' = h
+        # mod Z nearest 0
+        sp = UpperHalfPoint(0.2, 1.0)
+        near = float(h - round(h))
+        want = (
+            -1j * math.pi * float(periodic_bernoulli(1, h))
+            + cmath.log(-2j * math.pi * near)
+            + 2 * log_eta(sp).as_complex()
+        )
+        assert abs(log_eta_gen(F(0), h, sp).as_complex() - want) < 1e-9
+
+    def test_nonzero_g_that_rounds_q_z_to_one_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            log_eta_gen(F(1, 10**20), F(0), SIGMA_I)
 
     def test_lattice_point_rejected(self):
         with pytest.raises(DomainError):

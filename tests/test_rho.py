@@ -636,3 +636,31 @@ class TestOrientationReversal:
                 v = rho_torus(mat, conn).value
                 w = rho_torus(inv, connection_from_nu(inv, conn.nu)).value
                 assert w == -v, (mat, conn.nu)
+
+
+class TestNuNegation:
+    """rho and CS of the class -nu equal those of nu: complex conjugation
+    maps the flat connection with twist nu to the one with twist -nu."""
+
+    @staticmethod
+    def twisted_classes(mat):
+        mod = enumerate_torus_connections(mat)
+        yield from (c for c in mod.isolated if not c.restriction_trivial)
+        yield from (f.representative for f in mod.families)
+
+    def test_rho_and_cs_even_in_nu(self):
+        rng = random.Random(57)
+        kinds, checked = set(), 0
+        for _ in range(300):
+            mat = random_sl2z(rng, 30)
+            kind = type(classify(mat)).__name__
+            if kind == "Identity":
+                continue
+            for conn in self.twisted_classes(mat):
+                neg = connection_from_nu(mat, (-conn.nu[0], -conn.nu[1]))
+                assert rho_torus(mat, neg) == rho_torus(mat, conn), (mat, conn.nu)
+                assert chern_simons_mod1(mat, neg) == chern_simons_mod1(mat, conn), (mat, conn.nu)
+                kinds.add(kind)
+                checked += 1
+        assert kinds == {"Elliptic", "Parabolic", "Hyperbolic"}
+        assert checked > 1000
