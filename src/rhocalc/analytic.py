@@ -21,9 +21,10 @@ so no intermediate overflows even far along the tail.  Logarithms take
 the principal branch on the plane cut along the negative real axis, and
 every argument is checked to stay off the cut.
 
-scipy and numpy are imported inside the functions that use them, so
-importing this module (and with it the package) loads neither; the E and
-log-eta paths load numpy on their first call.
+numpy, the only dependency, is imported inside the functions that use
+it, so importing this module (and with it the package) does not load
+it.  The quadratures use the package's batched adaptive Gauss-Kronrod
+rule (`_quadrature`), loaded with them, so no path loads scipy.
 """
 
 from __future__ import annotations
@@ -134,8 +135,10 @@ def _nu_floats(nu: Tuple[RationalLike, RationalLike]) -> Tuple[float, float]:
     return float(_reduce_mod1(nu[0])), float(_reduce_mod1(nu[1]))
 
 
-def _qz(sigma: complex, nu1: Fraction, nu2: Fraction) -> Tuple[complex, complex]:
-    """(q_z, 1 - q_z) with q_z = e^{2 pi i z} for nu1 in [0, 1); raises
+def _qz(sigma: complex, nu1: Fraction, nu2: Fraction) -> Tuple[complex, complex, complex]:
+    """(q_z, q_sigma/q_z, 1 - q_z) with q_z = e^{2 pi i z} for nu1 in
+    [0, 1).  q_sigma/q_z is e^{2 pi i (sigma - z)}, taken directly, so it
+    stays finite when q_z underflows to 0 at a large nu1 Im(sigma).  Raises
     DomainError when a nonzero nu1 is too close to 0 for q_z to differ from
     1 in double precision (the nu1 != 0 branch divides by 1 - q_z and takes
     Log(1 - q_z)), or too close to 1 to differ from 1.0 (the series would
@@ -143,14 +146,16 @@ def _qz(sigma: complex, nu1: Fraction, nu2: Fraction) -> Tuple[complex, complex]
     nu1f = float(nu1)
     nu2 = _reduce_mod1(nu2)
     # nu2 mod Z nearest 0, so that z keeps the digits of a nu2 near Z
-    z = nu1f * sigma - float(nu2 - 1 if 2 * nu2.numerator > nu2.denominator else nu2)
+    nu2f = float(nu2 - 1 if 2 * nu2.numerator > nu2.denominator else nu2)
+    z = nu1f * sigma - nu2f
     q_z = cmath.exp(2j * math.pi * z)
+    ratio = cmath.exp(2j * math.pi * (float(1 - nu1) * sigma + nu2f))
     if nu1 != 0 and (q_z == 1 or nu1f == 1.0):
         raise DomainError(f"nu1 = {nu1} is nonzero but rounds to 0 or 1 in double precision")
     # 1 - q_z = -expm1(2 pi i z) from the parts of z: no cancellation at a
     # small |z|, and no overflow since Im z >= 0
     a, b = -_TWO_PI * z.imag, math.pi * z.real
-    return q_z, complex(2.0 * math.sin(b) ** 2 - math.expm1(a) * math.cos(2 * b), -math.exp(a) * math.sin(2 * b))
+    return q_z, ratio, complex(2.0 * math.sin(b) ** 2 - math.expm1(a) * math.cos(2 * b), -math.exp(a) * math.sin(2 * b))
 
 
 # -- E series ---------------------------------------------------------------
@@ -160,22 +165,23 @@ def _qz(sigma: complex, nu1: Fraction, nu2: Fraction) -> Tuple[complex, complex]
 _BLOCK_CAP = 4096
 
 
-def _q_series(term: Callable[..., complex], q_sigma, q_z, params, what: str, total=0j):
-    """(total + sum_{n>=1} term(n, q_z^n, (q_sigma/q_z)^n, q_sigma^n), terms).
+def _q_series(term: Callable[..., complex], q_sigma, q_z, ratio, params, what: str, total=0j):
+    """(total + sum_{n>=1} term(n, q_z^n, ratio^n, q_sigma^n), terms), ratio
+    being q_sigma/q_z as _qz gives it.
 
     The one truncation rule of the E, dE/dsigma, log eta_{g,h} and log eta
     series: stop after three consecutive terms below tail_tolerance/10 once
     n >= 8; past max_terms raise ConvergenceError naming `what`.
-    (q_sigma/q_z)^n stays bounded since 0 <= nu1 < 1.
+    ratio^n stays bounded since 0 <= nu1 < 1.
 
     `term` gets numpy blocks of the powers, running products of the
     scalar recurrence; a run of small terms counts across block edges, so
     the count is a term-by-term loop's.  The first block is sized from the
-    slower decay rate max(|q_z q_sigma|, |q_sigma/q_z|), later ones double.
+    slower decay rate max(|q_z q_sigma|, |ratio|), later ones double.
     """
     import numpy as np
 
-    steps = (q_z, q_sigma / q_z, q_sigma)
+    steps = (q_z, ratio, q_sigma)
     cut = params.tail_tolerance * 0.1
     decay = -math.log(max(abs(q_z * q_sigma), abs(steps[1]), 1e-300))
     size = int(min(_BLOCK_CAP, max(10.0, (3.0 - math.log(cut)) / max(decay, 1e-300) + 4.0)))
@@ -224,10 +230,10 @@ def e_series_with_count(
     sc = sigma.as_complex()
     nu1 = _reduce_mod1(nu[0])
     q_sigma = cmath.exp(2j * math.pi * sc)
-    q_z, one_minus_qz = _qz(sc, nu1, Fraction(nu[1]))
+    q_z, ratio, one_minus_qz = _qz(sc, nu1, Fraction(nu[1]))
     if method == "cotangent":
         # inner geometric sums resummed; S1 = sum q_z^n / n = -Log(1 - q_z)
-        total, terms = _q_series(_s2_term, q_sigma, q_z, params, "e_series cotangent sum")
+        total, terms = _q_series(_s2_term, q_sigma, q_z, ratio, params, "e_series cotangent sum")
         if nu1 != 0:
             total -= cmath.log(one_minus_qz)
         return ComplexValue.from_complex(total), terms
@@ -252,13 +258,12 @@ def e_series_with_count(
 
     # outer n-sum, stopped by the rule of _q_series
     qzn = rn = qsn = 1.0 + 0.0j
-    ratio_r = q_sigma / q_z
     small = n = 0
     while small < 3:
         n += 1
         if n > params.max_terms:
             raise ConvergenceError("e_series double sum: max_terms exceeded before tail bound")
-        qzn, rn, qsn = qzn * q_z, rn * ratio_r, qsn * q_sigma
+        qzn, rn, qsn = qzn * q_z, rn * ratio, qsn * q_sigma
         coeff = (qzn * qsn + rn) / n  # (q_z^n + q_z^{-n}) q_sigma^{n} split
         # inner m-sum done literally: coeff * (1 + q_sigma^n + q_sigma^{2n} + ...)
         inner = 0.0 + 0.0j
@@ -302,7 +307,7 @@ def _e_series_dsigma(
     nu1 = _reduce_mod1(nu[0])
     nu1f = float(nu1)
     q_sigma = cmath.exp(2j * math.pi * sc)
-    q_z, one_minus_qz = _qz(sc, nu1, Fraction(nu[1]))
+    q_z, ratio, one_minus_qz = _qz(sc, nu1, Fraction(nu[1]))
     total = 2j * math.pi * nu1f * q_z / one_minus_qz if nu1 != 0 else 0j
 
     def term(n, qzn, rn, qsn):
@@ -310,7 +315,7 @@ def _e_series_dsigma(
         a = qzn * qsn
         return 2j * math.pi * (nu1f * (a - rn) / (1.0 - qsn) + (a + rn) / (1.0 - qsn) ** 2)
 
-    return _q_series(term, q_sigma, q_z, params, "e_series derivative", total)
+    return _q_series(term, q_sigma, q_z, ratio, params, "e_series derivative", total)
 
 
 # -- F series and the Kronecker limit identity ------------------------------
@@ -354,38 +359,110 @@ def _row_windows(centres, x_max: float, params: SeriesParams):
     return cols, cols <= hi[:, None]
 
 
+#: exponents below this are raised to it before e^x is taken: the terms
+#: they scale are under 1e-304 of their coefficients, and numpy's exp
+#: takes a slow path for every result that underflows
+_EXP_FLOOR = -700.0
+
+
+def _gaussian_sums(rates, norms, pair, params: SeriesParams, shifts=None):
+    """sum_c coeffs[c] e^{rates[k] norms[c] + shifts[k]} for every node k
+    (shifts 0 if None), the complex coeffs given as the cells x 2 real
+    matrix `pair` of their parts.
+
+    The exponentials form a nodes x cells matrix, built in blocks of whole
+    nodes of at most params.max_terms entries, so a batch holds no more
+    than one lattice at max_terms does; each block is summed in one real
+    matrix product.
+    """
+    import numpy as np
+
+    out = np.empty((rates.size, 2))
+    step = max(1, params.max_terms // max(1, norms.size))
+    for start in range(0, rates.size, step):
+        block = np.multiply.outer(rates[start : start + step], norms)
+        if shifts is not None:
+            block += shifts[start : start + step, None]
+        np.maximum(block, _EXP_FLOOR, out=block)
+        np.matmul(np.exp(block, out=block), pair, out=out[start : start + step])
+    return out.view(complex)[:, 0]
+
+
+def _parts(values):
+    """The cells x 2 real matrix of the real and imaginary parts of a
+    contiguous complex array, as a view."""
+    return values.view(float).reshape(-1, 2)
+
+
+def _direct_kernel(sigma: UpperHalfPoint, u_min: float, nu1f: float, nu2f: float, params: SeriesParams):
+    """F_nu(sigma, u) at an array of u >= u_min by the direct lattice sum
+    sum_n (wbar_{n-nu})^2 e^{-u sigma2 |w_{n-nu}|^2}.
+
+    w_m = (pi/sigma2)(m2 - sigma m1); rows n1 within x_max/sigma2 + 1 of
+    nu1, and in each row the n2 window of half-width x_max around
+    nu2 + sigma1 (n1 - nu1), outside which the Gaussian factor at u_min is
+    below the tail cut.  The window is built once, here; a larger u only
+    sums cells further below the cut.
+    """
+    s1, s2 = sigma.sigma1, sigma.sigma2
+    gamma = u_min * math.pi * math.pi / s2
+    x_max = math.sqrt((-math.log(_tail_cut(params)) + 10.0) / gamma)
+    m1 = _rows(nu1f, x_max / s2 + 1.0, params) - nu1f
+    n2, inside = _row_windows(nu2f + s1 * m1, x_max, params)
+    m1 = m1[:, None]
+    w_re = (math.pi / s2) * ((n2 - nu2f) - s1 * m1)
+    w_im = -math.pi * m1
+    wbar2 = _parts(((w_re * w_re - w_im * w_im) - 2j * w_re * w_im)[inside])
+    norms = (w_re * w_re + w_im * w_im)[inside]
+    return lambda u: _gaussian_sums(-s2 * u, norms, wbar2, params)
+
+
+def _poisson_kernel(sigma: UpperHalfPoint, u_max: float, nu1f: float, nu2f: float, params: SeriesParams):
+    """F_nu(sigma, u) at an array of 0 < u <= u_max by the Poisson-resummed
+    form (1/(pi sigma2^2)) u^-3 sum_{n != 0} e^{-2 pi i <nu, n>} (wbar*_n)^2
+    e^{-|w*_n|^2/(u sigma2)} with w*_n = n1 + sigma n2; the n = 0 term is
+    absent, so the value vanishes as u -> 0+.  The window is sized at
+    u_max and built once, here."""
+    import numpy as np
+
+    s1, s2 = sigma.sigma1, sigma.sigma2
+    x_max = math.sqrt((-math.log(_tail_cut(params)) + 10.0) * u_max * s2)
+    n2 = _rows(0.0, x_max / s2 + 1.0, params)
+    n1, inside = _row_windows(-s1 * n2, x_max, params)
+    n2 = n2[:, None]
+    inside &= (n1 != 0) | (n2 != 0)
+    re = n1 + s1 * n2
+    im = s2 * n2
+    wbar2 = (re * re - im * im) - 2j * re * im
+    coeffs = _parts((np.exp(-2j * math.pi * (nu1f * n1 + nu2f * n2)) * wbar2)[inside])
+    norms = (re * re + im * im)[inside]
+
+    # u^-3 enters the exponent as -3 log u, so that no u^3 underflows
+    return lambda u: _gaussian_sums(-1.0 / (u * s2), norms, coeffs, params, -3.0 * np.log(u)) / (
+        math.pi * s2 * s2
+    )
+
+
+def _f_at(kernel, sigma: UpperHalfPoint, u: float, nu, params: Optional[SeriesParams]) -> ComplexValue:
+    """F_nu at the single node u, by the kernel built at u."""
+    import numpy as np
+
+    if u <= 0:
+        raise DomainError("f_series requires u > 0")
+    value = kernel(sigma, u, *_nu_floats(nu), _params(params))(np.array([u], dtype=float))
+    return ComplexValue.from_complex(complex(value[0]))
+
+
 def f_series_direct(
     sigma: UpperHalfPoint,
     u: float,
     nu: Tuple[RationalLike, RationalLike],
     params: Optional[SeriesParams] = None,
 ) -> ComplexValue:
-    """Direct lattice sum sum_n (wbar_{n-nu})^2 e^{-u sigma2 |w_{n-nu}|^2}.
-
-    w_m = (pi/sigma2)(m2 - sigma m1); rows n1 within x_max/sigma2 + 1 of
-    nu1, and in each row the n2 window of half-width x_max around
-    nu2 + sigma1 (n1 - nu1), outside which the Gaussian factor is below
-    the tail cut.
-    """
-    import numpy as np
-
-    params = _params(params)
-    if u <= 0:
-        raise DomainError("f_series requires u > 0")
-    s1, s2 = sigma.sigma1, sigma.sigma2
-    nu1f, nu2f = _nu_floats(nu)
-    gamma = u * math.pi * math.pi / s2
-    big_l = -math.log(_tail_cut(params)) + 10.0
-    x_max = math.sqrt(big_l / gamma)
-    half = x_max / s2 + 1.0
-    m1 = _rows(nu1f, half, params) - nu1f
-    n2, inside = _row_windows(nu2f + s1 * m1, x_max, params)
-    m1 = m1[:, None]
-    w_re = (math.pi / s2) * ((n2 - nu2f) - s1 * m1)
-    w_im = -math.pi * m1
-    wbar2 = (w_re * w_re - w_im * w_im) - 2j * w_re * w_im
-    terms = wbar2 * np.exp(-u * s2 * (w_re * w_re + w_im * w_im))
-    return ComplexValue.from_complex(complex(np.sum(terms, where=inside)))
+    """Direct lattice sum sum_n (wbar_{n-nu})^2 e^{-u sigma2 |w_{n-nu}|^2}
+    with w_m = (pi/sigma2)(m2 - sigma m1), truncated by the Gaussian tail
+    bound."""
+    return _f_at(_direct_kernel, sigma, u, nu, params)
 
 
 def f_series_poisson(
@@ -398,30 +475,7 @@ def f_series_poisson(
     e^{-2 pi i <nu, n>} (wbar*_n)^2 e^{-|w*_n|^2/(u sigma2)} with
     w*_n = n1 + sigma n2; the n = 0 term is absent, so the value vanishes
     as u -> 0+."""
-    import numpy as np
-
-    params = _params(params)
-    if u <= 0:
-        raise DomainError("f_series requires u > 0")
-    s1, s2 = sigma.sigma1, sigma.sigma2
-    nu1f, nu2f = _nu_floats(nu)
-    big_l = -math.log(_tail_cut(params)) + 10.0
-    x_max = math.sqrt(big_l * u * s2)
-    half = x_max / s2 + 1.0
-    n2 = _rows(0.0, half, params)
-    n1, inside = _row_windows(-s1 * n2, x_max, params)
-    n2 = n2[:, None]
-    inside &= (n1 != 0) | (n2 != 0)
-    re = n1 + s1 * n2
-    im = s2 * n2
-    wbar2 = (re * re - im * im) - 2j * re * im
-    phase = np.exp(-2j * math.pi * (nu1f * n1 + nu2f * n2))
-    terms = phase * wbar2 * np.exp(-(re * re + im * im) * (1.0 / (u * s2)))
-    raw = complex(np.sum(terms, where=inside))
-    if raw == 0:
-        return ComplexValue(0.0, 0.0)  # deep-tail underflow; exact limit is 0
-    value = raw / (math.pi * s2 * s2 * u**3)
-    return ComplexValue.from_complex(value)
+    return _f_at(_poisson_kernel, sigma, u, nu, params)
 
 
 def f_series(
@@ -433,9 +487,7 @@ def f_series(
     """F_nu(sigma, u): direct lattice sum for u >= poisson_switch_u, the
     Poisson-dual form below it; both truncated by the Gaussian tail bound."""
     params = _params(params)
-    if u >= params.poisson_switch_u:
-        return f_series_direct(sigma, u, nu, params)
-    return f_series_poisson(sigma, u, nu, params)
+    return _f_at(_direct_kernel if u >= params.poisson_switch_u else _poisson_kernel, sigma, u, nu, params)
 
 
 def _min_lattice_dist2(sigma: UpperHalfPoint, nu1f: float, nu2f: float) -> float:
@@ -461,60 +513,37 @@ def kronecker_integral_info(
 ) -> Tuple[ComplexValue, Dict[str, float]]:
     """(1/2 pi) integral_0^inf F_nu(sigma, u) du with quadrature diagnostics.
 
-    The real and imaginary parts are integrated by separate quad passes on
-    [0, poisson_switch_u] and [poisson_switch_u, u_max].  The two passes
-    on one interval visit mostly the same nodes u, so each distinct node's
-    complex F_nu is computed once and read by both.  Diagnostics: `neval`
-    is quad's integrand-call count over the four passes; `f_evals` is the
-    number of F_nu lattice sums computed, one per distinct u, the scale
-    probe at poisson_switch_u included; `achieved_tolerance` is the summed
-    error estimate of the passes, and `u_max` the upper cut.
+    The complex F_nu is integrated by the adaptive G10-K21 rule of
+    `_quadrature` in one pass on each of [0, poisson_switch_u] (Poisson
+    form) and [poisson_switch_u, u_max] (direct form).  Each pass builds
+    its lattice window once, at poisson_switch_u, and sums each round's
+    nodes in one batch.
+    Diagnostics: `neval` is the number of quadrature nodes of the two
+    passes; `f_evals` the number of F_nu values computed, neval plus the
+    scale probe at poisson_switch_u; `achieved_tolerance` the summed error
+    estimate of the passes over 2 pi, and `u_max` the upper cut.
     """
-    from scipy.integrate import quad
+    import numpy as np
+
+    from ._quadrature import gauss_kronrod
 
     params = _params(params)
     switch = params.poisson_switch_u
     nu1f, nu2f = _nu_floats(nu)
     rate = (math.pi**2 / sigma.sigma2) * _min_lattice_dist2(sigma, nu1f, nu2f)
-    f_at: Dict[float, complex] = {}
-
-    def f_value(u: float) -> complex:
-        value = f_at.get(u)
-        if value is None:
-            value = f_at[u] = f_series(sigma, u, nu, params).as_complex()
-        return value
-
-    scale = abs(f_value(switch)) + 1.0
+    direct = _direct_kernel(sigma, switch, nu1f, nu2f, params)
+    scale = abs(complex(direct(np.array([switch]))[0])) + 1.0
     u_max = switch + max(1.0, math.log(20.0 * math.pi * scale / (rate * params.quad_tolerance)) / rate)
-
-    def integrand(u: float, take_im: bool) -> float:
-        value = f_value(u)
-        return value.imag if take_im else value.real
 
     total = 0.0 + 0.0j
     achieved = 0.0
     neval = 0
-    for lo, hi in ((0.0, switch), (switch, u_max)):
-        for take_im in (False, True):
-            out = quad(
-                integrand,
-                lo,
-                hi,
-                args=(take_im,),
-                epsabs=params.quad_tolerance / 8.0,
-                epsrel=1e-12,
-                limit=200,
-                full_output=1,
-            )
-            if len(out) > 3:
-                raise QuadratureError(
-                    f"quadrature failed on [{lo:g}, {hi:g}]: {out[3]} "
-                    f"(achieved abs error {out[1]:.3e})"
-                )
-            piece, abserr, info = out
-            total += (1j * piece) if take_im else piece
-            achieved += abserr
-            neval += int(info["neval"])
+    poisson = _poisson_kernel(sigma, switch, nu1f, nu2f, params)
+    for kernel, lo, hi in ((poisson, 0.0, switch), (direct, switch, u_max)):
+        piece, abserr, count = gauss_kronrod(kernel, lo, hi, params.quad_tolerance / 4.0, 1e-12)
+        total += piece
+        achieved += abserr
+        neval += count
     total /= _TWO_PI
     achieved /= _TWO_PI
     if achieved > params.quad_tolerance:
@@ -523,7 +552,7 @@ def kronecker_integral_info(
         )
     diagnostics = {
         "neval": float(neval),
-        "f_evals": float(len(f_at)),
+        "f_evals": float(neval + 1),
         "achieved_tolerance": achieved,
         "u_max": u_max,
     }
@@ -565,7 +594,8 @@ def log_eta(sigma: UpperHalfPoint, params: Optional[SeriesParams] = None) -> Com
     the sum being S2/2 at q_z = 1."""
     params = _params(params)
     sc = sigma.as_complex()
-    s2, _ = _q_series(_s2_term, cmath.exp(2j * math.pi * sc), 1.0, params, "log_eta")
+    q_sigma = cmath.exp(2j * math.pi * sc)
+    s2, _ = _q_series(_s2_term, q_sigma, 1.0, q_sigma, params, "log_eta")
     return ComplexValue.from_complex(1j * math.pi * sc / 12.0 - 0.5 * s2)
 
 
@@ -586,9 +616,9 @@ def log_eta_gen(
         raise DomainError("log_eta_gen is undefined at lattice points (g, h) in Z^2")
     g = _reduce_mod1(g)
     sc = sigma.as_complex()
-    q_z, one_minus_qz = _qz(sc, g, -h)
+    q_z, ratio, one_minus_qz = _qz(sc, g, -h)
     q_sigma = cmath.exp(2j * math.pi * sc)
-    s2, _ = _q_series(_s2_term, q_sigma, q_z, params, "log_eta_gen")
+    s2, _ = _q_series(_s2_term, q_sigma, q_z, ratio, params, "log_eta_gen")
     phi = -float(periodic_bernoulli(1, h)) if g == 0 else 0.0
     total = 1j * math.pi * phi + 1j * math.pi * sc * float(periodic_bernoulli(2, g))
     return ComplexValue.from_complex(total + cmath.log(one_minus_qz) - s2)
@@ -718,7 +748,9 @@ def eta_untwisted_numeric(M: SL2ZMatrix, params: Optional[SeriesParams] = None) 
     """Untwisted Eta by quadrature: twice the difference of the boundary
     log-eta term and the arc integral (1/2 pi) int_0^1 sigma1'/sigma2 dt
     along the invariant path."""
-    from scipy.integrate import quad
+    import numpy as np
+
+    from ._quadrature import gauss_kronrod
 
     params = _params(params)
     cls = classify(M)
@@ -733,8 +765,8 @@ def eta_untwisted_numeric(M: SL2ZMatrix, params: Optional[SeriesParams] = None) 
     big_l = math.log(abs(kappa))
     gap = abs(alpha - beta)
 
-    def arc_integrand(t: float) -> float:
-        hh = math.exp(2.0 * big_l * t)
+    def arc_integrand(t):
+        hh = np.exp(2.0 * big_l * t)
         den = hh + 1.0 / hh
         num = alpha * hh + beta / hh
         dnum = 2.0 * big_l * (alpha * hh - beta / hh)
@@ -742,7 +774,7 @@ def eta_untwisted_numeric(M: SL2ZMatrix, params: Optional[SeriesParams] = None) 
         # sigma1'/sigma2 with sigma2 = gap/den
         return (dnum * den - num * dden) / (den * gap)
 
-    arc, arc_err = quad(arc_integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=200)
+    arc, arc_err, _ = gauss_kronrod(arc_integrand, 0.0, 1.0, 1e-12, 1e-10)
     if arc_err > 1e-8:
         raise QuadratureError(f"arc integral achieved only {arc_err:.3e}")
-    return 2.0 * ((2.0 / math.pi) * dlog.imag - arc / _TWO_PI)
+    return 2.0 * ((2.0 / math.pi) * dlog.imag - arc.real / _TWO_PI)

@@ -43,9 +43,14 @@ def sgn(x) -> int:
     return (x > 0) - (x < 0)
 
 
+def _fraction(x: RationalLike) -> Fraction:
+    """x as a Fraction: a Fraction as it is, since Fraction(x) would copy it."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def _reduce_mod1(x: RationalLike) -> Fraction:
     """x - floor(x) as an exact Fraction in [0, 1)."""
-    x = Fraction(x)
+    x = _fraction(x)
     return x - floor(x)
 
 
@@ -107,7 +112,7 @@ def periodic_bernoulli(n: int, x: RationalLike) -> Fraction:
     """
     if n < 1:
         raise DomainError("periodic_bernoulli requires n >= 1")
-    x = Fraction(x)
+    x = _fraction(x)
     p, q = x.numerator % x.denominator, x.denominator  # x - floor(x) = p/q
     if n % 2 == 1 and p == 0:
         return Fraction(0)

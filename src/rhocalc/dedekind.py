@@ -35,7 +35,7 @@ from math import gcd
 from typing import Tuple
 
 from ._record import Record
-from .bernoulli import RationalLike, periodic_bernoulli
+from .bernoulli import RationalLike, _fraction, periodic_bernoulli
 from .errors import DomainError
 from .moduli import _admissible_m
 from .sl2z import SL2ZMatrix
@@ -145,7 +145,7 @@ def classical_sum(a: int, c: int) -> Fraction:
 
 def generalized_sum(x: RationalLike, y: RationalLike, a: int, c: int) -> Fraction:
     """Generalized Dedekind sum s_{x,y}(a, c), exactly; (x, y) matters only mod Z^2."""
-    return Fraction(*_generalized_num(Fraction(x), Fraction(y), a, c))
+    return Fraction(*_generalized_num(_fraction(x), _fraction(y), a, c))
 
 
 def _p2_num(u: int, den: int) -> int:
@@ -328,7 +328,7 @@ def sum_difference_closed(x: RationalLike, y: RationalLike, M: SL2ZMatrix) -> Fr
         + [x not in Z] * (P_1(m/|c|) - P_1(d m/|c|))/2
         + [x not in Z] * (1 - [m/|c| not in Z])/4
     """
-    return Fraction(*_difference_num(Fraction(x), Fraction(y), M))
+    return Fraction(*_difference_num(_fraction(x), _fraction(y), M))
 
 
 def _difference_num(x: RationalLike, y: RationalLike, M: SL2ZMatrix) -> Tuple[int, int]:

@@ -104,7 +104,8 @@ class TorusFlatConnection(Record):
             raise DomainError(f"TorusFlatConnection requires nu to be a pair of Fractions or ints, got {nu!r}")
         if tuple(map(type, m)) != (int, int):
             raise DomainError(f"TorusFlatConnection requires m to be a pair of ints, got {m!r}")
-        if not (0 <= nu1 < 1 and 0 <= nu2 < 1):
+        # 0 <= nu_i < 1 in integers: Fraction comparisons cost more
+        if not (0 <= nu1.numerator < nu1.denominator and 0 <= nu2.numerator < nu2.denominator):
             raise DomainError(f"TorusFlatConnection requires nu in [0, 1)^2, got ({nu1}, {nu2})")
         trivial = nu1 == 0 and nu2 == 0
         if gauge_lambda is not None:

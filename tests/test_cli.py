@@ -119,6 +119,14 @@ class TestParsing:
         assert run_command(argv) == code
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("nu", ["1/2,0", "1/3,1/2", "99/100,0"])
+    def test_q_z_that_underflows_to_zero_ends_cleanly(self, capsys, nu):
+        # 2 pi nu1 Im(sigma) > 745: q_z is 0.0 in double, while
+        # q_sigma/q_z = e^{2 pi i (sigma - z)} is finite
+        code = run_command(["verify", "kronecker", "--sigma", "0,400", "--nu", nu])
+        assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_NUMERIC)
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_suite_size_minimums_are_satisfiable(self, capsys):
         for argv in (
             ["verify", "two-path", "--count", "3", "--max-entry", "2"],
@@ -472,7 +480,8 @@ def fuzz_values():
         "pair": st.builds(lambda a, b: f"{a},{b}", any_rational, any_rational),
         "matrix": matrix,
         "sigma": st.builds(lambda a, b: f"{a},{b}", real, real),
-        "sigma_kronecker": st.builds(lambda a, b: f"{a!r},{b!r}", st.floats(-2, 2), st.floats(0.5, 2)),
+        # Im(sigma) up to ~500, where q_z underflows to 0 for most nu1
+        "sigma_kronecker": st.builds(lambda a, b: f"{a!r},{b!r}", st.floats(-2, 2), st.floats(0.5, 500)),
         "max_norm": st.sampled_from(["-1", "0", "1", "3", "301", "1.5"]),
     }
 
@@ -573,9 +582,10 @@ class TestEnvironmentTolerance:
         assert code == EXIT_OK
 
 
-#: modules that only the float commands need: the float layer, numpy and
-#: scipy, and dataclasses and inspect, which no exact path uses
-FLOAT_ONLY_MODULES = ("rhocalc.analytic", "numpy", "scipy", "dataclasses", "inspect")
+#: modules that no exact command needs: the float layer and its
+#: quadrature, numpy, scipy (which no path of the package loads), and
+#: dataclasses and inspect
+FLOAT_ONLY_MODULES = ("rhocalc.analytic", "rhocalc._quadrature", "numpy", "scipy", "dataclasses", "inspect")
 
 
 class TestSubprocessSmoke:
@@ -621,14 +631,26 @@ class TestSubprocessSmoke:
                 with contextlib.redirect_stdout(io.StringIO()):
                     codes.append(cli.run_command(argv + ["--json"]))
             loaded = sorted(m for m in watched if m in sys.modules)
-            with contextlib.redirect_stdout(io.StringIO()):
-                kronecker = cli.run_command(
-                    ["verify", "kronecker", "--sigma", "0,1", "--nu", "1/2,1/2", "--json"]
-                )
+            floats = [
+                ["verify", "kronecker", "--sigma", "0,1", "--nu", "1/2,1/2"],
+                ["verify", "eta-transform", "--count", "3"],
+                ["verify", "eta-transform-gen", "--count", "3"],
+                ["spectrum", "torus", "--sigma", "0,1", "--nu", "1/3,0", "--max-norm", "2"],
+            ]
+            float_codes = []
+            for argv in floats:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    float_codes.append(cli.run_command(argv + ["--json"]))
+            # the one float path that no command reaches
+            from rhocalc import SL2ZMatrix, eta_untwisted_numeric, eta_untwisted_torus
+
+            M = SL2ZMatrix(4, 1, 3, 1)
+            eta = eta_untwisted_numeric(M) - float(eta_untwisted_torus(M))
             print(json.dumps({{
                 "codes": codes,
                 "loaded_by_exact": loaded,
-                "kronecker": kronecker,
+                "float_codes": float_codes,
+                "eta": eta,
                 "loaded_after": sorted(m for m in watched if m in sys.modules),
             }}))
             """
@@ -644,8 +666,11 @@ class TestSubprocessSmoke:
         out = json.loads(proc.stdout)
         assert out["codes"] == [EXIT_OK] * 9
         assert out["loaded_by_exact"] == []
-        assert out["kronecker"] == EXIT_OK
-        assert {"numpy", "scipy", "rhocalc.analytic"} <= set(out["loaded_after"])
+        assert out["float_codes"] == [EXIT_OK] * 4
+        assert abs(out["eta"]) < 1e-6
+        # the float layer runs on numpy alone: scipy is a test oracle only
+        assert {"numpy", "rhocalc.analytic", "rhocalc._quadrature"} <= set(out["loaded_after"])
+        assert "scipy" not in out["loaded_after"]
 
     def test_exact_cli_call_imports_no_float_module(self):
         # the whole import report of one exact call, interpreter start included

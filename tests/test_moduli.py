@@ -306,6 +306,19 @@ class TestTorusFlatConnection:
         conn = TorusFlatConnection((0, 0), (0, 0))
         assert conn.nu == (F(0), F(0))
 
+    @pytest.mark.parametrize("nu", [(0, F(1, 2)), (F(99, 100), 0), (F(0), 0)])
+    def test_accepts_mixed_int_and_fraction_nu(self, nu):
+        assert TorusFlatConnection(nu, (0, 0)).nu == nu
+
+    @pytest.mark.parametrize(
+        "nu",
+        [(True, 0), (0, False), (1, 0), (0, -1), (F(1), F(0)), (F(0), F(-1, 3)), (F(4, 3), F(1, 2)), (10**40, 0)],
+    )
+    def test_rejects_bool_or_out_of_range_nu(self, nu):
+        # the range is tested on numerator and denominator, for ints too
+        with pytest.raises(DomainError):
+            TorusFlatConnection(nu, (0, 0))
+
     def test_restriction_trivial_is_derived(self):
         assert TorusFlatConnection((0, 0), (0, 0), F(1, 3)).restriction_trivial is True
         assert TorusFlatConnection((F(1, 2), F(0)), (1, 0)).restriction_trivial is False
