@@ -53,7 +53,6 @@ from .rho import (
     dai_correction_circle,
     eta_truncated_circle,
     eta_untwisted_torus,
-    parabolic_intermediates,
     rho_circle,
     rho_finite_order_generic,
     rho_hyperbolic_prep,
@@ -164,7 +163,6 @@ __all__ = [
     "eta_untwisted_torus",
     "rho_finite_order_generic",
     "chern_simons_mod1",
-    "parabolic_intermediates",
     # analytic
     *_ANALYTIC_NAMES,
 ]

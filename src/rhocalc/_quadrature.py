@@ -1,10 +1,10 @@
 """Adaptive Gauss-Kronrod quadrature over batched integrands.
 
-Every quadrature of the float layer uses this one rule: QUADPACK's
-21-point Gauss-Kronrod pair G10-K21, refined adaptively, with all the
-nodes of a refinement round passed to the integrand as one array, so
-that a vectorized integrand pays its per-call cost once per round.
-`analytic` imports this module inside the functions that integrate, so
+The float layer's one quadrature, the Kronecker integral, uses this rule:
+QUADPACK's 21-point Gauss-Kronrod pair G10-K21, refined adaptively, with
+all the nodes of a refinement round passed to the integrand as one
+array, so that a vectorized integrand pays its per-call cost once per
+round.  `analytic` imports this module inside that integral, so
 importing the package does not load it; numpy is imported on first use.
 """
 

@@ -23,8 +23,9 @@ every argument is checked to stay off the cut.
 
 numpy, the only dependency, is imported inside the functions that use
 it, so importing this module (and with it the package) does not load
-it.  The quadratures use the package's batched adaptive Gauss-Kronrod
-rule (`_quadrature`), loaded with them, so no path loads scipy.
+it.  The one quadrature, the Kronecker integral's, uses the package's
+batched adaptive Gauss-Kronrod rule (`_quadrature`), loaded with it, so
+no path loads scipy; the arc integral of the untwisted Eta is closed.
 """
 
 from __future__ import annotations
@@ -133,6 +134,17 @@ def _nu_floats(nu: Tuple[RationalLike, RationalLike]) -> Tuple[float, float]:
     depends on nu only mod Z^2, and a huge nu would overflow or lose its
     fractional part in float."""
     return float(_reduce_mod1(nu[0])), float(_reduce_mod1(nu[1]))
+
+
+def _sigma1_near_zero(sigma: UpperHalfPoint, nu):
+    """(sigma - k, (nu1, nu2 - k nu1)) for k = round(sigma1), which leave
+    F_nu and E_nu unchanged: F_nu(sigma + k) = F_{(nu1, nu2 - k nu1)}(sigma).
+    The lattice windows and q_sigma lose the fraction of a large sigma1;
+    sigma1 - k is exact in float, and nu moves exactly."""
+    k = round(sigma.sigma1)
+    if k == 0:
+        return sigma, nu
+    return UpperHalfPoint(sigma.sigma1 - k, sigma.sigma2), (nu[0], Fraction(nu[1]) - k * Fraction(nu[0]))
 
 
 def _qz(sigma: complex, nu1: Fraction, nu2: Fraction) -> Tuple[complex, complex, complex]:
@@ -449,6 +461,7 @@ def _f_at(kernel, sigma: UpperHalfPoint, u: float, nu, params: Optional[SeriesPa
 
     if u <= 0:
         raise DomainError("f_series requires u > 0")
+    sigma, nu = _sigma1_near_zero(sigma, nu)
     value = kernel(sigma, u, *_nu_floats(nu), _params(params))(np.array([u], dtype=float))
     return ComplexValue.from_complex(complex(value[0]))
 
@@ -529,6 +542,7 @@ def kronecker_integral_info(
 
     params = _params(params)
     switch = params.poisson_switch_u
+    sigma, nu = _sigma1_near_zero(sigma, nu)
     nu1f, nu2f = _nu_floats(nu)
     rate = (math.pi**2 / sigma.sigma2) * _min_lattice_dist2(sigma, nu1f, nu2f)
     direct = _direct_kernel(sigma, switch, nu1f, nu2f, params)
@@ -576,6 +590,7 @@ def kronecker_closed(
     """P_2(nu_1) + (i/pi) d/dsigma E_nu(sigma); for nu in Z^2 the constant
     term becomes 1/6 - 1/(2 pi sigma2)."""
     params = _params(params)
+    sigma, nu = _sigma1_near_zero(sigma, nu)
     nu1 = _reduce_mod1(nu[0])
     integral_nu = nu1 == 0 and Fraction(nu[1]).denominator == 1
     base = float(periodic_bernoulli(2, nu1))
@@ -745,13 +760,10 @@ def rho_form_hyp_numeric(
 
 
 def eta_untwisted_numeric(M: SL2ZMatrix, params: Optional[SeriesParams] = None) -> float:
-    """Untwisted Eta by quadrature: twice the difference of the boundary
-    log-eta term and the arc integral (1/2 pi) int_0^1 sigma1'/sigma2 dt
-    along the invariant path."""
-    import numpy as np
-
-    from ._quadrature import gauss_kronrod
-
+    """Untwisted Eta from the boundary log-eta term and the arc integral
+    (1/2 pi) int_0^1 sigma1'/sigma2 dt along the invariant path.  There
+    sigma1'/sigma2 = sgn(alpha - beta) 2L/cosh(2Lt) with L = log|kappa|, so
+    int_0^1 sigma1'/sigma2 dt = sgn(alpha - beta) 2 atan(tanh L)."""
     params = _params(params)
     cls = classify(M)
     if not isinstance(cls, Hyperbolic):
@@ -761,20 +773,6 @@ def eta_untwisted_numeric(M: SL2ZMatrix, params: Optional[SeriesParams] = None) 
         log_eta(moebius_op_action(M, sigma0), params).as_complex()
         - log_eta(sigma0, params).as_complex()
     )
-    alpha, beta, kappa = cls.alpha, cls.beta, cls.kappa
-    big_l = math.log(abs(kappa))
-    gap = abs(alpha - beta)
-
-    def arc_integrand(t):
-        hh = np.exp(2.0 * big_l * t)
-        den = hh + 1.0 / hh
-        num = alpha * hh + beta / hh
-        dnum = 2.0 * big_l * (alpha * hh - beta / hh)
-        dden = 2.0 * big_l * (hh - 1.0 / hh)
-        # sigma1'/sigma2 with sigma2 = gap/den
-        return (dnum * den - num * dden) / (den * gap)
-
-    arc, arc_err, _ = gauss_kronrod(arc_integrand, 0.0, 1.0, 1e-12, 1e-10)
-    if arc_err > 1e-8:
-        raise QuadratureError(f"arc integral achieved only {arc_err:.3e}")
-    return 2.0 * ((2.0 / math.pi) * dlog.imag - arc.real / _TWO_PI)
+    big_l = math.log(abs(cls.kappa))
+    arc = math.copysign(2.0 * math.atan(math.tanh(big_l)), cls.alpha - cls.beta)
+    return 2.0 * ((2.0 / math.pi) * dlog.imag - arc / _TWO_PI)

@@ -328,24 +328,21 @@ def sum_difference_closed(x: RationalLike, y: RationalLike, M: SL2ZMatrix) -> Fr
         + [x not in Z] * (P_1(m/|c|) - P_1(d m/|c|))/2
         + [x not in Z] * (1 - [m/|c| not in Z])/4
     """
-    return Fraction(*_difference_num(_fraction(x), _fraction(y), M))
-
-
-def _difference_num(x: RationalLike, y: RationalLike, M: SL2ZMatrix) -> Tuple[int, int]:
-    """(num, den = 4 q^2 |c|) for sum_difference_closed at Fraction or int x = p/q, y."""
-    a, c = M.a, M.c
-    if c == 0:
-        raise DomainError("sum_difference_closed requires c != 0")
-    if gcd(a, c) != 1:
-        raise DomainError("sum_difference_closed requires gcd(a, c) = 1")
+    x, y = _fraction(x), _fraction(y)
     p, q = x.numerator, x.denominator
-    py, qy = y.numerator, y.denominator
+    if M.c == 0:
+        raise DomainError("sum_difference_closed requires c != 0")
     if not 0 <= p < q:
         raise DomainError("sum_difference_closed requires x in [0, 1)")
-    m_int, _ = _admissible_m(M, p * qy, py * q, q * qy)  # (x - x', y - y')
-    cabs = abs(c)
-    d = _inverse_mod(a, c)
-    r = m_int % cabs
+    m1, _ = _admissible_m(M, p * y.denominator, y.numerator * q, q * y.denominator)
+    return Fraction(*_difference_num(p, q, m1, M))
+
+
+def _difference_num(p: int, q: int, m1: int, M: SL2ZMatrix) -> Tuple[int, int]:
+    """(num, den = 4 q^2 |c|) for sum_difference_closed at x = p/q in [0, 1),
+    c != 0, with m1 = x - x' the first component of (Id - M^t)(x, y)."""
+    cabs, d = abs(M.c), _inverse_mod(M.a, M.c)
+    r = m1 % cabs
     # every term over the common denominator 4 q^2 |c| (x = p/q): on [0, 1)
     # P_2(x) - 1/6 = x (x - 1), and d k/|c| is integral only at k = |c|
     n = min(cabs - r, cabs - 1)
@@ -353,9 +350,9 @@ def _difference_num(x: RationalLike, y: RationalLike, M: SL2ZMatrix) -> Tuple[in
     # d n (n+1)/2 - |c| sum_{k<=n} floor(d k/|c|)
     acc = d * n * (n + 1) - 2 * cabs * _floor_sum(n + 1, cabs, d, 0) - cabs * n
     if q == 1:
-        tail = _p1_int(d * m_int, cabs)[0]
+        tail = _p1_int(d * m1, cabs)[0]
     else:
         # the two P_1(d m/|c|) terms cancel; at m/|c| in Z the 1/4 stands in
-        p1_m, m_in_z = _p1_int(m_int, cabs)
+        p1_m, m_in_z = _p1_int(m1, cabs)
         tail = cabs if m_in_z else p1_m
     return 4 * p * (p - q) + q * q * (2 * acc + tail), 4 * q * q * cabs

@@ -1,10 +1,7 @@
 """Closed-form Rho, Eta and Chern-Simons invariants.
 
 Circle bundles over surfaces and torus mapping tori, the latter split by
-monodromy class.  Everything here is exact rational arithmetic; the only
-floats are the deliberately transcendental intermediates of
-:func:`parabolic_intermediates`, whose pi-terms cancel in the assembled
-value.
+monodromy class.  Everything here is exact rational arithmetic.
 
 Sign conventions.  For a hyperbolic mapping torus with monodromy
 M = [[a, b], [c, d]] and admissible twist nu (so m = (Id - M^t) nu is
@@ -26,7 +23,6 @@ float route and a literal six-term oracle in the tests.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from fractions import Fraction
 from typing import Tuple
@@ -34,7 +30,7 @@ from typing import Tuple
 from ._record import Record
 from .bernoulli import RationalLike, _reduce_mod1, periodic_bernoulli, sgn
 from .dedekind import _classical_num, _difference_num, _generalized_num, classical_sum
-from .errors import AdmissibilityError, DomainError, UnsupportedClassError
+from .errors import DomainError, UnsupportedClassError
 from .moduli import CircleFlatConnection, TorusFlatConnection, _admissible_m
 from .sl2z import Elliptic, Hyperbolic, Identity, Parabolic, SL2ZMatrix, classify
 
@@ -42,7 +38,6 @@ __all__ = [
     "RhoBranch",
     "RhoValue",
     "EigenphaseData",
-    "ParabolicIntermediates",
     "rho_circle",
     "eta_truncated_circle",
     "dai_correction_circle",
@@ -51,7 +46,6 @@ __all__ = [
     "eta_untwisted_torus",
     "rho_finite_order_generic",
     "chern_simons_mod1",
-    "parabolic_intermediates",
 ]
 
 
@@ -119,15 +113,6 @@ class EigenphaseData(Record):
             )
         if rank_k < 1:
             raise DomainError("rank_k must be a positive integer")
-
-
-class ParabolicIntermediates(Record):
-    form_integral: float
-    cohom_rho: float
-    assembled: float
-
-    def __init__(self, form_integral: float, cohom_rho: float, assembled: float) -> None:
-        self.__dict__.update(form_integral=form_integral, cohom_rho=cohom_rho, assembled=assembled)
 
 
 def rho_circle(conn: CircleFlatConnection) -> RhoValue:
@@ -234,7 +219,7 @@ def rho_torus(M: SL2ZMatrix, conn: TorusFlatConnection) -> RhoValue:
             value += sgn(cls.l)
         return RhoValue(value, RhoBranch.PARABOLIC)
     _require_twisted(conn, "hyperbolic rho_torus")
-    value = _rho_hyperbolic(M, p1, q1, *_difference_num(*conn.nu, M))
+    value = _rho_hyperbolic(M, p1, q1, *_difference_num(p1, q1, conn.m[0], M))
     return RhoValue(value, RhoBranch.HYPERBOLIC)
 
 
@@ -304,39 +289,3 @@ def chern_simons_mod1(M: SL2ZMatrix, conn: TorusFlatConnection) -> Fraction:
     p1, q1, p2, q2 = _admissible_nu(M, conn, "chern_simons_mod1")
     m1, m2 = conn.m
     return Fraction(2 * (p2 * q1 * m1 - p1 * q2 * m2) % (q1 * q2), q1 * q2)
-
-
-def parabolic_intermediates(
-    epsilon: int, l: int, nu1: RationalLike
-) -> ParabolicIntermediates:
-    """The two halves of the parabolic rho assembly, as floats.
-
-    form_integral carries the eta-form integral l(P_2(nu_1) - 1/6) + l/(2 pi);
-    cohom_rho the cohomological circle contribution (0 for l = 0,
-    -l/pi + sgn(l) for eps = +1, -l/pi for eps = -1).  In
-    assembled = 2*form_integral + cohom_rho the transcendental l/pi terms
-    cancel, leaving the exact theorem value up to roundoff.
-    """
-    if epsilon not in (1, -1):
-        raise DomainError("epsilon must be +1 or -1")
-    nu1 = Fraction(nu1)
-    if epsilon == 1 and l * nu1.numerator % nu1.denominator:
-        raise AdmissibilityError(
-            "parabolic eps=+1 admissibility requires l*nu1 in Z"
-        )
-    if epsilon == -1 and 2 * nu1.numerator % nu1.denominator:
-        raise AdmissibilityError(
-            "parabolic eps=-1 admissibility requires 2*nu1 in Z"
-        )
-    form_integral = float(l * (_p2(nu1) - _SIXTH)) + l / (2 * math.pi)
-    if l == 0:
-        cohom = 0.0
-    elif epsilon == 1:
-        cohom = -l / math.pi + sgn(l)
-    else:
-        cohom = -l / math.pi
-    return ParabolicIntermediates(
-        form_integral=form_integral,
-        cohom_rho=cohom,
-        assembled=2.0 * form_integral + cohom,
-    )

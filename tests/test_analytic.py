@@ -10,13 +10,15 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 import rhocalc._quadrature as quadrature
 import rhocalc.analytic as analytic
-from conftest import random_hyperbolic, random_sl2z
+from conftest import child_env, random_hyperbolic, random_sl2z
 from rhocalc import (
     AdmissibilityError,
     ComplexValue,
@@ -28,6 +30,7 @@ from rhocalc import (
     UnsupportedClassError,
     UpperHalfPoint,
     classical_sum,
+    classify,
     e_series,
     eta_untwisted_numeric,
     eta_untwisted_torus,
@@ -718,6 +721,20 @@ class TestKronecker:
         cc = kronecker_closed(sp, nu).as_complex()
         assert abs(ii - cc) < 1e-6
 
+    @pytest.mark.parametrize("k", [-2, 3, 7])
+    def test_sigma1_shift_law(self, k):
+        # F_nu(sigma + k) = F_{(nu1, nu2 - k nu1)}(sigma), and so for E_nu
+        sigma, nu = UpperHalfPoint(0.3, 0.9), (F(1, 3), F(1, 4))
+        moved = UpperHalfPoint(0.3 + k, 0.9)
+        nu_k = (nu[0], nu[1] - k * nu[0])
+        for fn in (
+            lambda s, n: kronecker_integral_info(s, n)[0],
+            kronecker_closed,
+            lambda s, n: f_series(s, 0.7, n),
+            lambda s, n: f_series(s, 1.4, n),
+        ):
+            assert abs(fn(moved, nu).as_complex() - fn(sigma, nu_k).as_complex()) < 1e-12
+
     def test_integral_info_diagnostics(self):
         _, info = kronecker_integral_info(SIGMA_I, (F(1, 2), F(1, 2)))
         assert info["neval"] > 0
@@ -1044,6 +1061,30 @@ class TestEndToEndNumerics:
         assert eta_untwisted_torus(m) == want
         assert want != 0
         assert abs(eta_untwisted_numeric(m) - float(want)) < 1e-6
+
+    def test_eta_numeric_matches_exact_on_seeded_set(self):
+        # the closed arc integral, on paths of both orientations
+        rng = random.Random(5)
+        orientations = set()
+        for _ in range(300):
+            m = random_hyperbolic(rng, 12)
+            cls = classify(m)
+            orientations.add(cls.alpha > cls.beta)
+            assert abs(eta_untwisted_numeric(m) - float(eta_untwisted_torus(m))) < 1e-12, m
+        assert orientations == {False, True}
+
+    def test_eta_numeric_loads_no_quadrature(self):
+        script = (
+            "import sys\n"
+            "from rhocalc import SL2ZMatrix, eta_untwisted_numeric\n"
+            "eta_untwisted_numeric(SL2ZMatrix(4, 1, 3, 1))\n"
+            "print('rhocalc._quadrature' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_random_end_to_end(self):
         rng = random.Random(63)

@@ -400,6 +400,14 @@ class TestVerify:
         assert code == EXIT_OK
         assert doc["diagnostics"]["achieved_tolerance"] < 1e-6
 
+    def test_kronecker_at_huge_sigma1(self, capsys):
+        # sigma1 = 1e300 is an even integer, so F_nu and E_nu equal those at
+        # sigma1 = 0 with nu2 moved by an integer
+        code, huge, _ = run_json(capsys, ["verify", "kronecker", "--sigma", "1e300,1", "--nu", "1/2,1/2"])
+        assert code == EXIT_OK
+        _, zero, _ = run_json(capsys, ["verify", "kronecker", "--sigma", "0,1", "--nu", "1/2,1/2"])
+        assert huge["results"] == zero["results"]
+
     def test_eta_transform_suites(self, capsys):
         code, doc, _ = run_json(capsys, ["verify", "eta-transform", "--count", "5"])
         assert code == EXIT_OK

@@ -37,7 +37,6 @@ from rhocalc import (
     TorusModuliSet,
     UpperHalfPoint,
 )
-from rhocalc.rho import ParabolicIntermediates
 
 from conftest import child_env
 
@@ -106,11 +105,6 @@ CASES = {
         lambda: EigenphaseData([F(1, 3)], [F(2, 3)], [], 2),
         "EigenphaseData(plus_phases=(Fraction(1, 3),), minus_phases=(Fraction(2, 3),), "
         "untwisted_plus_phases=(), rank_k=1)",
-    ),
-    "ParabolicIntermediates": (
-        lambda: ParabolicIntermediates(0.5, 1.0, 1.5),
-        lambda: ParabolicIntermediates(0.5, 1.0, 2.5),
-        "ParabolicIntermediates(form_integral=0.5, cohom_rho=1.0, assembled=1.5)",
     ),
     "SeriesParams": (
         lambda: SeriesParams(max_terms=3),

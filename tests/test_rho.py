@@ -9,15 +9,16 @@ float-route evidence for them.
 
 from __future__ import annotations
 
+import ast
 import random
 from fractions import Fraction as F
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from conftest import random_hyperbolic, random_parabolic, random_sl2z
 from rhocalc import (
-    AdmissibilityError,
     CircleFlatConnection,
     DomainError,
     EigenphaseData,
@@ -34,7 +35,6 @@ from rhocalc import (
     eta_truncated_circle,
     eta_untwisted_torus,
     generalized_sum,
-    parabolic_intermediates,
     periodic_bernoulli,
     rho_circle,
     rho_finite_order_generic,
@@ -591,31 +591,6 @@ class TestFiniteOrderGeneric:
             )
 
 
-class TestParabolicIntermediates:
-    def test_assembled_pins(self):
-        inter = parabolic_intermediates(1, 3, F(1, 3))
-        assert abs(inter.assembled - (-1 / 3)) < 1e-12
-        inter = parabolic_intermediates(-1, 4, F(1, 2))
-        assert abs(inter.assembled - (-2.0)) < 1e-12
-
-    def test_assembled_matches_exact_theorem(self):
-        # eps = +1: assembled = 2l(P_2(nu1) - 1/6) + ... pi-cancellation
-        for l in (-4, -1, 2, 5):
-            for j in range(abs(l)):
-                nu1 = F(j, abs(l))
-                inter = parabolic_intermediates(1, l, nu1)
-                want = float(2 * l * (periodic_bernoulli(2, nu1) - F(1, 6)) + sgn(l))
-                assert abs(inter.assembled - want) < 1e-12
-
-    def test_admissibility(self):
-        with pytest.raises(AdmissibilityError):
-            parabolic_intermediates(1, 3, F(1, 2))
-        with pytest.raises(AdmissibilityError):
-            parabolic_intermediates(-1, 3, F(1, 3))
-        with pytest.raises(DomainError):
-            parabolic_intermediates(2, 3, F(1, 3))
-
-
 class TestOrientationReversal:
     def test_inverse_negates_rho_pin(self):
         mat = SL2ZMatrix(3, 2, 4, 3)
@@ -664,3 +639,50 @@ class TestNuNegation:
                 checked += 1
         assert kinds == {"Elliptic", "Parabolic", "Hyperbolic"}
         assert checked > 1000
+
+    def test_closed_difference_matches_prep_on_hyperbolic_classes(self):
+        # the same matrices: rho_torus hands its m_1 to the closed Dedekind
+        # difference, rho_hyperbolic_prep sums the two Dedekind sums
+        rng = random.Random(57)
+        checked = 0
+        for _ in range(300):
+            mat = random_sl2z(rng, 30)
+            if type(classify(mat)).__name__ != "Hyperbolic":
+                continue
+            for conn in self.twisted_classes(mat):
+                assert rho_torus(mat, conn).value == rho_hyperbolic_prep(mat, conn).value, (mat, conn.nu)
+                checked += 1
+        assert checked > 1000
+
+
+#: the exact layer's math names: integer functions only
+EXACT_MATH_NAMES = {"comb", "floor", "lcm", "gcd"}
+
+
+def float_uses(node):
+    """What in this AST node breaks the exact layer's no-float rule."""
+
+    def names(module, attrs):
+        return [f"{module}.{a}" for a in attrs if module == "cmath" or a not in EXACT_MATH_NAMES]
+
+    if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+        return [f"float literal {node.value!r}"]
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+        return ["call to float"]
+    if isinstance(node, ast.Import):
+        return [f"import {a.name}" for a in node.names if a.name == "cmath"]
+    if isinstance(node, ast.ImportFrom) and node.module in ("math", "cmath"):
+        return names(node.module, [a.name for a in node.names])
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ("math", "cmath"):
+        return names(node.value.id, [node.attr])
+    return []
+
+
+@pytest.mark.parametrize("module", ["rho", "moduli", "bernoulli"])
+def test_exact_module_holds_no_float(module):
+    import rhocalc
+
+    path = Path(rhocalc.__file__).with_name(f"{module}.py")
+    tree = ast.parse(path.read_text(), str(path))
+    found = [f"{use} at line {node.lineno}" for node in ast.walk(tree) for use in float_uses(node)]
+    assert found == []
