@@ -4,73 +4,18 @@ Rational-arithmetic invariants of flat U(1) connections on circle
 bundles over surfaces and on torus mapping tori, with floating-point
 verification of the underlying Kronecker-limit and Dedekind-eta
 transformation identities.
+
+Each module's ``__all__`` is the one list of its public names; the
+package re-exports them all.
 """
 
-from .bernoulli import (
-    Rational,
-    bernoulli_number,
-    bernoulli_poly,
-    hurwitz_zeta_nonpos,
-    periodic_bernoulli,
-    periodic_eta_zero,
-    periodic_zeta_at,
-)
-from .dedekind import (
-    CoprimePair,
-    PeriodicFunctionTable,
-    classical_sum,
-    cotangent_sum,
-    finite_fourier_transform,
-    generalized_sum,
-    p1_closed_fourier,
-    sum_difference_closed,
-)
-from .errors import (
-    AdmissibilityError,
-    ConvergenceError,
-    DomainError,
-    QuadratureError,
-    RhoCalcError,
-    UnsupportedClassError,
-)
-from .moduli import (
-    CircleFlatConnection,
-    CircleModuliSummary,
-    ParabolicFamily,
-    TorusFlatConnection,
-    TorusModuliSet,
-    circle_moduli_summary,
-    connection_from_nu,
-    enumerate_torus_connections,
-    is_bundle_trivial,
-    transport_nu_from_normal_form,
-)
-from .rho import (
-    EigenphaseData,
-    RhoBranch,
-    RhoValue,
-    chern_simons_mod1,
-    dai_correction_circle,
-    eta_truncated_circle,
-    eta_untwisted_torus,
-    rho_circle,
-    rho_finite_order_generic,
-    rho_hyperbolic_prep,
-    rho_torus,
-)
-from .sl2z import (
-    Elliptic,
-    Hyperbolic,
-    Identity,
-    MonodromyClass,
-    Parabolic,
-    SL2ZMatrix,
-    UpperHalfPoint,
-    classify,
-    invariant_path_sigma,
-    moebius_op_action,
-    parabolic_normal_form,
-)
+from . import bernoulli, dedekind, errors, moduli, rho, sl2z
+from .bernoulli import *
+from .dedekind import *
+from .errors import *
+from .moduli import *
+from .rho import *
+from .sl2z import *
 
 __version__ = "0.1.0"
 
@@ -104,65 +49,11 @@ def __getattr__(name: str):
 
 __all__ = [
     "__version__",
-    # errors
-    "RhoCalcError",
-    "DomainError",
-    "AdmissibilityError",
-    "UnsupportedClassError",
-    "ConvergenceError",
-    "QuadratureError",
-    # bernoulli
-    "Rational",
-    "bernoulli_number",
-    "bernoulli_poly",
-    "periodic_bernoulli",
-    "hurwitz_zeta_nonpos",
-    "periodic_eta_zero",
-    "periodic_zeta_at",
-    # dedekind
-    "CoprimePair",
-    "PeriodicFunctionTable",
-    "classical_sum",
-    "generalized_sum",
-    "cotangent_sum",
-    "finite_fourier_transform",
-    "p1_closed_fourier",
-    "sum_difference_closed",
-    # sl2z
-    "SL2ZMatrix",
-    "UpperHalfPoint",
-    "MonodromyClass",
-    "Identity",
-    "Elliptic",
-    "Parabolic",
-    "Hyperbolic",
-    "classify",
-    "parabolic_normal_form",
-    "moebius_op_action",
-    "invariant_path_sigma",
-    # moduli
-    "TorusFlatConnection",
-    "CircleFlatConnection",
-    "ParabolicFamily",
-    "TorusModuliSet",
-    "CircleModuliSummary",
-    "transport_nu_from_normal_form",
-    "connection_from_nu",
-    "enumerate_torus_connections",
-    "is_bundle_trivial",
-    "circle_moduli_summary",
-    # rho
-    "RhoBranch",
-    "RhoValue",
-    "EigenphaseData",
-    "rho_circle",
-    "eta_truncated_circle",
-    "dai_correction_circle",
-    "rho_torus",
-    "rho_hyperbolic_prep",
-    "eta_untwisted_torus",
-    "rho_finite_order_generic",
-    "chern_simons_mod1",
-    # analytic
+    *errors.__all__,
+    *bernoulli.__all__,
+    *dedekind.__all__,
+    *sl2z.__all__,
+    *moduli.__all__,
+    *rho.__all__,
     *_ANALYTIC_NAMES,
 ]

@@ -707,10 +707,13 @@ def torus_spectrum(
 ) -> List[Tuple[float, int]]:
     """Sorted 1-form Laplace eigenvalues 4 sigma2 |w_{n-nu}|^2 over lattice
     points |n|_inf <= max_lattice_norm, each with doubled multiplicity,
-    for nu reduced mod Z^2 (exactly, before any float is taken).
+    for nu reduced mod Z^2 (exactly, before any float is taken).  sigma1
+    is first moved to [-1/2, 1/2] as in _sigma1_near_zero, which relabels
+    n2 -> n2 - k n1; the window is taken after the move.
     Raises DomainError when an eigenvalue is not finite."""
     if max_lattice_norm < 0:
         raise DomainError("max_lattice_norm must be nonnegative")
+    sigma, nu = _sigma1_near_zero(sigma, nu)
     s1, s2 = sigma.sigma1, sigma.sigma2
     nu1f, nu2f = _nu_floats(nu)
     raw: List[float] = []

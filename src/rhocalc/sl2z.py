@@ -172,28 +172,6 @@ class Identity(Record):
 MonodromyClass = Union[Elliptic, Parabolic, Hyperbolic, Identity]
 
 
-def _extend_to_sl2z(p: int, q: int) -> SL2ZMatrix:
-    """An SL2Z matrix with first column (p, q), for coprime (p, q)."""
-    g, r, s = _xgcd(p, q)
-    # p*r + q*s = 1, so [[p, -s], [q, r]] has determinant p*r + q*s = 1
-    return SL2ZMatrix(p, -s, q, r)
-
-
-def _xgcd(p: int, q: int) -> Tuple[int, int, int]:
-    """(g, u, v) with u*p + v*q = g = gcd(p, q)."""
-    old_r, r = p, q
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r != 0:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_u, u = u, old_u - quot * u
-        old_v, v = v, old_v - quot * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
-
-
 def parabolic_normal_form(M: SL2ZMatrix) -> Tuple[int, int, SL2ZMatrix]:
     """Conjugate a parabolic M != +-Id into eps * [[1, l], [0, 1]].
 
@@ -208,17 +186,16 @@ def parabolic_normal_form(M: SL2ZMatrix) -> Tuple[int, int, SL2ZMatrix]:
         raise UnsupportedClassError("parabolic_normal_form requires a parabolic matrix")
     eps = 1 if tr == 2 else -1
     N = M if eps == 1 else M.neg()
-    if N.a == 1 and N.c == 0:
-        # already upper triangular (c = 0 and det = 1 force a = d = 1)
-        return eps, N.b, SL2ZMatrix.identity()
-    if N == SL2ZMatrix.identity():
+    if N.b == N.c == 0:
         raise UnsupportedClassError("parabolic_normal_form requires M != +-Id")
     if N.c == 0:
-        # a = d = -1 cannot happen for trace 2
-        raise UnsupportedClassError("parabolic_normal_form requires M != +-Id")
+        # already upper triangular (c = 0 and trace 2 force a = d = 1)
+        return eps, N.b, SL2ZMatrix.identity()
     g0 = gcd(N.a - N.d, 2 * N.c)
     p, q = (N.a - N.d) // g0, (2 * N.c) // g0
-    conj = _extend_to_sl2z(p, q)
+    # q != 0 and p*r = 1 (mod q): [[p, (p*r - 1)/q], [q, r]] is integral, det 1
+    r = pow(p, -1, q)
+    conj = SL2ZMatrix(p, (p * r - 1) // q, q, r)
     normal = conj.inverse() @ N @ conj
     if normal.c != 0 or normal.a != 1 or normal.d != 1:
         raise AssertionError("parabolic normal form failed to triangularize")

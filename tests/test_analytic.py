@@ -998,6 +998,14 @@ class TestTorusSpectrum:
         huge = torus_spectrum(SIGMA_I, (F(10**400, 3), F(0)), 1)
         assert huge == torus_spectrum(SIGMA_I, (F(1, 3), F(0)), 1)
 
+    @pytest.mark.parametrize("k", [-2, 3, 7])
+    def test_sigma1_shift_law(self, k):
+        # sigma1 -> sigma1 + k relabels n2 -> n2 - k n1, so the spectrum is
+        # that at sigma1 with nu2 - k nu1, its window taken after the move
+        nu = (F(1, 3), F(1, 4))
+        moved = torus_spectrum(UpperHalfPoint(0.25 + k, 0.9), nu, 3)
+        assert moved == torus_spectrum(UpperHalfPoint(0.25, 0.9), (nu[0], nu[1] - k * nu[0]), 3)
+
     def test_lattice_shift_invariance(self):
         # the shift relabels n, so spectra agree away from the enumeration
         # window boundary; compare the low clusters only

@@ -382,6 +382,15 @@ class TestModuliAndSpectrum:
         _, small, _ = run_json(capsys, argv + ["1/3,0"])
         assert huge["results"] == small["results"]
 
+    def test_spectrum_torus_huge_sigma1(self, capsys):
+        # sigma1 = 1e17 = 1 (mod 3) is an integer: the lattice of sigma1 = 0,
+        # with nu2 moved by -10^17/3 = 2/3 (mod 1)
+        tail = ["--max-norm", "2"]
+        code, huge, _ = run_json(capsys, ["spectrum", "torus", "--sigma", "1e17,1", "--nu", "1/3,0"] + tail)
+        assert code == EXIT_OK
+        _, zero, _ = run_json(capsys, ["spectrum", "torus", "--sigma", "0,1", "--nu", "1/3,2/3"] + tail)
+        assert huge["results"] == zero["results"]
+
     def test_spectrum_torus(self, capsys):
         code, doc, _ = run_json(
             capsys, ["spectrum", "torus", "--sigma", "0,1", "--nu", "0,0", "--max-norm", "2"]

@@ -1,4 +1,5 @@
-"""The value records of the package, and its lazily bound float-layer names.
+"""The value records of the package, its public names, and its lazily bound
+float-layer names.
 
 Every record class compares by value and only with its own class, hashes
 consistently with that, refuses assignment and deletion, and prints as
@@ -176,6 +177,19 @@ def test_every_public_name_resolves():
     assert "transport_nu_to_normal_form" not in rhocalc.__all__
     with pytest.raises(AttributeError):
         rhocalc.no_such_name
+
+
+def test_each_public_name_is_listed_once_in_its_module():
+    # the package's __all__ is its modules' __all__, not a second list
+    from rhocalc import analytic
+
+    modules = [rhocalc.errors, rhocalc.bernoulli, rhocalc.dedekind, rhocalc.sl2z, rhocalc.moduli, rhocalc.rho]
+    want = {"__version__", *rhocalc._ANALYTIC_NAMES}.union(*(m.__all__ for m in modules))
+    assert set(rhocalc.__all__) == want
+    assert len(rhocalc.__all__) == len(set(rhocalc.__all__))
+    assert set(rhocalc._ANALYTIC_NAMES) <= set(analytic.__all__)
+    for module in (*modules, analytic):
+        assert [n for n in module.__all__ if n not in vars(module)] == [], module.__name__
 
 
 def test_analytic_names_load_the_float_layer_on_first_use():

@@ -655,6 +655,60 @@ class TestNuNegation:
         assert checked > 1000
 
 
+class TestTransferLaw:
+    """The whole-group transfer law, an exact oracle for the twisted
+    closed form at every |c|:
+
+        sum over the twisted classes nu of rho(M, nu) = (sgn delta - D) eta(M)
+
+    for hyperbolic M, with delta = det(Id - M) = 2 - tr M and D = |delta|.
+
+    Derivation.  L = (Id - M)Z^2 has index D in Z^2, and M acts trivially
+    on Z^2/L (Mx - x lies in L), so M descends to R^2/L and its mapping
+    torus is a regular D-fold cover of that of M on R^2/Z^2, with deck
+    group Z^2/L.  The characters of Z^2/L are the nu with <nu, L> in Z,
+    that is (Id - M^t) nu in Z^2: the D isolated classes, trivial along the
+    base circle.  Eta invariants add up over the characters of a finite
+    cover's deck group (Atiyah-Patodi-Singer, Spectral asymmetry and
+    Riemannian geometry II, 1975), so eta(cover) = sum_nu eta_nu(M), and
+    rho = eta_nu - eta gives sum_nu rho(M, nu) = eta(cover) - D eta(M).
+    The basis B = Id - M of L identifies R^2/L with R^2/Z^2 and conjugates
+    M to B^{-1} M B = M; it reverses the fiber's orientation when
+    delta < 0, so eta(cover) = sgn(delta) eta(M).  The trivial class
+    nu = 0 has rho 0 and is left out of the sum.
+
+    The right side needs only classical sums; the left side goes through
+    the floor sum of the closed Dedekind difference, and a class missing
+    from or doubled in the enumeration breaks the sum.
+    """
+
+    @staticmethod
+    def word_conjugate(rng: random.Random, mat: SL2ZMatrix) -> SL2ZMatrix:
+        # g = prod T^k S = prod [[k, -1], [1, 0]], up to about 90 digits
+        g = SL2ZMatrix.identity()
+        for _ in range(rng.randint(1, 90)):
+            g = g @ SL2ZMatrix(rng.choice((-1, 1)) * rng.randint(1, 12), -1, 1, 0)
+        return g @ mat @ g.inverse()
+
+    @staticmethod
+    def rho_sum(mat: SL2ZMatrix) -> F:
+        classes = enumerate_torus_connections(mat).isolated
+        return sum((rho_torus(mat, c).value for c in classes if not c.restriction_trivial), F(0))
+
+    def test_whole_group_law(self):
+        rng = random.Random(58)
+        signs, digits = set(), 0
+        for _ in range(200):
+            base = random_hyperbolic(rng, 12)
+            for mat in (base, self.word_conjugate(rng, base)):
+                delta = 2 - mat.trace
+                assert self.rho_sum(mat) == (sgn(delta) - abs(delta)) * eta_untwisted_torus(mat), mat
+                signs.add((sgn(mat.c), sgn(mat.trace)))
+                digits = max(digits, len(str(abs(mat.c))))
+        assert signs == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+        assert digits > 50
+
+
 #: the exact layer's math names: integer functions only
 EXACT_MATH_NAMES = {"comb", "floor", "lcm", "gcd"}
 

@@ -16,6 +16,7 @@ from rhocalc import (
     Identity,
     Parabolic,
     SL2ZMatrix,
+    UnsupportedClassError,
     UpperHalfPoint,
     classify,
     invariant_path_sigma,
@@ -193,6 +194,22 @@ class TestParabolicNormalForm:
     def test_rejects_non_parabolic(self):
         with pytest.raises(DomainError):
             parabolic_normal_form(SL2ZMatrix(3, 2, 4, 3))
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_rejects_plus_minus_identity(self, eps):
+        # trace +-2 but no fixed line of its own: classify calls it Identity
+        with pytest.raises(UnsupportedClassError):
+            parabolic_normal_form(SL2ZMatrix(eps, 0, 0, eps))
+
+    @pytest.mark.parametrize("c", [1, -1, 7, -12])
+    def test_lower_triangular(self, c):
+        # a = d gives the first column (0, +-1) of the conjugator
+        for eps in (1, -1):
+            m = SL2ZMatrix(eps, 0, eps * c, eps)
+            e, l, g = parabolic_normal_form(m)
+            n = g.inverse() @ m @ g
+            assert e == eps and (n.a, n.b, n.c, n.d) == (eps, eps * l, 0, eps)
+            assert abs(l) == abs(c)
 
 
 class TestInvariantPath:
