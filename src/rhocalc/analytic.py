@@ -33,10 +33,10 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ._record import Record
-from .bernoulli import RationalLike, _reduce_mod1, periodic_bernoulli, sgn
+from .bernoulli import RationalLike, _fraction, _reduce_mod1, periodic_bernoulli, sgn
 from .dedekind import classical_sum, generalized_sum
 from .errors import (
     AdmissibilityError,
@@ -125,10 +125,6 @@ class ComplexValue(Record):
         return complex(self.re, self.im)
 
 
-def _params(params: Optional[SeriesParams]) -> SeriesParams:
-    return DEFAULT_SERIES_PARAMS if params is None else params
-
-
 def _nu_floats(nu: Tuple[RationalLike, RationalLike]) -> Tuple[float, float]:
     """nu reduced mod Z^2 exactly, then as floats: every float path here
     depends on nu only mod Z^2, and a huge nu would overflow or lose its
@@ -144,12 +140,12 @@ def _sigma1_near_zero(sigma: UpperHalfPoint, nu):
     k = round(sigma.sigma1)
     if k == 0:
         return sigma, nu
-    return UpperHalfPoint(sigma.sigma1 - k, sigma.sigma2), (nu[0], Fraction(nu[1]) - k * Fraction(nu[0]))
+    return UpperHalfPoint(sigma.sigma1 - k, sigma.sigma2), (nu[0], _fraction(nu[1]) - k * _fraction(nu[0]))
 
 
-def _qz(sigma: complex, nu1: Fraction, nu2: Fraction) -> Tuple[complex, complex, complex]:
-    """(q_z, q_sigma/q_z, 1 - q_z) with q_z = e^{2 pi i z} for nu1 in
-    [0, 1).  q_sigma/q_z is e^{2 pi i (sigma - z)}, taken directly, so it
+def _qz(sigma: complex, nu1: Fraction, nu2: RationalLike) -> Tuple[complex, complex, complex, complex]:
+    """(q_sigma, q_z, q_sigma/q_z, 1 - q_z) with q_z = e^{2 pi i z} for nu1
+    in [0, 1).  q_sigma/q_z is e^{2 pi i (sigma - z)}, taken directly, so it
     stays finite when q_z underflows to 0 at a large nu1 Im(sigma).  Raises
     DomainError when a nonzero nu1 is too close to 0 for q_z to differ from
     1 in double precision (the nu1 != 0 branch divides by 1 - q_z and takes
@@ -160,14 +156,14 @@ def _qz(sigma: complex, nu1: Fraction, nu2: Fraction) -> Tuple[complex, complex,
     # nu2 mod Z nearest 0, so that z keeps the digits of a nu2 near Z
     nu2f = float(nu2 - 1 if 2 * nu2.numerator > nu2.denominator else nu2)
     z = nu1f * sigma - nu2f
-    q_z = cmath.exp(2j * math.pi * z)
+    q_sigma, q_z = cmath.exp(2j * math.pi * sigma), cmath.exp(2j * math.pi * z)
     ratio = cmath.exp(2j * math.pi * (float(1 - nu1) * sigma + nu2f))
     if nu1 != 0 and (q_z == 1 or nu1f == 1.0):
         raise DomainError(f"nu1 = {nu1} is nonzero but rounds to 0 or 1 in double precision")
     # 1 - q_z = -expm1(2 pi i z) from the parts of z: no cancellation at a
     # small |z|, and no overflow since Im z >= 0
     a, b = -_TWO_PI * z.imag, math.pi * z.real
-    return q_z, ratio, complex(2.0 * math.sin(b) ** 2 - math.expm1(a) * math.cos(2 * b), -math.exp(a) * math.sin(2 * b))
+    return q_sigma, q_z, ratio, complex(2.0 * math.sin(b) ** 2 - math.expm1(a) * math.cos(2 * b), -math.exp(a) * math.sin(2 * b))
 
 
 # -- E series ---------------------------------------------------------------
@@ -230,19 +226,19 @@ def _s2_term(n, qzn, rn, qsn):
 def e_series_with_count(
     sigma: UpperHalfPoint,
     nu: Tuple[RationalLike, RationalLike],
-    params: Optional[SeriesParams] = None,
+    params: SeriesParams = DEFAULT_SERIES_PARAMS,
     method: str = "cotangent",
 ) -> Tuple[ComplexValue, int]:
     """e_series plus the number of terms summed: of S2 for the cotangent
     method, of the single sum and the outer sum for the double sum.  The
-    double sum is a literal loop that shares no summation code with S2."""
-    params = _params(params)
+    double sum is a literal loop that shares no summation code with S2; it
+    stays here, and with it `method`, only because the benchmark
+    (`perfbench/workloads.py`) checks the two methods against each other,
+    and it moves to the tests with the next change to the benchmark."""
     if method not in ("cotangent", "double-sum"):
         raise DomainError("method must be 'cotangent' or 'double-sum'")
-    sc = sigma.as_complex()
     nu1 = _reduce_mod1(nu[0])
-    q_sigma = cmath.exp(2j * math.pi * sc)
-    q_z, ratio, one_minus_qz = _qz(sc, nu1, Fraction(nu[1]))
+    q_sigma, q_z, ratio, one_minus_qz = _qz(sigma.as_complex(), nu1, nu[1])
     if method == "cotangent":
         # inner geometric sums resummed; S1 = sum q_z^n / n = -Log(1 - q_z)
         total, terms = _q_series(_s2_term, q_sigma, q_z, ratio, params, "e_series cotangent sum")
@@ -297,14 +293,11 @@ def e_series_with_count(
 
 
 def e_series(
-    sigma: UpperHalfPoint,
-    nu: Tuple[RationalLike, RationalLike],
-    params: Optional[SeriesParams] = None,
-    method: str = "cotangent",
+    sigma: UpperHalfPoint, nu: Tuple[RationalLike, RationalLike], params: SeriesParams = DEFAULT_SERIES_PARAMS
 ) -> ComplexValue:
     """E_nu(sigma), with nu1 reduced mod Z; the nu1 = 0 branch omits the
     single sum over q_z."""
-    value, _ = e_series_with_count(sigma, nu, params, method)
+    value, _ = e_series_with_count(sigma, nu, params)
     return value
 
 
@@ -315,11 +308,9 @@ def _e_series_dsigma(
 ) -> Tuple[complex, int]:
     """Term-wise d/dsigma of E_nu = S2 - Log(1 - q_z), with the number of
     S2 terms; every term an explicit exponential."""
-    sc = sigma.as_complex()
     nu1 = _reduce_mod1(nu[0])
     nu1f = float(nu1)
-    q_sigma = cmath.exp(2j * math.pi * sc)
-    q_z, ratio, one_minus_qz = _qz(sc, nu1, Fraction(nu[1]))
+    q_sigma, q_z, ratio, one_minus_qz = _qz(sigma.as_complex(), nu1, nu[1])
     total = 2j * math.pi * nu1f * q_z / one_minus_qz if nu1 != 0 else 0j
 
     def term(n, qzn, rn, qsn):
@@ -455,14 +446,14 @@ def _poisson_kernel(sigma: UpperHalfPoint, u_max: float, nu1f: float, nu2f: floa
     )
 
 
-def _f_at(kernel, sigma: UpperHalfPoint, u: float, nu, params: Optional[SeriesParams]) -> ComplexValue:
+def _f_at(kernel, sigma: UpperHalfPoint, u: float, nu, params: SeriesParams) -> ComplexValue:
     """F_nu at the single node u, by the kernel built at u."""
     import numpy as np
 
     if u <= 0:
         raise DomainError("f_series requires u > 0")
     sigma, nu = _sigma1_near_zero(sigma, nu)
-    value = kernel(sigma, u, *_nu_floats(nu), _params(params))(np.array([u], dtype=float))
+    value = kernel(sigma, u, *_nu_floats(nu), params)(np.array([u], dtype=float))
     return ComplexValue.from_complex(complex(value[0]))
 
 
@@ -470,7 +461,7 @@ def f_series_direct(
     sigma: UpperHalfPoint,
     u: float,
     nu: Tuple[RationalLike, RationalLike],
-    params: Optional[SeriesParams] = None,
+    params: SeriesParams = DEFAULT_SERIES_PARAMS,
 ) -> ComplexValue:
     """Direct lattice sum sum_n (wbar_{n-nu})^2 e^{-u sigma2 |w_{n-nu}|^2}
     with w_m = (pi/sigma2)(m2 - sigma m1), truncated by the Gaussian tail
@@ -482,7 +473,7 @@ def f_series_poisson(
     sigma: UpperHalfPoint,
     u: float,
     nu: Tuple[RationalLike, RationalLike],
-    params: Optional[SeriesParams] = None,
+    params: SeriesParams = DEFAULT_SERIES_PARAMS,
 ) -> ComplexValue:
     """Poisson-resummed form (1/(pi sigma2^2)) u^-3 sum_{n != 0}
     e^{-2 pi i <nu, n>} (wbar*_n)^2 e^{-|w*_n|^2/(u sigma2)} with
@@ -495,11 +486,10 @@ def f_series(
     sigma: UpperHalfPoint,
     u: float,
     nu: Tuple[RationalLike, RationalLike],
-    params: Optional[SeriesParams] = None,
+    params: SeriesParams = DEFAULT_SERIES_PARAMS,
 ) -> ComplexValue:
     """F_nu(sigma, u): direct lattice sum for u >= poisson_switch_u, the
     Poisson-dual form below it; both truncated by the Gaussian tail bound."""
-    params = _params(params)
     return _f_at(_direct_kernel if u >= params.poisson_switch_u else _poisson_kernel, sigma, u, nu, params)
 
 
@@ -522,7 +512,7 @@ def _min_lattice_dist2(sigma: UpperHalfPoint, nu1f: float, nu2f: float) -> float
 def kronecker_integral_info(
     sigma: UpperHalfPoint,
     nu: Tuple[RationalLike, RationalLike],
-    params: Optional[SeriesParams] = None,
+    params: SeriesParams = DEFAULT_SERIES_PARAMS,
 ) -> Tuple[ComplexValue, Dict[str, float]]:
     """(1/2 pi) integral_0^inf F_nu(sigma, u) du with quadrature diagnostics.
 
@@ -540,7 +530,6 @@ def kronecker_integral_info(
 
     from ._quadrature import gauss_kronrod
 
-    params = _params(params)
     switch = params.poisson_switch_u
     sigma, nu = _sigma1_near_zero(sigma, nu)
     nu1f, nu2f = _nu_floats(nu)
@@ -576,7 +565,7 @@ def kronecker_integral_info(
 def kronecker_integral(
     sigma: UpperHalfPoint,
     nu: Tuple[RationalLike, RationalLike],
-    params: Optional[SeriesParams] = None,
+    params: SeriesParams = DEFAULT_SERIES_PARAMS,
 ) -> ComplexValue:
     value, _ = kronecker_integral_info(sigma, nu, params)
     return value
@@ -585,14 +574,13 @@ def kronecker_integral(
 def kronecker_closed(
     sigma: UpperHalfPoint,
     nu: Tuple[RationalLike, RationalLike],
-    params: Optional[SeriesParams] = None,
+    params: SeriesParams = DEFAULT_SERIES_PARAMS,
 ) -> ComplexValue:
     """P_2(nu_1) + (i/pi) d/dsigma E_nu(sigma); for nu in Z^2 the constant
     term becomes 1/6 - 1/(2 pi sigma2)."""
-    params = _params(params)
     sigma, nu = _sigma1_near_zero(sigma, nu)
     nu1 = _reduce_mod1(nu[0])
-    integral_nu = nu1 == 0 and Fraction(nu[1]).denominator == 1
+    integral_nu = nu1 == 0 and _fraction(nu[1]).denominator == 1
     base = float(periodic_bernoulli(2, nu1))
     if integral_nu:
         base -= 1.0 / (_TWO_PI * sigma.sigma2)
@@ -604,10 +592,9 @@ def kronecker_closed(
 # -- log Dedekind eta and transformation defects ----------------------------
 
 
-def log_eta(sigma: UpperHalfPoint, params: Optional[SeriesParams] = None) -> ComplexValue:
+def log_eta(sigma: UpperHalfPoint, params: SeriesParams = DEFAULT_SERIES_PARAMS) -> ComplexValue:
     """log eta(sigma) = pi i sigma/12 - sum_{n>0} q_sigma^n / (n (1 - q_sigma^n)),
     the sum being S2/2 at q_z = 1."""
-    params = _params(params)
     sc = sigma.as_complex()
     q_sigma = cmath.exp(2j * math.pi * sc)
     s2, _ = _q_series(_s2_term, q_sigma, 1.0, q_sigma, params, "log_eta")
@@ -618,44 +605,41 @@ def log_eta_gen(
     g: RationalLike,
     h: RationalLike,
     sigma: UpperHalfPoint,
-    params: Optional[SeriesParams] = None,
+    params: SeriesParams = DEFAULT_SERIES_PARAMS,
 ) -> ComplexValue:
     """Generalized log eta_{g,h}(sigma) for (g, h) not in Z^2, g reduced
     mod Z: pi i phi + pi i sigma P_2(g) + Log(1 - q_z) - S2 with
     z = g sigma + h, phi = -P_1(h) if g = 0 and 0 otherwise, and the
     principal Log(1 - q_z) = -sum q_z^n / n."""
-    params = _params(params)
-    g = Fraction(g)
-    h = Fraction(h)
+    g, h = _fraction(g), _fraction(h)
     if g.denominator == 1 and h.denominator == 1:
         raise DomainError("log_eta_gen is undefined at lattice points (g, h) in Z^2")
     g = _reduce_mod1(g)
     sc = sigma.as_complex()
-    q_z, ratio, one_minus_qz = _qz(sc, g, -h)
-    q_sigma = cmath.exp(2j * math.pi * sc)
+    q_sigma, q_z, ratio, one_minus_qz = _qz(sc, g, -h)
     s2, _ = _q_series(_s2_term, q_sigma, q_z, ratio, params, "log_eta_gen")
     phi = -float(periodic_bernoulli(1, h)) if g == 0 else 0.0
     total = 1j * math.pi * phi + 1j * math.pi * sc * float(periodic_bernoulli(2, g))
     return ComplexValue.from_complex(total + cmath.log(one_minus_qz) - s2)
 
 
+def _dlog_eta(M: SL2ZMatrix, sigma: UpperHalfPoint, params: SeriesParams) -> complex:
+    """log eta(M^op sigma) - log eta(sigma)."""
+    return log_eta(moebius_op_action(M, sigma), params).as_complex() - log_eta(sigma, params).as_complex()
+
+
 def transform_defect(
-    M: SL2ZMatrix, sigma: UpperHalfPoint, params: Optional[SeriesParams] = None
+    M: SL2ZMatrix, sigma: UpperHalfPoint, params: SeriesParams = DEFAULT_SERIES_PARAMS
 ) -> ComplexValue:
     """LHS - RHS of the classical transformation law
 
     log eta(M^op sigma) - log eta(sigma)
       = (1/2) Log((c sigma + a)/(sgn(c) i)) + pi i ((a+d)/(12c) - sgn(c) s(a,c)).
     """
-    params = _params(params)
     if M.c == 0:
         raise DomainError("transform_defect requires c != 0")
-    sc = sigma.as_complex()
-    lhs = (
-        log_eta(moebius_op_action(M, sigma), params).as_complex()
-        - log_eta(sigma, params).as_complex()
-    )
-    arg = (M.c * sc + M.a) / (sgn(M.c) * 1j)
+    lhs = _dlog_eta(M, sigma, params)
+    arg = (M.c * sigma.as_complex() + M.a) / (sgn(M.c) * 1j)
     assert arg.real > 0  # off the branch cut whenever sigma2 > 0
     rhs = 0.5 * cmath.log(arg) + 1j * math.pi * float(
         Fraction(M.a + M.d, 12 * M.c) - sgn(M.c) * classical_sum(M.a, M.c)
@@ -668,7 +652,7 @@ def transform_defect_gen(
     g: RationalLike,
     h: RationalLike,
     sigma: UpperHalfPoint,
-    params: Optional[SeriesParams] = None,
+    params: SeriesParams = DEFAULT_SERIES_PARAMS,
 ) -> ComplexValue:
     """LHS - RHS of the generalized transformation law with
     (g', h') = (a g - c h, -b g + d h):
@@ -676,11 +660,9 @@ def transform_defect_gen(
     log eta_{g',h'}(M^op sigma) - log eta_{g,h}(sigma)
       = pi i ((a/c) P_2(g) + (d/c) P_2(g') - 2 sgn(c) s_{g',h'}(d, c)).
     """
-    params = _params(params)
     if M.c == 0:
         raise DomainError("transform_defect_gen requires c != 0")
-    g = Fraction(g)
-    h = Fraction(h)
+    g, h = _fraction(g), _fraction(h)
     if g.denominator == 1 and h.denominator == 1:
         raise DomainError("transform_defect_gen requires (g, h) not in Z^2")
     gp = M.a * g - M.c * h
@@ -741,12 +723,11 @@ def torus_spectrum(
 def rho_form_hyp_numeric(
     M: SL2ZMatrix,
     nu: Tuple[RationalLike, RationalLike],
-    params: Optional[SeriesParams] = None,
+    params: SeriesParams = DEFAULT_SERIES_PARAMS,
 ) -> float:
     """Eta-form integral along the invariant path, via the primitive
     (1/pi) Re[pi sigma P_2(nu_1) + i E_nu(sigma)] evaluated between
     sigma(0) and sigma(1)."""
-    params = _params(params)
     if not isinstance(classify(M), Hyperbolic):
         raise UnsupportedClassError("rho_form_hyp_numeric requires a hyperbolic matrix")
     conn = connection_from_nu(M, nu)
@@ -762,20 +743,15 @@ def rho_form_hyp_numeric(
     return primitive(1.0) - primitive(0.0)
 
 
-def eta_untwisted_numeric(M: SL2ZMatrix, params: Optional[SeriesParams] = None) -> float:
+def eta_untwisted_numeric(M: SL2ZMatrix, params: SeriesParams = DEFAULT_SERIES_PARAMS) -> float:
     """Untwisted Eta from the boundary log-eta term and the arc integral
     (1/2 pi) int_0^1 sigma1'/sigma2 dt along the invariant path.  There
     sigma1'/sigma2 = sgn(alpha - beta) 2L/cosh(2Lt) with L = log|kappa|, so
     int_0^1 sigma1'/sigma2 dt = sgn(alpha - beta) 2 atan(tanh L)."""
-    params = _params(params)
     cls = classify(M)
     if not isinstance(cls, Hyperbolic):
         raise UnsupportedClassError("eta_untwisted_numeric requires a hyperbolic matrix")
-    sigma0 = invariant_path_sigma(M, 0.0)
-    dlog = (
-        log_eta(moebius_op_action(M, sigma0), params).as_complex()
-        - log_eta(sigma0, params).as_complex()
-    )
+    dlog = _dlog_eta(M, invariant_path_sigma(M, 0.0), params)
     big_l = math.log(abs(cls.kappa))
     arc = math.copysign(2.0 * math.atan(math.tanh(big_l)), cls.alpha - cls.beta)
     return 2.0 * ((2.0 / math.pi) * dlog.imag - arc / _TWO_PI)

@@ -3,7 +3,10 @@
 Everything in this module is exact: inputs are integers or
 `fractions.Fraction`, outputs are `Fraction`, each built once from an
 integer numerator and denominator.  Float approximations of the same
-quantities live in the numerical layer, never here.
+quantities live in the numerical layer, never here.  One rule for
+rational input holds in the whole exact layer, :func:`_fraction`'s: a
+Fraction or an int that is not a bool; a float, bool, string or
+anything else raises DomainError.
 
 Conventions.  Bernoulli numbers use B_1 = -1/2, so
 
@@ -44,8 +47,15 @@ def sgn(x) -> int:
 
 
 def _fraction(x: RationalLike) -> Fraction:
-    """x as a Fraction: a Fraction as it is, since Fraction(x) would copy it."""
-    return x if type(x) is Fraction else Fraction(x)
+    """x as a Fraction: a Fraction as it is, since Fraction(x) would copy
+    it, and an int that is not a bool converted.  Raises DomainError for
+    anything else: a float or a string would pass Fraction() inexactly or
+    by parsing, and a bool is not a number here."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is int or isinstance(x, Fraction):
+        return Fraction(x)
+    raise DomainError(f"expected a Fraction or an int, got {x!r}")
 
 
 def _reduce_mod1(x: RationalLike) -> Fraction:
@@ -100,7 +110,7 @@ def bernoulli_poly(n: int, x: RationalLike) -> Fraction:
     """
     if n < 0:
         raise DomainError("bernoulli_poly requires n >= 0")
-    x = Fraction(x)
+    x = _fraction(x)
     return Fraction(*_poly_num(n, x.numerator, x.denominator))
 
 
@@ -127,7 +137,7 @@ def hurwitz_zeta_nonpos(n: int, q: RationalLike) -> Fraction:
     """
     if n < 0:
         raise DomainError("hurwitz_zeta_nonpos requires n >= 0")
-    q = Fraction(q)
+    q = _fraction(q)
     if not 0 < q <= 1:
         raise DomainError("hurwitz_zeta_nonpos requires 0 < q <= 1")
     return -bernoulli_poly(n + 1, q) / (n + 1)
@@ -144,7 +154,7 @@ def periodic_zeta_at(s0: int, q: RationalLike) -> Fraction:
     At s0 = 0 the value is 0 for q not an integer and -1 for integer q;
     at s0 = -1 it is -P_2(q).  Other evaluation points are not supported.
     """
-    q = Fraction(q)
+    q = _fraction(q)
     if s0 == 0:
         return Fraction(-1) if q.denominator == 1 else Fraction(0)
     if s0 == -1:

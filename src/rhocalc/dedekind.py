@@ -281,8 +281,7 @@ def p1_closed_fourier(
         otherwise:      sgn(c)/2 * (i cot(pi d p / c) - [x' not in Z]) * xi^{d floor(x') p}
     """
     pair = CoprimePair(a, c)
-    x = Fraction(x)
-    y = Fraction(y)
+    x, y = _fraction(x), _fraction(y)
     xp = a * x + c * y
     sign = 1.0 if c > 0 else -1.0
     if p % abs(c) == 0:

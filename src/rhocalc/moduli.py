@@ -32,7 +32,7 @@ from math import gcd
 from typing import List, Optional, Tuple
 
 from ._record import Record
-from .bernoulli import RationalLike, _reduce_mod1
+from .bernoulli import RationalLike, _fraction, _reduce_mod1
 from .errors import AdmissibilityError, DomainError, UnsupportedClassError
 from .sl2z import Identity, Parabolic, SL2ZMatrix, classify, parabolic_normal_form
 
@@ -71,17 +71,13 @@ def _admissible_m(M: SL2ZMatrix, n1: int, n2: int, den: int) -> Tuple[int, int]:
     return m1, m2
 
 
-def _is_rational(v) -> bool:
-    """Is v a Fraction or an int (not a bool, float or string)?"""
-    return isinstance(v, Fraction) or type(v) is int
-
-
 class TorusFlatConnection(Record):
     """A gauge class of flat U(1) connections on the mapping torus of M.
 
-    Data: the twist nu, a pair of Fractions or ints in [0,1)^2; the
-    integer pair m; and the gauge phase lambda, a Fraction or int in
-    [0, 1) that only a class with nu = 0 carries.  Derived:
+    Data: the twist nu, a pair of Fractions in [0,1)^2; the integer pair
+    m; and the gauge phase lambda, a Fraction in [0, 1) that only a class
+    with nu = 0 carries.  nu and lambda may be given as ints, and nu and m
+    as any pair; they are stored as Fractions and tuples.  Derived:
     restriction_trivial, set from nu (nu = 0).  The constructor checks
     what it can without M.  Whether m = (Id - M^t) nu is checked where M
     is known: by connection_from_nu, which computes m, and on entry to
@@ -100,8 +96,8 @@ class TorusFlatConnection(Record):
             nu1, nu2 = nu
         except (TypeError, ValueError):
             raise DomainError(f"TorusFlatConnection requires nu to be a pair, got {nu!r}") from None
-        if not all(map(_is_rational, nu)):
-            raise DomainError(f"TorusFlatConnection requires nu to be a pair of Fractions or ints, got {nu!r}")
+        nu1, nu2 = _fraction(nu1), _fraction(nu2)
+        m = tuple(m)
         if tuple(map(type, m)) != (int, int):
             raise DomainError(f"TorusFlatConnection requires m to be a pair of ints, got {m!r}")
         # 0 <= nu_i < 1 in integers: Fraction comparisons cost more
@@ -109,13 +105,12 @@ class TorusFlatConnection(Record):
             raise DomainError(f"TorusFlatConnection requires nu in [0, 1)^2, got ({nu1}, {nu2})")
         trivial = nu1 == 0 and nu2 == 0
         if gauge_lambda is not None:
-            if not (_is_rational(gauge_lambda) and 0 <= gauge_lambda < 1):
-                raise DomainError(
-                    f"TorusFlatConnection requires lambda to be a Fraction or int in [0, 1), got {gauge_lambda!r}"
-                )
+            gauge_lambda = _fraction(gauge_lambda)
+            if not 0 <= gauge_lambda < 1:
+                raise DomainError(f"TorusFlatConnection requires lambda in [0, 1), got {gauge_lambda}")
             if not trivial:
                 raise DomainError("gauge phase lambda is only defined when nu is integral")
-        self.__dict__.update(nu=nu, m=m, gauge_lambda=gauge_lambda, restriction_trivial=trivial)
+        self.__dict__.update(nu=(nu1, nu2), m=m, gauge_lambda=gauge_lambda, restriction_trivial=trivial)
 
 
 class CircleFlatConnection(Record):
@@ -131,6 +126,8 @@ class CircleFlatConnection(Record):
     is_trivial: bool
 
     def __init__(self, degree_l: int, chern_k: int, is_trivial: bool = False) -> None:
+        if not type(degree_l) is type(chern_k) is int:
+            raise DomainError(f"CircleFlatConnection requires int l and k, got {degree_l!r}, {chern_k!r}")
         if degree_l != 0 and is_trivial and chern_k % degree_l != 0:
             raise DomainError(
                 "CircleFlatConnection cannot be trivial with fractional q = k/l"
@@ -205,8 +202,6 @@ def connection_from_nu(
         nu1, nu2 = nu
     except (TypeError, ValueError):
         raise DomainError(f"connection_from_nu requires nu to be a pair, got {nu!r}") from None
-    if not all(_is_rational(v) for v in (nu1, nu2, gauge_lambda) if v is not None):
-        raise DomainError(f"connection_from_nu requires Fraction or int nu and lambda, got {nu!r}, {gauge_lambda!r}")
     nu1, nu2 = _reduce_mod1(nu1), _reduce_mod1(nu2)
     q1, q2 = nu1.denominator, nu2.denominator
     return TorusFlatConnection(
@@ -283,7 +278,7 @@ def transport_nu_from_normal_form(
     """Transport nu' from the normal-form coordinates of parabolic M back to
     M's: with g the conjugator (g^{-1} M g = N the normal form), constant
     1-forms pull back through the transpose, so nu = g^{-t} nu' mod Z^2."""
-    (p1, q1), (p2, q2) = (Fraction(v).as_integer_ratio() for v in nu_prime)
+    (p1, q1), (p2, q2) = (_fraction(v).as_integer_ratio() for v in nu_prime)
     den = q1 * q2
     n1, n2 = _from_normal_form(parabolic_normal_form(M)[2], p1 * q2, p2 * q1, den)
     return Fraction(n1, den), Fraction(n2, den)

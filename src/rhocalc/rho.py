@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from ._record import Record
-from .bernoulli import RationalLike, _reduce_mod1, periodic_bernoulli, sgn
+from .bernoulli import RationalLike, _fraction, _reduce_mod1, periodic_bernoulli, sgn
 from .dedekind import _classical_num, _difference_num, _generalized_num, classical_sum
 from .errors import DomainError, UnsupportedClassError
 from .moduli import CircleFlatConnection, TorusFlatConnection, _admissible_m
@@ -99,9 +99,9 @@ class EigenphaseData(Record):
         rank_k: int,
     ) -> None:
         self.__dict__.update(
-            plus_phases=tuple(map(Fraction, plus_phases)),
-            minus_phases=tuple(map(Fraction, minus_phases)),
-            untwisted_plus_phases=tuple(map(Fraction, untwisted_plus_phases)),
+            plus_phases=tuple(map(_fraction, plus_phases)),
+            minus_phases=tuple(map(_fraction, minus_phases)),
+            untwisted_plus_phases=tuple(map(_fraction, untwisted_plus_phases)),
             rank_k=rank_k,
         )
         for name in ("plus_phases", "minus_phases", "untwisted_plus_phases"):
@@ -111,7 +111,7 @@ class EigenphaseData(Record):
             raise DomainError(
                 "eigenphase data requires equally many plus and minus phases"
             )
-        if rank_k < 1:
+        if type(rank_k) is not int or rank_k < 1:
             raise DomainError("rank_k must be a positive integer")
 
 

@@ -47,6 +47,8 @@ class SL2ZMatrix(Record):
     d: int
 
     def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        if not type(a) is type(b) is type(c) is type(d) is int:
+            raise DomainError(f"SL2ZMatrix requires int entries, got {(a, b, c, d)!r}")
         if a * d - b * c != 1:
             raise DomainError("SL2ZMatrix requires determinant ad - bc = 1")
         self.__dict__.update(a=a, b=b, c=c, d=d)

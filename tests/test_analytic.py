@@ -8,6 +8,7 @@ draws are seeded.  Exact oracles come from the rational modules.
 from __future__ import annotations
 
 import cmath
+import inspect
 import math
 import random
 import subprocess
@@ -316,6 +317,22 @@ class TestSeriesParams:
                 with pytest.raises(DomainError):
                     SeriesParams(**{name: bad})
 
+    def test_every_entry_point_defaults_to_the_shared_params(self):
+        # the default is stated in the signature, not resolved from None in the body
+        signatures = {
+            name: inspect.signature(value)
+            for name, value in vars(analytic).items()
+            if name in analytic.__all__ and inspect.isfunction(value)
+        }
+        defaults = {
+            name: sig.parameters["params"].default for name, sig in signatures.items() if "params" in sig.parameters
+        }
+        assert set(signatures) - set(defaults) == {"torus_spectrum"}
+        assert all(d is analytic.DEFAULT_SERIES_PARAMS for d in defaults.values()), defaults
+
+    def test_e_series_has_one_method(self):
+        assert "method" not in inspect.signature(e_series).parameters
+
 
 class TestComplexValue:
     def test_round_trip(self):
@@ -338,8 +355,8 @@ class TestESeries:
     def test_methods_agree(self):
         for nu in [(F(1, 2), F(1, 2)), (F(1, 3), F(2, 3)), (F(0), F(1, 2)), (F(1, 5), F(0))]:
             for sp in (SIGMA_I, UpperHalfPoint(0.3, 0.7), UpperHalfPoint(-0.4, 1.8)):
-                a = e_series(sp, nu, method="cotangent").as_complex()
-                b = e_series(sp, nu, method="double-sum").as_complex()
+                a = e_series(sp, nu).as_complex()
+                b = e_series_with_count(sp, nu, method="double-sum")[0].as_complex()
                 assert abs(a - b) < 1e-11, (nu, sp)
 
     def test_nu1_reduction(self):
@@ -361,8 +378,8 @@ class TestESeries:
     @pytest.mark.parametrize(
         "series",
         [
-            lambda sp, nu, p: e_series(sp, nu, p, method="cotangent"),
-            lambda sp, nu, p: e_series(sp, nu, p, method="double-sum"),
+            lambda sp, nu, p: e_series(sp, nu, p),
+            lambda sp, nu, p: e_series_with_count(sp, nu, p, method="double-sum"),
             lambda sp, nu, p: _e_series_dsigma(sp, nu, p),
             lambda sp, nu, p: log_eta_gen(nu[0], -nu[1], sp, p),
             lambda sp, nu, p: log_eta(sp, p),
@@ -379,8 +396,8 @@ class TestESeries:
         for s2, nu1, want_cot, want_dbl, want_ds, want_gen in E_SERIES_PINS:
             sp, nu = UpperHalfPoint(0.3, s2), (nu1, F(1, 3))
             for got, want in (
-                (e_series(sp, nu, method="cotangent").as_complex(), want_cot),
-                (e_series(sp, nu, method="double-sum").as_complex(), want_dbl),
+                (e_series(sp, nu).as_complex(), want_cot),
+                (e_series_with_count(sp, nu, method="double-sum")[0].as_complex(), want_dbl),
                 (_e_series_dsigma(sp, nu, SeriesParams())[0], want_ds),
                 (log_eta_gen(nu[0], -nu[1], sp).as_complex(), want_gen),
             ):
@@ -402,7 +419,7 @@ class TestESeries:
 
     def test_unknown_method_rejected(self):
         with pytest.raises(DomainError):
-            e_series(SIGMA_I, (F(1, 2), F(1, 2)), method="magic")
+            e_series_with_count(SIGMA_I, (F(1, 2), F(1, 2)), method="magic")
 
 
 def scalar_q_series(term, q_sigma, q_z, ratio_r, params, what, total=0j):

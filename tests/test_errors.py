@@ -1,0 +1,144 @@
+"""Documented error branches and the input rules of the exact layer.
+
+Each precondition a docstring names raises the package's error for it:
+one table row per branch, each row the smallest input that violates that
+precondition alone.  The exact layer takes rational input as a Fraction
+or an int that is not a bool, and integer data (matrix entries, a circle
+bundle's l and k, a rank) as an int that is not a bool; anything else
+raises DomainError before any value is computed.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+
+from rhocalc import (
+    CircleFlatConnection,
+    ConvergenceError,
+    DomainError,
+    EigenphaseData,
+    PeriodicFunctionTable,
+    QuadratureError,
+    SeriesParams,
+    SL2ZMatrix,
+    UnsupportedClassError,
+    UpperHalfPoint,
+    bernoulli_poly,
+    classical_sum,
+    connection_from_nu,
+    e_series,
+    enumerate_torus_connections,
+    eta_untwisted_numeric,
+    generalized_sum,
+    log_eta_gen,
+    periodic_bernoulli,
+    rho_hyperbolic_prep,
+    sum_difference_closed,
+    torus_spectrum,
+    transform_defect_gen,
+)
+from rhocalc._quadrature import gauss_kronrod
+from rhocalc.analytic import e_series_with_count
+
+SIGMA_I = UpperHalfPoint(0.0, 1.0)
+S = SL2ZMatrix(0, -1, 1, 0)  # elliptic
+T = SL2ZMatrix(1, 1, 0, 1)  # parabolic, c = 0
+HYP = SL2ZMatrix(3, 2, 4, 3)
+
+
+def _double_sum(sigma2: float, max_terms: int):
+    # nu1 = 0 skips the single sum, so the nested sum meets the cap first
+    return e_series_with_count(
+        UpperHalfPoint(0.0, sigma2), (F(0), F(1, 3)), SeriesParams(max_terms=max_terms), method="double-sum"
+    )
+
+
+DOCUMENTED_BRANCHES = [
+    # analytic
+    pytest.param(lambda: _double_sum(1.0, 8), ConvergenceError, "double sum", id="e_series-double-sum-outer-cap"),
+    pytest.param(lambda: _double_sum(0.05, 3), ConvergenceError, "inner sum", id="e_series-double-sum-inner-cap"),
+    pytest.param(lambda: transform_defect_gen(HYP, 1, 0, SIGMA_I), DomainError, "not in Z", id="transform_defect_gen-lattice-point"),
+    pytest.param(lambda: torus_spectrum(SIGMA_I, (F(1, 2), 0), -1), DomainError, "nonnegative", id="torus_spectrum-negative-norm"),
+    pytest.param(lambda: eta_untwisted_numeric(T), UnsupportedClassError, "hyperbolic", id="eta_untwisted_numeric-parabolic"),
+    # _quadrature
+    pytest.param(
+        lambda: gauss_kronrod(lambda u: np.full(u.shape, np.nan), 0.0, 1.0, 1e-9, 1e-12),
+        QuadratureError,
+        "not finite",
+        id="gauss_kronrod-nan-integrand",
+    ),
+    # bernoulli
+    pytest.param(lambda: bernoulli_poly(-1, 0), DomainError, "n >= 0", id="bernoulli_poly-negative-n"),
+    # dedekind
+    pytest.param(lambda: PeriodicFunctionTable(0, ()), DomainError, "c != 0", id="PeriodicFunctionTable-zero-c"),
+    pytest.param(lambda: PeriodicFunctionTable(3, (1, 2)), DomainError, "exactly", id="PeriodicFunctionTable-wrong-length"),
+    pytest.param(lambda: classical_sum(1, 0), DomainError, "nonzero modulus", id="classical_sum-zero-c"),
+    pytest.param(lambda: generalized_sum(F(1, 2), 0, 1, 0), DomainError, "nonzero modulus", id="generalized_sum-zero-c"),
+    pytest.param(lambda: generalized_sum(F(1, 2), 0, 2, 4), DomainError, "gcd", id="generalized_sum-not-coprime"),
+    pytest.param(lambda: sum_difference_closed(0, 0, T), DomainError, "c != 0", id="sum_difference_closed-zero-c"),
+    # moduli
+    pytest.param(lambda: enumerate_torus_connections(SL2ZMatrix(1, 0, 0, 1)), UnsupportedClassError, "Id", id="enumerate-identity"),
+    pytest.param(lambda: enumerate_torus_connections(SL2ZMatrix(-1, 0, 0, -1)), UnsupportedClassError, "Id", id="enumerate-minus-identity"),
+    # rho
+    pytest.param(lambda: EigenphaseData([], [], [], 0), DomainError, "rank_k", id="EigenphaseData-rank-zero"),
+    pytest.param(
+        lambda: rho_hyperbolic_prep(S, connection_from_nu(S, (F(1, 2), F(1, 2)))),
+        UnsupportedClassError,
+        "hyperbolic",
+        id="rho_hyperbolic_prep-elliptic",
+    ),
+]
+
+
+@pytest.mark.parametrize("call,error,match", DOCUMENTED_BRANCHES)
+def test_documented_error_branch(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+NOT_RATIONAL = [
+    pytest.param(lambda: generalized_sum(0.1, 0, 3, 7), id="generalized_sum-float"),
+    pytest.param(lambda: generalized_sum("1/2", 0, 3, 7), id="generalized_sum-str"),
+    pytest.param(lambda: generalized_sum(F(1, 2), True, 3, 7), id="generalized_sum-bool"),
+    pytest.param(lambda: periodic_bernoulli(2, "1/3"), id="periodic_bernoulli-str"),
+    pytest.param(lambda: bernoulli_poly(2, 0.5), id="bernoulli_poly-float"),
+    pytest.param(lambda: sum_difference_closed(0.5, 0.5, HYP), id="sum_difference_closed-float"),
+    pytest.param(lambda: EigenphaseData(["1/4"], ["1/2"], [], 1), id="EigenphaseData-str-phases"),
+    pytest.param(lambda: EigenphaseData([0.25], [F(1, 2)], [], 1), id="EigenphaseData-float-phase"),
+    # the float layer reduces nu by the same rule
+    pytest.param(lambda: e_series(SIGMA_I, (0.5, F(1, 3))), id="e_series-float-nu"),
+    pytest.param(lambda: log_eta_gen(F(1, 2), 0.5, SIGMA_I), id="log_eta_gen-float-h"),
+]
+
+
+@pytest.mark.parametrize("call", NOT_RATIONAL)
+def test_rational_input_is_a_fraction_or_an_int(call):
+    with pytest.raises(DomainError, match="Fraction or an int"):
+        call()
+
+
+NOT_INT = [
+    pytest.param(lambda: SL2ZMatrix(2.0, 1, 1, 1), id="SL2ZMatrix-float"),
+    pytest.param(lambda: SL2ZMatrix(True, 0, 0, True), id="SL2ZMatrix-bool"),
+    pytest.param(lambda: SL2ZMatrix(1, F(0), 0, 1), id="SL2ZMatrix-fraction"),
+    pytest.param(lambda: CircleFlatConnection(3, 1.5), id="CircleFlatConnection-float-k"),
+    pytest.param(lambda: CircleFlatConnection(True, 0), id="CircleFlatConnection-bool-l"),
+    pytest.param(lambda: EigenphaseData([], [], [F(1, 4)], 1.5), id="EigenphaseData-float-rank"),
+    pytest.param(lambda: EigenphaseData([], [], [F(1, 4)], True), id="EigenphaseData-bool-rank"),
+]
+
+
+@pytest.mark.parametrize("call", NOT_INT)
+def test_integer_data_is_an_int(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_ints_and_fractions_still_accepted():
+    assert generalized_sum(0, F(1, 2), 3, 7) == generalized_sum(F(0), F(1, 2), 3, 7)
+    assert periodic_bernoulli(2, 1) == F(1, 6)
+    assert EigenphaseData([0], [F(1, 2)], [], 1).plus_phases == (F(0),)
+    assert CircleFlatConnection(3, 1).q == F(1, 3)

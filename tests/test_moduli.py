@@ -306,6 +306,13 @@ class TestTorusFlatConnection:
         conn = TorusFlatConnection((0, 0), (0, 0))
         assert conn.nu == (F(0), F(0))
 
+    def test_list_built_record_equals_and_hashes_like_tuple_built(self):
+        from_lists = TorusFlatConnection([F(1, 2), F(0)], [0, 0])
+        from_tuples = TorusFlatConnection((F(1, 2), F(0)), (0, 0))
+        assert from_lists == from_tuples
+        assert hash(from_lists) == hash(from_tuples)
+        assert from_lists.nu == (F(1, 2), F(0)) and from_lists.m == (0, 0)
+
     @pytest.mark.parametrize("nu", [(0, F(1, 2)), (F(99, 100), 0), (F(0), 0)])
     def test_accepts_mixed_int_and_fraction_nu(self, nu):
         assert TorusFlatConnection(nu, (0, 0)).nu == nu
