@@ -6,7 +6,8 @@ integer numerator and denominator.  Float approximations of the same
 quantities live in the numerical layer, never here.  One rule for
 rational input holds in the whole exact layer, :func:`_fraction`'s: a
 Fraction or an int that is not a bool; a float, bool, string or
-anything else raises DomainError.
+anything else raises DomainError.  Integer data (a modulus, a matrix
+entry, a degree) follows :func:`_require_ints`: an int that is not a bool.
 
 Conventions.  Bernoulli numbers use B_1 = -1/2, so
 
@@ -56,6 +57,13 @@ def _fraction(x: RationalLike) -> Fraction:
     if type(x) is int or isinstance(x, Fraction):
         return Fraction(x)
     raise DomainError(f"expected a Fraction or an int, got {x!r}")
+
+
+def _require_ints(what: str, *values: object) -> None:
+    """Raise DomainError unless every value is an int that is not a bool."""
+    for v in values:
+        if type(v) is not int:
+            raise DomainError(f"{what} requires int arguments, got {v!r}")
 
 
 def _reduce_mod1(x: RationalLike) -> Fraction:

@@ -22,6 +22,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import dedekind, moduli, rho
@@ -121,7 +122,7 @@ def _entry(
 ) -> _Row:
     row: _Row = {"name": name}
     if exact is not None:
-        row["exact"] = _text(Fraction(exact))
+        row["exact"] = _text(exact if type(exact) is Fraction else Fraction(exact))
     if float_value is not None:
         try:
             row["float"] = float(float_value)
@@ -135,9 +136,52 @@ def _entry(
     return row
 
 
+#: the types that json writes as scalars
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _json(value: object, level: int = 0) -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, for dict
+    keys that are strings, written by json's C encoder (with indent set,
+    json falls back to its pure-Python encoder).
+
+    A non-empty container of scalars is one C call whose item separator
+    carries the newline and the indent.  So is a list of non-empty dicts
+    of scalars, such as the results rows: "}" + separator + "{" then
+    stands only between two rows, since a JSON string never holds a raw
+    newline, and each is widened to the row break of indent=2.
+    """
+    is_dict = isinstance(value, dict)
+    if not (is_dict or isinstance(value, (list, tuple))):
+        return json.dumps(value)
+    opening, closing = "{}" if is_dict else "[]"
+    if not value:
+        return opening + closing
+    items = value.values() if is_dict else value
+    pad, inner = "\n" + "  " * level, "\n" + "  " * (level + 1)
+    if _SCALARS.issuperset(map(type, items)):
+        text = json.dumps(value, sort_keys=True, separators=("," + inner, ": "))
+        return opening + inner + text[1:-1] + pad + closing
+    if (
+        not is_dict
+        and set(map(type, value)) == {dict}
+        and all(value)
+        and _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, value))))
+    ):
+        row = inner + "  "
+        text = json.dumps(value, sort_keys=True, separators=("," + row, ": "))
+        body = text[2:-2].replace("}," + row + "{", inner + "}," + inner + "{" + row)
+        return "[" + inner + "{" + row + body + inner + "}" + pad + "]"
+    if is_dict:
+        parts = [f"{json.dumps(k)}: {_json(v, level + 1)}" for k, v in sorted(value.items())]
+    else:
+        parts = [_json(v, level + 1) for v in value]
+    return opening + inner + ("," + inner).join(parts) + pad + closing
+
+
 def _emit(doc: Dict[str, object], as_json: bool) -> None:
     if as_json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_json(doc))
         return
     rows = doc["results"]
     print(f"{'name':<40} {'exact':<14} {'float':<24} branch")

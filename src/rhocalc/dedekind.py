@@ -35,10 +35,10 @@ from math import gcd
 from typing import Tuple
 
 from ._record import Record
-from .bernoulli import RationalLike, _fraction, periodic_bernoulli
+from .bernoulli import RationalLike, _fraction, _require_ints, periodic_bernoulli
 from .errors import DomainError
 from .moduli import _admissible_m
-from .sl2z import SL2ZMatrix
+from .sl2z import SL2ZMatrix, _inverse_mod
 
 __all__ = [
     "CoprimePair",
@@ -52,14 +52,6 @@ __all__ = [
 ]
 
 
-def _inverse_mod(a: int, c: int) -> int:
-    """Least nonnegative d with a*d = 1 (mod |c|)."""
-    m = abs(c)
-    if m == 1:
-        return 0
-    return pow(a % m, -1, m)
-
-
 class CoprimePair(Record):
     """A pair (a, c) with c != 0 and gcd(a, c) = 1; carries d = a^{-1} mod c."""
 
@@ -68,6 +60,7 @@ class CoprimePair(Record):
     d: int
 
     def __init__(self, a: int, c: int) -> None:
+        _require_ints("CoprimePair", a, c)
         if c == 0:
             raise DomainError("CoprimePair requires c != 0")
         if gcd(a, c) != 1:
@@ -140,11 +133,13 @@ def _classical_num(a: int, c: int) -> Tuple[int, int]:
 
 def classical_sum(a: int, c: int) -> Fraction:
     """Classical Dedekind sum s(a, c), exactly."""
+    _require_ints("classical_sum", a, c)
     return Fraction(*_classical_num(a, c))
 
 
 def generalized_sum(x: RationalLike, y: RationalLike, a: int, c: int) -> Fraction:
     """Generalized Dedekind sum s_{x,y}(a, c), exactly; (x, y) matters only mod Z^2."""
+    _require_ints("generalized_sum", a, c)
     return Fraction(*_generalized_num(_fraction(x), _fraction(y), a, c))
 
 
@@ -281,6 +276,7 @@ def p1_closed_fourier(
         otherwise:      sgn(c)/2 * (i cot(pi d p / c) - [x' not in Z]) * xi^{d floor(x') p}
     """
     pair = CoprimePair(a, c)
+    _require_ints("p1_closed_fourier", p)
     x, y = _fraction(x), _fraction(y)
     xp = a * x + c * y
     sign = 1.0 if c > 0 else -1.0
@@ -339,15 +335,21 @@ def sum_difference_closed(x: RationalLike, y: RationalLike, M: SL2ZMatrix) -> Fr
 
 def _difference_num(p: int, q: int, m1: int, M: SL2ZMatrix) -> Tuple[int, int]:
     """(num, den = 4 q^2 |c|) for sum_difference_closed at x = p/q in [0, 1),
-    c != 0, with m1 = x - x' the first component of (Id - M^t)(x, y)."""
-    cabs, d = abs(M.c), _inverse_mod(M.a, M.c)
+    c != 0, with m1 = x - x' the first component of (Id - M^t)(x, y).
+
+    d = a^{-1} mod |c| and the partial sawtooth sum of each residue r are
+    read from M's own cache, so the classes of one M share them."""
+    cabs, d = M._trace_c[1], M._inverse_a
     r = m1 % cabs
     # every term over the common denominator 4 q^2 |c| (x = p/q): on [0, 1)
     # P_2(x) - 1/6 = x (x - 1), and d k/|c| is integral only at k = |c|
-    n = min(cabs - r, cabs - 1)
-    # sum_{k=1}^{n} (2 (d k mod |c|) - |c|), with the residues summed as
-    # d n (n+1)/2 - |c| sum_{k<=n} floor(d k/|c|)
-    acc = d * n * (n + 1) - 2 * cabs * _floor_sum(n + 1, cabs, d, 0) - cabs * n
+    table = M._sawtooth
+    acc = table.get(r)
+    if acc is None:
+        n = min(cabs - r, cabs - 1)
+        # sum_{k=1}^{n} (2 (d k mod |c|) - |c|), with the residues summed as
+        # d n (n+1)/2 - |c| sum_{k<=n} floor(d k/|c|)
+        acc = table[r] = d * n * (n + 1) - 2 * cabs * _floor_sum(n + 1, cabs, d, 0) - cabs * n
     if q == 1:
         tail = _p1_int(d * m1, cabs)[0]
     else:

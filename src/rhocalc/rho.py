@@ -28,8 +28,8 @@ from fractions import Fraction
 from typing import Tuple
 
 from ._record import Record
-from .bernoulli import RationalLike, _fraction, _reduce_mod1, periodic_bernoulli, sgn
-from .dedekind import _classical_num, _difference_num, _generalized_num, classical_sum
+from .bernoulli import RationalLike, _fraction, _reduce_mod1, _require_ints, periodic_bernoulli, sgn
+from .dedekind import _difference_num, _generalized_num
 from .errors import DomainError, UnsupportedClassError
 from .moduli import CircleFlatConnection, TorusFlatConnection, _admissible_m
 from .sl2z import Elliptic, Hyperbolic, Identity, Parabolic, SL2ZMatrix, classify
@@ -141,6 +141,7 @@ def eta_truncated_circle(conn: CircleFlatConnection) -> Fraction:
 def dai_correction_circle(degree_l: int, connection_trivial: bool) -> int:
     """Topological correction term over a circle bundle: -sgn(l) for the
     trivial connection, 0 otherwise."""
+    _require_ints("dai_correction_circle", degree_l)
     if degree_l == 0:
         raise DomainError("dai_correction_circle requires degree l != 0")
     return -sgn(degree_l) if connection_trivial else 0
@@ -150,8 +151,9 @@ def _rho_hyperbolic(M: SL2ZMatrix, p: int, q: int, num: int, den: int) -> Fracti
     """2(a+d)/c (P_2(nu_1) - 1/6) - 4 sgn(c) num/den + sgn(c(a+d)) for
     nu_1 = p/q in [0, 1), with num/den the Dedekind-sum difference
     s_{nu_1,nu_2}(a,c) - s(a,c); one integer numerator over q^2 |c| den."""
-    tr, qqc = M.a + M.d, q * q * abs(M.c)  # P_2(p/q) - 1/6 = p(p - q)/q^2
-    top = (2 * tr * p * (p - q) * den - 4 * num * qqc) * sgn(M.c) + sgn(M.c * tr) * qqc * den
+    tr, cabs, sc, sct = M._trace_c
+    qqc = q * q * cabs  # P_2(p/q) - 1/6 = p(p - q)/q^2
+    top = (2 * tr * p * (p - q) * den - 4 * num * qqc) * sc + sct * qqc * den
     return Fraction(top, qqc * den)
 
 
@@ -236,7 +238,7 @@ def rho_hyperbolic_prep(M: SL2ZMatrix, conn: TorusFlatConnection) -> RhoValue:
         raise UnsupportedClassError("rho_hyperbolic_prep requires a hyperbolic matrix")
     _require_twisted(conn, "rho_hyperbolic_prep")
     g, dg = _generalized_num(*conn.nu, M.a, M.c)
-    k, dk = _classical_num(M.a, M.c)
+    k, dk = M._classical
     value = _rho_hyperbolic(M, p1, q1, g * dk - k * dg, dg * dk)
     return RhoValue(value, RhoBranch.HYPERBOLIC_PREP)
 
@@ -253,12 +255,9 @@ def eta_untwisted_torus(M: SL2ZMatrix) -> Fraction:
         assert M.c != 0  # elliptic trace forces c != 0
         return (4 * cls.theta - 2) * sgn(M.c)
     if isinstance(cls, Hyperbolic):
-        a, c, d = M.a, M.c, M.d
-        return (
-            Fraction(a + d, 3 * c)
-            - 4 * sgn(c) * classical_sum(a, c)
-            - sgn(c * (a + d))
-        )
+        tr, _, sc, sct = M._trace_c
+        num, den = M._classical
+        return Fraction(tr * den - 3 * M.c * (4 * sc * num + sct * den), 3 * M.c * den)
     raise UnsupportedClassError(
         "eta_untwisted_torus supports only elliptic and hyperbolic monodromy"
     )

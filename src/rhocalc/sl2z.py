@@ -6,6 +6,13 @@ Classification is exact.  The floats of a hyperbolic class (kappa, alpha,
 beta) are computed only when read, and only the invariant path and the
 numerical layer read them, so exact formulas never touch a float and
 accept entries far beyond double range.
+
+What depends only on M is computed once per matrix object, on first
+read, and kept on it: its class, with the parabolic normal form, and the
+integers that the per-class formulas of :mod:`rhocalc.dedekind` and
+:mod:`rhocalc.rho` share.  So walking the flat classes of one M costs
+one classification, not one per class.  Nothing that depends on a class
+is kept, and the cache takes no part in equality, hash or repr.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import random
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Tuple, Union
+from typing import Dict, Tuple, Union
 
 from ._record import Record
 from .errors import DomainError, UnsupportedClassError
@@ -40,7 +47,21 @@ __all__ = [
 _ELLIPTIC_THETA = {1: Fraction(1, 6), 0: Fraction(1, 4), -1: Fraction(1, 3)}
 
 
+def _inverse_mod(a: int, c: int) -> int:
+    """Least nonnegative d with a*d = 1 (mod |c|)."""
+    m = abs(c)
+    if m == 1:
+        return 0
+    return pow(a % m, -1, m)
+
+
 class SL2ZMatrix(Record):
+    """[[a, b], [c, d]] with int entries and determinant 1.
+
+    The private cached properties below hold what depends only on M; each
+    is computed on its first read, at most once per matrix object.
+    """
+
     a: int
     b: int
     c: int
@@ -65,6 +86,43 @@ class SL2ZMatrix(Record):
     def discriminant(self) -> int:
         """(tr M)^2 - 4, the classifying quantity."""
         return self.trace * self.trace - 4
+
+    @cached_property
+    def _class(self) -> MonodromyClass:
+        """The classification that :func:`classify` returns."""
+        if self.b == self.c == 0 and self.a == self.d in (1, -1):
+            return Identity(self.a)
+        disc = self.discriminant
+        if disc < 0:
+            return Elliptic(_ELLIPTIC_THETA[self.trace])
+        if disc == 0:
+            return Parabolic(*parabolic_normal_form(self))
+        return Hyperbolic(self)
+
+    @cached_property
+    def _trace_c(self) -> Tuple[int, int, int, int]:
+        """(tr M, |c|, sgn c, sgn(c tr M))."""
+        tr, c = self.a + self.d, self.c
+        return tr, abs(c), (c > 0) - (c < 0), (c * tr > 0) - (c * tr < 0)
+
+    @cached_property
+    def _inverse_a(self) -> int:
+        """a^{-1} mod |c|, least nonnegative; needs c != 0."""
+        return _inverse_mod(self.a, self.c)
+
+    @cached_property
+    def _classical(self) -> Tuple[int, int]:
+        """(num, den) with s(a, c) = num/den, the classical Dedekind sum."""
+        from .dedekind import _classical_num  # dedekind imports this module
+
+        return _classical_num(self.a, self.c)
+
+    @cached_property
+    def _sawtooth(self) -> Dict[int, int]:
+        """The closed Dedekind difference's partial sawtooth sums, keyed by
+        r = m_1 mod |c|; filled by :func:`rhocalc.dedekind._difference_num`,
+        so it holds at most min(|c|, |2 - tr M|) entries."""
+        return {}
 
     def op(self) -> "SL2ZMatrix":
         """The op-involution M -> [[d, b], [c, a]]."""
@@ -208,17 +266,10 @@ def classify(M: SL2ZMatrix) -> MonodromyClass:
     """Monodromy classification of M by the sign of (tr M)^2 - 4.
 
     Exact for every entry size.  Elliptic rotation numbers come from the
-    exact trace lookup {1: 1/6, 0: 1/4, -1: 1/3}.
+    exact trace lookup {1: 1/6, 0: 1/4, -1: 1/3}.  Computed once per
+    matrix object and kept on it, with the normal form of a parabolic M.
     """
-    if M.b == M.c == 0 and M.a == M.d in (1, -1):
-        return Identity(M.a)
-    disc = M.discriminant
-    if disc < 0:
-        return Elliptic(_ELLIPTIC_THETA[M.trace])
-    if disc == 0:
-        eps, l, conj = parabolic_normal_form(M)
-        return Parabolic(eps, l, conj)
-    return Hyperbolic(M)
+    return M._class
 
 
 def moebius_op_action(M: SL2ZMatrix, sigma: UpperHalfPoint) -> UpperHalfPoint:

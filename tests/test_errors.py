@@ -3,8 +3,9 @@
 Each precondition a docstring names raises the package's error for it:
 one table row per branch, each row the smallest input that violates that
 precondition alone.  The exact layer takes rational input as a Fraction
-or an int that is not a bool, and integer data (matrix entries, a circle
-bundle's l and k, a rank) as an int that is not a bool; anything else
+or an int that is not a bool, and integer data (matrix entries, the a and
+c of a Dedekind sum, a circle bundle's genus, l and k, a rank) as an int
+that is not a bool; anything else
 raises DomainError before any value is computed.
 """
 
@@ -18,6 +19,7 @@ import pytest
 from rhocalc import (
     CircleFlatConnection,
     ConvergenceError,
+    CoprimePair,
     DomainError,
     EigenphaseData,
     PeriodicFunctionTable,
@@ -27,8 +29,11 @@ from rhocalc import (
     UnsupportedClassError,
     UpperHalfPoint,
     bernoulli_poly,
+    circle_moduli_summary,
     classical_sum,
     connection_from_nu,
+    cotangent_sum,
+    dai_correction_circle,
     e_series,
     enumerate_torus_connections,
     eta_untwisted_numeric,
@@ -128,6 +133,16 @@ NOT_INT = [
     pytest.param(lambda: CircleFlatConnection(True, 0), id="CircleFlatConnection-bool-l"),
     pytest.param(lambda: EigenphaseData([], [], [F(1, 4)], 1.5), id="EigenphaseData-float-rank"),
     pytest.param(lambda: EigenphaseData([], [], [F(1, 4)], True), id="EigenphaseData-bool-rank"),
+    pytest.param(lambda: classical_sum(2.0, 7), id="classical_sum-float-a"),
+    pytest.param(lambda: classical_sum(True, 7), id="classical_sum-bool-a"),
+    pytest.param(lambda: classical_sum(2, 7.0), id="classical_sum-float-c"),
+    pytest.param(lambda: generalized_sum(F(1, 2), 0, 3.0, 7), id="generalized_sum-float-a"),
+    pytest.param(lambda: generalized_sum(F(1, 2), 0, 3, True), id="generalized_sum-bool-c"),
+    pytest.param(lambda: cotangent_sum(2.0, 7), id="cotangent_sum-float-a"),
+    pytest.param(lambda: CoprimePair(True, 1), id="CoprimePair-bool-a"),
+    pytest.param(lambda: dai_correction_circle(1.5, True), id="dai_correction_circle-float-l"),
+    pytest.param(lambda: circle_moduli_summary(1.5, 2), id="circle_moduli_summary-float-genus"),
+    pytest.param(lambda: circle_moduli_summary(1, 2.0), id="circle_moduli_summary-float-l"),
 ]
 
 
@@ -137,8 +152,31 @@ def test_integer_data_is_an_int(call):
         call()
 
 
+@pytest.mark.parametrize("a,c", [(2, 7), (-3, 10), (1, 1), (5, -12)])
+def test_int_rule_runs_once_per_pair(monkeypatch, a, c):
+    # one check of (a, c) per public call; the numerator forms get ints
+    import rhocalc.bernoulli
+    import rhocalc.dedekind
+
+    calls = []
+    real = rhocalc.bernoulli._require_ints
+
+    def counting(what, *values):
+        calls.append(values)
+        return real(what, *values)
+
+    monkeypatch.setattr(rhocalc.dedekind, "_require_ints", counting)
+    classical_sum(a, c)
+    generalized_sum(F(1, 3), F(1, 2), a, c)
+    assert calls == [(a, c), (a, c)]
+
+
 def test_ints_and_fractions_still_accepted():
     assert generalized_sum(0, F(1, 2), 3, 7) == generalized_sum(F(0), F(1, 2), 3, 7)
     assert periodic_bernoulli(2, 1) == F(1, 6)
     assert EigenphaseData([0], [F(1, 2)], [], 1).plus_phases == (F(0),)
     assert CircleFlatConnection(3, 1).q == F(1, 3)
+    assert classical_sum(2, 7) == F(1, 14)
+    assert CoprimePair(2, -7).d == 4
+    assert dai_correction_circle(-3, True) == 1
+    assert circle_moduli_summary(2, -3) == circle_moduli_summary(2, 3)

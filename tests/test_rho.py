@@ -40,6 +40,7 @@ from rhocalc import (
     rho_finite_order_generic,
     rho_hyperbolic_prep,
     rho_torus,
+    sum_difference_closed,
 )
 from rhocalc.bernoulli import sgn
 from test_moduli import oracle_enumerate, oracle_matrices
@@ -217,9 +218,9 @@ class TestRhoTorusParabolic:
             _, l, nu_prime = (cls.epsilon, cls.l, None)
             assert v.branch == RhoBranch.PARABOLIC
 
-    def test_normal_form_computed_once_per_call(self, monkeypatch):
-        # rho_torus moves nu with the conjugator classify returns, and the
-        # trace-2 enumeration reads l from it: one normal form each
+    def test_normal_form_computed_once_per_matrix(self, monkeypatch):
+        # the class, with its conjugator, is kept on the matrix object: the
+        # enumeration and every rho_torus call on it share one normal form
         import rhocalc.moduli
         import rhocalc.sl2z
 
@@ -230,20 +231,22 @@ class TestRhoTorusParabolic:
             calls.append(mat)
             return real(mat)
 
+        for module in (rhocalc.sl2z, rhocalc.moduli):
+            monkeypatch.setattr(module, "parabolic_normal_form", counting)
         g = SL2ZMatrix(2, 1, 1, 1)
         minus = g @ SL2ZMatrix(-1, -3, 0, -1) @ g.inverse()
         plus = g @ SL2ZMatrix(1, 3, 0, 1) @ g.inverse()
         conns = [c for c in enumerate_torus_connections(minus).isolated if not c.restriction_trivial]
         assert conns
-        for module in (rhocalc.sl2z, rhocalc.moduli):
-            monkeypatch.setattr(module, "parabolic_normal_form", counting)
         for conn in conns:
-            calls.clear()
             rho_torus(minus, conn)
-            assert len(calls) == 1
+        assert calls == [minus]
         calls.clear()
-        assert len(enumerate_torus_connections(plus).families) == 3
-        assert len(calls) == 1
+        families = enumerate_torus_connections(plus).families
+        assert len(families) == 3
+        for family in families:
+            rho_torus(plus, family.representative)
+        assert calls == [plus]
 
     def test_rejects_untwisted(self):
         mat = SL2ZMatrix(1, 3, 0, 1)
@@ -707,6 +710,109 @@ class TestTransferLaw:
                 digits = max(digits, len(str(abs(mat.c))))
         assert signs == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
         assert digits > 50
+
+
+class TestPerMatrixCache:
+    """What depends only on M (its class, |c|, the signs, a^{-1} mod |c|,
+    s(a, c), the partial sawtooth sums) is computed once per matrix object
+    and kept on it.  Nothing of that cache shows from outside, and each
+    part of it is computed at most once per matrix."""
+
+    @staticmethod
+    def matrices(seed: int, count: int):
+        rng = random.Random(seed)
+        mats = []
+        for _ in range(count):
+            base = random_hyperbolic(rng, 12)
+            mats += [base, TestTransferLaw.word_conjugate(rng, base)]
+        return mats
+
+    def test_cache_is_invisible(self):
+        signs, digits = set(), 0
+        for mat in self.matrices(20, 40):
+            entries = (mat.a, mat.b, mat.c, mat.d)
+            before = (repr(mat), hash(mat))
+            classes = enumerate_torus_connections(mat).isolated
+            assert classes == enumerate_torus_connections(SL2ZMatrix(*entries)).isolated
+            for conn in classes:
+                if conn.restriction_trivial:
+                    continue
+                nu1, nu2 = conn.nu
+                # the cached M against a fresh copy per call
+                assert rho_torus(mat, conn) == rho_torus(SL2ZMatrix(*entries), conn)
+                assert rho_hyperbolic_prep(mat, conn) == rho_hyperbolic_prep(SL2ZMatrix(*entries), conn)
+                assert chern_simons_mod1(mat, conn) == chern_simons_mod1(SL2ZMatrix(*entries), conn)
+                assert sum_difference_closed(nu1, nu2, mat) == sum_difference_closed(
+                    nu1, nu2, SL2ZMatrix(*entries)
+                )
+            assert eta_untwisted_torus(mat) == eta_untwisted_torus(SL2ZMatrix(*entries))
+            assert classify(mat) is classify(mat)
+            assert len(vars(mat)) > 4  # the cache is filled
+            copy = SL2ZMatrix(*entries)
+            assert len(vars(copy)) == 4
+            assert mat == copy and copy == mat and hash(mat) == hash(copy) and repr(mat) == repr(copy)
+            assert len({mat, copy}) == 1
+            assert (repr(mat), hash(mat)) == before
+            for name in ("a", "_class", "_sawtooth"):
+                with pytest.raises(AttributeError):
+                    setattr(mat, name, None)
+            signs.add((sgn(mat.c), sgn(mat.trace)))
+            digits = max(digits, len(str(abs(mat.c))))
+        assert signs == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+        assert digits > 50
+
+    def test_per_matrix_work_runs_once(self, monkeypatch):
+        import rhocalc.dedekind
+        import rhocalc.moduli
+        import rhocalc.rho
+        import rhocalc.sl2z
+
+        counts = {}
+        for home, name in (
+            (rhocalc.sl2z, "_inverse_mod"),
+            (rhocalc.dedekind, "_classical_num"),
+            (rhocalc.sl2z, "parabolic_normal_form"),
+        ):
+
+            def counting(*args, name=name, real=getattr(home, name)):
+                counts[name] = counts.get(name, 0) + 1
+                return real(*args)
+
+            # every module that holds the name, so no route escapes the count
+            for module in (rhocalc.sl2z, rhocalc.dedekind, rhocalc.moduli, rhocalc.rho):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting)
+        real_floor_sum = rhocalc.dedekind._floor_sum
+        floor_sums = []
+        monkeypatch.setattr(
+            rhocalc.dedekind, "_floor_sum", lambda *args: floor_sums.append(args) or real_floor_sum(*args)
+        )
+        rng = random.Random(21)
+        mats = self.matrices(22, 40)
+        mats += [random_parabolic(rng, 9, 12) for _ in range(40)]
+        mats += [SL2ZMatrix(0, -1, 1, 0), SL2ZMatrix(1, -1, 1, 0), SL2ZMatrix(-1, -1, 1, 0)]
+        seen = set()
+        for mat in mats:
+            counts.clear()
+            floor_sums.clear()
+            mod = enumerate_torus_connections(mat)
+            conns = list(mod.isolated) + [f.representative for f in mod.families]
+            hyperbolic = abs(mat.trace) > 2
+            for conn in conns:
+                if conn.restriction_trivial:
+                    continue
+                rho_torus(mat, conn)
+                chern_simons_mod1(mat, conn)
+                if hyperbolic:
+                    rho_hyperbolic_prep(mat, conn)
+                    sum_difference_closed(*conn.nu, mat)
+            if hyperbolic:
+                eta_untwisted_torus(mat)
+            classify(mat)
+            assert all(n == 1 for n in counts.values()), (mat, counts)
+            assert len(floor_sums) <= min(abs(mat.c), len(conns)), mat
+            seen.update(counts)
+        assert seen == {"_inverse_mod", "_classical_num", "parabolic_normal_form"}
 
 
 #: the exact layer's math names: integer functions only
