@@ -35,6 +35,11 @@ _ANALYTIC_NAMES = (
     "torus_spectrum",
     "rho_form_hyp_numeric",
     "eta_untwisted_numeric",
+    "moebius_op_action",
+    "invariant_path_sigma",
+    "PeriodicFunctionTable",
+    "finite_fourier_transform",
+    "p1_closed_fourier",
 )
 
 

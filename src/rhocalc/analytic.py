@@ -5,7 +5,10 @@ tying the u-integral of F_nu to the sigma-derivative of E_nu, classical
 and generalized log Dedekind-eta functions with their modular
 transformation defects, the flat-torus Laplace spectrum, and numeric
 re-derivations of the hyperbolic Eta/Rho quantities whose exact values
-the rest of the package computes in rational arithmetic.
+the rest of the package computes in rational arithmetic.  The package's
+float code lives here, the op-action of SL(2, Z) on the upper half-plane,
+the invariant path of a hyperbolic M and the finite Fourier toolkit of
+the Dedekind sums included.
 
 Conventions: sigma = sigma1 + i sigma2 with sigma2 > 0; q_sigma =
 e^{2 pi i sigma}; z = nu1 sigma - nu2 and q_z = e^{2 pi i z}.  E_nu, its
@@ -36,8 +39,8 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
 
 from ._record import Record
-from .bernoulli import RationalLike, _fraction, _reduce_mod1, periodic_bernoulli, sgn
-from .dedekind import classical_sum, generalized_sum
+from .bernoulli import RationalLike, _fraction, _reduce_mod1, _require_ints, periodic_bernoulli, sgn
+from .dedekind import CoprimePair, classical_sum, generalized_sum
 from .errors import (
     AdmissibilityError,
     ConvergenceError,
@@ -46,14 +49,7 @@ from .errors import (
     UnsupportedClassError,
 )
 from .moduli import connection_from_nu
-from .sl2z import (
-    Hyperbolic,
-    SL2ZMatrix,
-    UpperHalfPoint,
-    classify,
-    invariant_path_sigma,
-    moebius_op_action,
-)
+from .sl2z import Hyperbolic, SL2ZMatrix, UpperHalfPoint, classify
 
 __all__ = [
     "SeriesParams",
@@ -73,6 +69,11 @@ __all__ = [
     "torus_spectrum",
     "rho_form_hyp_numeric",
     "eta_untwisted_numeric",
+    "moebius_op_action",
+    "invariant_path_sigma",
+    "PeriodicFunctionTable",
+    "finite_fourier_transform",
+    "p1_closed_fourier",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -164,6 +165,55 @@ def _qz(sigma: complex, nu1: Fraction, nu2: RationalLike) -> Tuple[complex, comp
     # small |z|, and no overflow since Im z >= 0
     a, b = -_TWO_PI * z.imag, math.pi * z.real
     return q_sigma, q_z, ratio, complex(2.0 * math.sin(b) ** 2 - math.expm1(a) * math.cos(2 * b), -math.exp(a) * math.sin(2 * b))
+
+
+# -- SL(2, Z) on the upper half-plane ---------------------------------------
+
+
+def moebius_op_action(M: SL2ZMatrix, sigma: UpperHalfPoint) -> UpperHalfPoint:
+    """M^op sigma = (d sigma + b) / (c sigma + a)."""
+    z = sigma.as_complex()
+    w = (M.d * z + M.b) / (M.c * z + M.a)
+    return UpperHalfPoint(w.real, w.imag)
+
+
+def _kappa_alpha_beta(M: SL2ZMatrix) -> Tuple[float, float, float]:
+    """(kappa, alpha, beta) of a hyperbolic M.
+
+    kappa is the eigenvalue with |kappa| > 1, so the invariant path flows
+    toward the attracting fixed point; alpha and beta are the fixed points
+    (kappa - a)/c and (1/kappa - a)/c of the op-action on the real line.
+    Raises DomainError when the matrix is beyond double range.
+    """
+    tr = M.trace
+    try:
+        root = math.sqrt(M.discriminant)
+        kappa = (tr + root) / 2.0 if tr > 0 else (tr - root) / 2.0
+        kappa_inv = tr - kappa  # kappa + 1/kappa = tr, avoids cancellation
+        alpha = (kappa - M.a) / M.c
+        beta = (kappa_inv - M.a) / M.c
+    except OverflowError:  # an int too large to convert to float
+        raise DomainError("hyperbolic kappa, alpha and beta exceed double range") from None
+    return kappa, alpha, beta
+
+
+def invariant_path_sigma(M: SL2ZMatrix, t: float) -> UpperHalfPoint:
+    """The M-invariant circular path sigma(t) of a hyperbolic M.
+
+    sigma(t) = (alpha |k|^{2t} + beta |k|^{-2t} + i |alpha - beta|)
+               / (|k|^{2t} + |k|^{-2t})
+
+    traverses the half-circle over the segment [alpha, beta] and satisfies
+    M^op sigma(t) = sigma(t + 1).
+    """
+    if not isinstance(classify(M), Hyperbolic):
+        raise UnsupportedClassError("invariant_path_sigma requires a hyperbolic matrix")
+    kappa, alpha, beta = _kappa_alpha_beta(M)
+    h = math.exp(2.0 * t * math.log(abs(kappa)))
+    denom = h + 1.0 / h
+    s1 = (alpha * h + beta / h) / denom
+    s2 = abs(alpha - beta) / denom
+    return UpperHalfPoint(s1, s2)
 
 
 # -- E series ---------------------------------------------------------------
@@ -679,6 +729,72 @@ def transform_defect_gen(
     return ComplexValue.from_complex(lhs - rhs)
 
 
+# -- finite Fourier toolkit of the Dedekind sums ----------------------------
+
+
+class PeriodicFunctionTable(Record):
+    """A function on Z/|c| given by its |c| sampled complex values.
+
+    The signed modulus c is retained: the transform below uses the root
+    of unity exp(2*pi*i/c), whose orientation depends on sign(c).
+    """
+
+    c: int
+    values: Tuple[complex, ...]
+
+    def __init__(self, c: int, values: Tuple[complex, ...]) -> None:
+        if c == 0:
+            raise DomainError("PeriodicFunctionTable requires c != 0")
+        vals = tuple(complex(v) for v in values)
+        if len(vals) != abs(c):
+            raise DomainError(
+                "PeriodicFunctionTable requires exactly |c| values"
+            )
+        self.__dict__.update(c=c, values=vals)
+
+    def __call__(self, k: int) -> complex:
+        return self.values[k % abs(self.c)]
+
+
+def finite_fourier_transform(table: PeriodicFunctionTable) -> PeriodicFunctionTable:
+    """Finite Fourier transform: fhat(p) = sum_k f(k) xi^{-kp}, xi = e^{2 pi i/c}.
+
+    The sign of c is honored through xi, so tables on c and -c transform
+    with opposite orientation.
+    """
+    import numpy as np
+
+    m = abs(table.c)
+    k = np.arange(m)
+    vals = np.asarray(table.values, dtype=np.complex128)
+    xi_pow = np.exp(-2j * np.pi * np.outer(k, k) / table.c)
+    hat = xi_pow.T @ vals  # row p: sum_k f(k) xi^{-kp}
+    return PeriodicFunctionTable(table.c, tuple(hat.tolist()))
+
+
+def p1_closed_fourier(
+    x: RationalLike, y: RationalLike, a: int, c: int, p: int
+) -> complex:
+    """Closed form of the Fourier transform of k -> P_1(a(k+x)/c + y).
+
+    With x' = a x + c y, d = a^{-1} mod c and xi = exp(2 pi i / c):
+
+        p = 0 (mod c):  sgn(c) * P_1(x')
+        otherwise:      sgn(c)/2 * (i cot(pi d p / c) - [x' not in Z]) * xi^{d floor(x') p}
+    """
+    pair = CoprimePair(a, c)
+    _require_ints("p1_closed_fourier", p)
+    x, y = _fraction(x), _fraction(y)
+    xp = a * x + c * y
+    sign = 1.0 if c > 0 else -1.0
+    if p % abs(c) == 0:
+        return complex(sign * float(periodic_bernoulli(1, xp)))
+    delta = 0.0 if xp.denominator == 1 else 1.0
+    cot = 1.0 / math.tan(math.pi * pair.d * p / c)
+    phase = cmath.exp(2j * math.pi * pair.d * math.floor(xp) * p / c)
+    return sign * 0.5 * (1j * cot - delta) * phase
+
+
 # -- spectrum ---------------------------------------------------------------
 
 
@@ -748,10 +864,10 @@ def eta_untwisted_numeric(M: SL2ZMatrix, params: SeriesParams = DEFAULT_SERIES_P
     (1/2 pi) int_0^1 sigma1'/sigma2 dt along the invariant path.  There
     sigma1'/sigma2 = sgn(alpha - beta) 2L/cosh(2Lt) with L = log|kappa|, so
     int_0^1 sigma1'/sigma2 dt = sgn(alpha - beta) 2 atan(tanh L)."""
-    cls = classify(M)
-    if not isinstance(cls, Hyperbolic):
+    if not isinstance(classify(M), Hyperbolic):
         raise UnsupportedClassError("eta_untwisted_numeric requires a hyperbolic matrix")
     dlog = _dlog_eta(M, invariant_path_sigma(M, 0.0), params)
-    big_l = math.log(abs(cls.kappa))
-    arc = math.copysign(2.0 * math.atan(math.tanh(big_l)), cls.alpha - cls.beta)
+    kappa, alpha, beta = _kappa_alpha_beta(M)
+    big_l = math.log(abs(kappa))
+    arc = math.copysign(2.0 * math.atan(math.tanh(big_l)), alpha - beta)
     return 2.0 * ((2.0 / math.pi) * dlog.imag - arc / _TWO_PI)

@@ -7,7 +7,8 @@ quantities live in the numerical layer, never here.  One rule for
 rational input holds in the whole exact layer, :func:`_fraction`'s: a
 Fraction or an int that is not a bool; a float, bool, string or
 anything else raises DomainError.  Integer data (a modulus, a matrix
-entry, a degree) follows :func:`_require_ints`: an int that is not a bool.
+entry, a degree) follows :func:`_require_ints`: an int that is not a bool;
+a flag is a bool.
 
 Conventions.  Bernoulli numbers use B_1 = -1/2, so
 
@@ -28,7 +29,6 @@ from typing import Tuple, Union
 from .errors import DomainError
 
 __all__ = [
-    "Rational",
     "RationalLike",
     "bernoulli_number",
     "bernoulli_poly",
@@ -38,7 +38,6 @@ __all__ = [
     "periodic_zeta_at",
 ]
 
-Rational = Fraction
 RationalLike = Union[Fraction, int]
 
 

@@ -1,5 +1,4 @@
-"""Classical and generalized Dedekind sums, exactly, plus their finite
-Fourier toolkit.
+"""Classical and generalized Dedekind sums, exactly.
 
 The three exact sums have private numerator forms (_classical_num,
 _generalized_num, _difference_num) that work in integers over one common
@@ -12,10 +11,11 @@ sums, Acta Arith. 9, 1964); the closed difference counts its partial
 sawtooth sum with a floor sum instead.  So the two hyperbolic rho routes
 of :mod:`rhocalc.rho` share no sum code.  The public sums build one
 Fraction from the numerator forms; :mod:`rhocalc.rho` assembles the
-pairs in integers.  The module owns every Dedekind-type sum.
-Float paths (cotangent formula, discrete Fourier transforms) are strictly
-separate and never feed back into exact results; they import numpy
-themselves, so the exact sums run without it.
+pairs in integers.  The module owns every exact Dedekind-type sum; their
+finite Fourier toolkit is float code and lives in :mod:`rhocalc.analytic`.
+Only :func:`cotangent_sum` and its table stay here, as the benchmark
+harness reads ``rhocalc.dedekind.cotangent_sum``; they import numpy
+themselves, and a test exempts them by name from the no-float rule.
 
 Notation.  P_1 is the sawtooth from :mod:`rhocalc.bernoulli`,
 
@@ -27,27 +27,22 @@ and d denotes the inverse of a modulo c, least nonnegative residue.
 
 from __future__ import annotations
 
-import cmath
-import math
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import Tuple
 
 from ._record import Record
-from .bernoulli import RationalLike, _fraction, _require_ints, periodic_bernoulli
+from .bernoulli import RationalLike, _fraction, _require_ints
 from .errors import DomainError
 from .moduli import _admissible_m
 from .sl2z import SL2ZMatrix, _inverse_mod
 
 __all__ = [
     "CoprimePair",
-    "PeriodicFunctionTable",
     "classical_sum",
     "generalized_sum",
     "cotangent_sum",
-    "finite_fourier_transform",
-    "p1_closed_fourier",
     "sum_difference_closed",
 ]
 
@@ -66,30 +61,6 @@ class CoprimePair(Record):
         if gcd(a, c) != 1:
             raise DomainError("CoprimePair requires gcd(a, c) = 1")
         self.__dict__.update(a=a, c=c, d=_inverse_mod(a, c))
-
-
-class PeriodicFunctionTable(Record):
-    """A function on Z/|c| given by its |c| sampled complex values.
-
-    The signed modulus c is retained: the transform below uses the root
-    of unity exp(2*pi*i/c), whose orientation depends on sign(c).
-    """
-
-    c: int
-    values: Tuple[complex, ...]
-
-    def __init__(self, c: int, values: Tuple[complex, ...]) -> None:
-        if c == 0:
-            raise DomainError("PeriodicFunctionTable requires c != 0")
-        vals = tuple(complex(v) for v in values)
-        if len(vals) != abs(c):
-            raise DomainError(
-                "PeriodicFunctionTable requires exactly |c| values"
-            )
-        self.__dict__.update(c=c, values=vals)
-
-    def __call__(self, k: int) -> complex:
-        return self.values[k % abs(self.c)]
 
 
 def _p1_int(n: int, den: int) -> Tuple[int, bool]:
@@ -247,45 +218,6 @@ def cotangent_sum(a: int, c: int) -> float:
     # (d p) mod |c| is never 0 since gcd(d, c) = 1 and 0 < p < |c|
     idx = (pair.d * np.arange(1, m, dtype=np.int64)) % m
     return float(np.dot(base[idx - 1], base) / (4.0 * m))
-
-
-def finite_fourier_transform(table: PeriodicFunctionTable) -> PeriodicFunctionTable:
-    """Finite Fourier transform: fhat(p) = sum_k f(k) xi^{-kp}, xi = e^{2 pi i/c}.
-
-    The sign of c is honored through xi, so tables on c and -c transform
-    with opposite orientation.
-    """
-    import numpy as np
-
-    m = abs(table.c)
-    k = np.arange(m)
-    vals = np.asarray(table.values, dtype=np.complex128)
-    xi_pow = np.exp(-2j * np.pi * np.outer(k, k) / table.c)
-    hat = xi_pow.T @ vals  # row p: sum_k f(k) xi^{-kp}
-    return PeriodicFunctionTable(table.c, tuple(hat.tolist()))
-
-
-def p1_closed_fourier(
-    x: RationalLike, y: RationalLike, a: int, c: int, p: int
-) -> complex:
-    """Closed form of the Fourier transform of k -> P_1(a(k+x)/c + y).
-
-    With x' = a x + c y, d = a^{-1} mod c and xi = exp(2 pi i / c):
-
-        p = 0 (mod c):  sgn(c) * P_1(x')
-        otherwise:      sgn(c)/2 * (i cot(pi d p / c) - [x' not in Z]) * xi^{d floor(x') p}
-    """
-    pair = CoprimePair(a, c)
-    _require_ints("p1_closed_fourier", p)
-    x, y = _fraction(x), _fraction(y)
-    xp = a * x + c * y
-    sign = 1.0 if c > 0 else -1.0
-    if p % abs(c) == 0:
-        return complex(sign * float(periodic_bernoulli(1, xp)))
-    delta = 0.0 if xp.denominator == 1 else 1.0
-    cot = 1.0 / math.tan(math.pi * pair.d * p / c)
-    phase = cmath.exp(2j * math.pi * pair.d * math.floor(xp) * p / c)
-    return sign * 0.5 * (1j * cot - delta) * phase
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:

@@ -34,7 +34,7 @@ from typing import List, Optional, Tuple
 from ._record import Record
 from .bernoulli import RationalLike, _fraction, _reduce_mod1, _require_ints
 from .errors import AdmissibilityError, DomainError, UnsupportedClassError
-from .sl2z import Identity, Parabolic, SL2ZMatrix, classify, parabolic_normal_form
+from .sl2z import Identity, Parabolic, SL2ZMatrix, classify
 
 __all__ = [
     "TorusFlatConnection",
@@ -133,6 +133,8 @@ class CircleFlatConnection(Record):
 
     def __init__(self, degree_l: int, chern_k: int, is_trivial: bool = False) -> None:
         _require_ints("CircleFlatConnection", degree_l, chern_k)
+        if type(is_trivial) is not bool:
+            raise DomainError(f"CircleFlatConnection requires a bool is_trivial, got {is_trivial!r}")
         if degree_l != 0 and is_trivial and chern_k % degree_l != 0:
             raise DomainError(
                 "CircleFlatConnection cannot be trivial with fractional q = k/l"
@@ -284,9 +286,12 @@ def transport_nu_from_normal_form(
     """Transport nu' from the normal-form coordinates of parabolic M back to
     M's: with g the conjugator (g^{-1} M g = N the normal form), constant
     1-forms pull back through the transpose, so nu = g^{-t} nu' mod Z^2."""
+    cls = classify(M)
+    if not isinstance(cls, Parabolic):
+        raise UnsupportedClassError("transport_nu_from_normal_form requires a parabolic M != +-Id")
     (p1, q1), (p2, q2) = (_fraction(v).as_integer_ratio() for v in nu_prime)
     den = q1 * q2
-    n1, n2 = _from_normal_form(parabolic_normal_form(M)[2], p1 * q2, p2 * q1, den)
+    n1, n2 = _from_normal_form(cls.conjugator, p1 * q2, p2 * q1, den)
     return Fraction(n1, den), Fraction(n2, den)
 
 

@@ -142,6 +142,8 @@ def dai_correction_circle(degree_l: int, connection_trivial: bool) -> int:
     """Topological correction term over a circle bundle: -sgn(l) for the
     trivial connection, 0 otherwise."""
     _require_ints("dai_correction_circle", degree_l)
+    if type(connection_trivial) is not bool:
+        raise DomainError(f"dai_correction_circle requires a bool connection_trivial, got {connection_trivial!r}")
     if degree_l == 0:
         raise DomainError("dai_correction_circle requires degree l != 0")
     return -sgn(degree_l) if connection_trivial else 0

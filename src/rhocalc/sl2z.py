@@ -1,11 +1,11 @@
-"""SL(2, Z) matrices: classification, parabolic normal form, the op-action
-on the upper half-plane, the invariant path of a hyperbolic element, and
-seeded random matrices for the verification suites.
+"""SL(2, Z) matrices: classification, parabolic normal form, and seeded
+random matrices for the verification suites.
 
-Classification is exact.  The floats of a hyperbolic class (kappa, alpha,
-beta) are computed only when read, and only the invariant path and the
-numerical layer read them, so exact formulas never touch a float and
-accept entries far beyond double range.
+Everything here is exact and accepts entries far beyond double range.
+The float side of a matrix (kappa, alpha and beta of a hyperbolic class,
+the op-action and the invariant path) lives in :mod:`rhocalc.analytic`.
+Only the point type :class:`UpperHalfPoint` stays, as the benchmark
+harness reads ``rhocalc.sl2z.UpperHalfPoint``; a test exempts it by name.
 
 What depends only on M is computed once per matrix object, on first
 read, and kept on it: its class, with the parabolic normal form, and the
@@ -37,8 +37,6 @@ __all__ = [
     "MonodromyClass",
     "classify",
     "parabolic_normal_form",
-    "moebius_op_action",
-    "invariant_path_sigma",
     "random_sl2z",
     "random_hyperbolic",
 ]
@@ -181,45 +179,12 @@ class Parabolic(Record):
 
 
 class Hyperbolic(Record):
-    """A hyperbolic class, holding its exact matrix.
-
-    kappa is the eigenvalue with |kappa| > 1, so the invariant path flows
-    toward the attracting fixed point; alpha and beta are the fixed points
-    (kappa - a)/c and (1/kappa - a)/c of the op-action on the real line.
-    All three are floats, computed on first read; reading one raises
-    DomainError when the matrix is beyond double range.
-    """
+    """A hyperbolic class, holding its exact matrix."""
 
     matrix: SL2ZMatrix
 
     def __init__(self, matrix: SL2ZMatrix) -> None:
         self.__dict__.update(matrix=matrix)
-
-    @cached_property
-    def _floats(self) -> Tuple[float, float, float]:
-        M = self.matrix
-        tr = M.trace
-        try:
-            root = math.sqrt(M.discriminant)
-            kappa = (tr + root) / 2.0 if tr > 0 else (tr - root) / 2.0
-            kappa_inv = tr - kappa  # kappa + 1/kappa = tr, avoids cancellation
-            alpha = (kappa - M.a) / M.c
-            beta = (kappa_inv - M.a) / M.c
-        except OverflowError:  # an int too large to convert to float
-            raise DomainError("hyperbolic kappa, alpha and beta exceed double range") from None
-        return kappa, alpha, beta
-
-    @property
-    def kappa(self) -> float:
-        return self._floats[0]
-
-    @property
-    def alpha(self) -> float:
-        return self._floats[1]
-
-    @property
-    def beta(self) -> float:
-        return self._floats[2]
 
 
 class Identity(Record):
@@ -270,32 +235,6 @@ def classify(M: SL2ZMatrix) -> MonodromyClass:
     matrix object and kept on it, with the normal form of a parabolic M.
     """
     return M._class
-
-
-def moebius_op_action(M: SL2ZMatrix, sigma: UpperHalfPoint) -> UpperHalfPoint:
-    """M^op sigma = (d sigma + b) / (c sigma + a)."""
-    z = sigma.as_complex()
-    w = (M.d * z + M.b) / (M.c * z + M.a)
-    return UpperHalfPoint(w.real, w.imag)
-
-
-def invariant_path_sigma(M: SL2ZMatrix, t: float) -> UpperHalfPoint:
-    """The M-invariant circular path sigma(t) of a hyperbolic M.
-
-    sigma(t) = (alpha |k|^{2t} + beta |k|^{-2t} + i |alpha - beta|)
-               / (|k|^{2t} + |k|^{-2t})
-
-    traverses the half-circle over the segment [alpha, beta] and satisfies
-    M^op sigma(t) = sigma(t + 1).
-    """
-    cls = classify(M)
-    if not isinstance(cls, Hyperbolic):
-        raise UnsupportedClassError("invariant_path_sigma requires a hyperbolic matrix")
-    h = math.exp(2.0 * t * math.log(abs(cls.kappa)))
-    denom = h + 1.0 / h
-    s1 = (cls.alpha * h + cls.beta / h) / denom
-    s2 = abs(cls.alpha - cls.beta) / denom
-    return UpperHalfPoint(s1, s2)
 
 
 def random_sl2z(rng: random.Random, bound: int) -> SL2ZMatrix:

@@ -62,7 +62,7 @@ from rhocalc import (
     transform_defect_gen,
 )
 from rhocalc.bernoulli import sgn
-from rhocalc.dedekind import PeriodicFunctionTable
+from rhocalc.analytic import PeriodicFunctionTable
 
 
 def report(n: int, ok: bool, detail: str = "") -> None:

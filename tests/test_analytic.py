@@ -31,7 +31,6 @@ from rhocalc import (
     UnsupportedClassError,
     UpperHalfPoint,
     classical_sum,
-    classify,
     e_series,
     eta_untwisted_numeric,
     eta_untwisted_torus,
@@ -327,7 +326,14 @@ class TestSeriesParams:
         defaults = {
             name: sig.parameters["params"].default for name, sig in signatures.items() if "params" in sig.parameters
         }
-        assert set(signatures) - set(defaults) == {"torus_spectrum"}
+        # the spectrum, the op-action, the path and the Fourier toolkit sum no series
+        assert set(signatures) - set(defaults) == {
+            "torus_spectrum",
+            "moebius_op_action",
+            "invariant_path_sigma",
+            "finite_fourier_transform",
+            "p1_closed_fourier",
+        }
         assert all(d is analytic.DEFAULT_SERIES_PARAMS for d in defaults.values()), defaults
 
     def test_e_series_has_one_method(self):
@@ -1093,8 +1099,8 @@ class TestEndToEndNumerics:
         orientations = set()
         for _ in range(300):
             m = random_hyperbolic(rng, 12)
-            cls = classify(m)
-            orientations.add(cls.alpha > cls.beta)
+            _, alpha, beta = analytic._kappa_alpha_beta(m)
+            orientations.add(alpha > beta)
             assert abs(eta_untwisted_numeric(m) - float(eta_untwisted_torus(m))) < 1e-12, m
         assert orientations == {False, True}
 

@@ -247,7 +247,6 @@ class TestRhoCommands:
     def test_enumerate_one_normal_form_per_matrix(self, monkeypatch, capsys, matrix, families):
         # the class is kept on the matrix: the enumeration and rho_torus on
         # every family's class share one classification and normal form
-        import rhocalc.moduli
         import rhocalc.sl2z
 
         calls = []
@@ -257,8 +256,7 @@ class TestRhoCommands:
             calls.append(mat)
             return real(mat)
 
-        for module in (rhocalc.sl2z, rhocalc.moduli):
-            monkeypatch.setattr(module, "parabolic_normal_form", counting)
+        monkeypatch.setattr(rhocalc.sl2z, "parabolic_normal_form", counting)
         code, doc, _ = run_json(capsys, ["rho", "torus", "--matrix", matrix, "--enumerate"])
         assert code == EXIT_OK
         assert len([r for r in doc["results"] if r["name"].startswith("rho_torus[family")]) == families

@@ -8,7 +8,8 @@ below, fast enough to sweep every coprime pair up to a modulus of a few
 hundred.  At huge moduli, where no loop can follow, the classical laws
 (reciprocity, inversion, oddness, integrality, periodicity) stand in,
 and so does Rademacher's Phi, computed from a word in S and T without
-any Dedekind sum.
+any Dedekind sum.  The finite-Fourier toolkit is float code and lives in
+rhocalc.analytic; its tests stay here, beside the sums it checks.
 """
 
 from __future__ import annotations
@@ -26,18 +27,16 @@ from dedekind_batch import dedekind_batch_exact
 from rhocalc import (
     CoprimePair,
     DomainError,
-    PeriodicFunctionTable,
     SL2ZMatrix,
     classical_sum,
     cotangent_sum,
     dedekind,
     eta_untwisted_torus,
-    finite_fourier_transform,
     generalized_sum,
-    p1_closed_fourier,
     periodic_bernoulli,
     sum_difference_closed,
 )
+from rhocalc.analytic import PeriodicFunctionTable, finite_fourier_transform, p1_closed_fourier
 from rhocalc.bernoulli import sgn
 
 

@@ -5,8 +5,9 @@ one table row per branch, each row the smallest input that violates that
 precondition alone.  The exact layer takes rational input as a Fraction
 or an int that is not a bool, and integer data (matrix entries, the a and
 c of a Dedekind sum, a circle bundle's genus, l and k, a rank) as an int
-that is not a bool; anything else
-raises DomainError before any value is computed.
+that is not a bool, and a flag (a circle connection's triviality) as a
+bool, never an int; anything else raises DomainError before any value
+is computed.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from rhocalc import (
     sum_difference_closed,
     torus_spectrum,
     transform_defect_gen,
+    transport_nu_from_normal_form,
 )
 from rhocalc._quadrature import gauss_kronrod
 from rhocalc.analytic import e_series_with_count
@@ -87,6 +89,8 @@ DOCUMENTED_BRANCHES = [
     # moduli
     pytest.param(lambda: enumerate_torus_connections(SL2ZMatrix(1, 0, 0, 1)), UnsupportedClassError, "Id", id="enumerate-identity"),
     pytest.param(lambda: enumerate_torus_connections(SL2ZMatrix(-1, 0, 0, -1)), UnsupportedClassError, "Id", id="enumerate-minus-identity"),
+    pytest.param(lambda: transport_nu_from_normal_form(SL2ZMatrix(-1, 0, 0, -1), (0, F(1, 2))), UnsupportedClassError, "parabolic", id="transport-minus-identity"),
+    pytest.param(lambda: transport_nu_from_normal_form(HYP, (0, F(1, 2))), UnsupportedClassError, "parabolic", id="transport-hyperbolic"),
     # rho
     pytest.param(lambda: EigenphaseData([], [], [], 0), DomainError, "rank_k", id="EigenphaseData-rank-zero"),
     pytest.param(
@@ -152,6 +156,24 @@ def test_integer_data_is_an_int(call):
         call()
 
 
+NOT_BOOL = [
+    pytest.param(lambda: CircleFlatConnection(3, 3, "no"), id="CircleFlatConnection-str-flag"),
+    pytest.param(lambda: CircleFlatConnection(3, 1, "no"), id="CircleFlatConnection-str-flag-fractional-q"),
+    pytest.param(lambda: CircleFlatConnection(3, 3, 1), id="CircleFlatConnection-int-1-flag"),
+    pytest.param(lambda: CircleFlatConnection(3, 1, 0), id="CircleFlatConnection-int-0-flag"),
+    pytest.param(lambda: dai_correction_circle(3, "no"), id="dai_correction_circle-str-flag"),
+    pytest.param(lambda: dai_correction_circle(3, 1), id="dai_correction_circle-int-1-flag"),
+    pytest.param(lambda: dai_correction_circle(3, 0), id="dai_correction_circle-int-0-flag"),
+]
+
+
+@pytest.mark.parametrize("call", NOT_BOOL)
+def test_flag_is_a_bool(call):
+    # checked before the value is read: "no" is truthy, and 0 and 1 are not bools
+    with pytest.raises(DomainError, match="requires a bool"):
+        call()
+
+
 @pytest.mark.parametrize("a,c", [(2, 7), (-3, 10), (1, 1), (5, -12)])
 def test_int_rule_runs_once_per_pair(monkeypatch, a, c):
     # one check of (a, c) per public call; the numerator forms get ints
@@ -179,4 +201,6 @@ def test_ints_and_fractions_still_accepted():
     assert classical_sum(2, 7) == F(1, 14)
     assert CoprimePair(2, -7).d == 4
     assert dai_correction_circle(-3, True) == 1
+    assert dai_correction_circle(3, False) == 0
+    assert CircleFlatConnection(3, 3, True).is_trivial is True
     assert circle_moduli_summary(2, -3) == circle_moduli_summary(2, 3)

@@ -161,10 +161,10 @@ def test_derived_fields_take_part_in_equality(make, field, changed):
 
 
 def test_cached_property_leaves_value_semantics_alone():
-    hyp, fresh = Hyperbolic(SL2ZMatrix(2, 1, 1, 1)), Hyperbolic(SL2ZMatrix(2, 1, 1, 1))
-    assert hyp.kappa > 1
-    assert hyp == fresh and hash(hyp) == hash(fresh)
-    assert repr(hyp) == repr(fresh)
+    mat, fresh = SL2ZMatrix(2, 1, 1, 1), SL2ZMatrix(2, 1, 1, 1)
+    assert isinstance(mat._class, Hyperbolic) and "_class" in vars(mat)
+    assert mat == fresh and hash(mat) == hash(fresh)
+    assert repr(mat) == repr(fresh)
 
 
 def test_every_public_name_resolves():
@@ -214,3 +214,35 @@ def test_analytic_names_load_the_float_layer_on_first_use():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"before": False, "after": True, "same": True}
+
+
+#: the float code that left the exact modules for rhocalc.analytic
+MOVED_TO_ANALYTIC = (
+    "moebius_op_action",
+    "invariant_path_sigma",
+    "PeriodicFunctionTable",
+    "finite_fourier_transform",
+    "p1_closed_fourier",
+)
+
+
+@pytest.mark.parametrize("name", MOVED_TO_ANALYTIC)
+def test_moved_float_name_is_the_analytic_object(name):
+    from rhocalc import analytic
+
+    assert getattr(rhocalc, name) is getattr(analytic, name)
+    assert name in rhocalc._ANALYTIC_NAMES
+    assert not hasattr(rhocalc.sl2z, name) and not hasattr(rhocalc.dedekind, name)
+
+
+def test_exact_modules_load_no_float_layer():
+    script = (
+        "import json, sys\n"
+        "import rhocalc.sl2z, rhocalc.dedekind\n"
+        "print(json.dumps([m for m in ('numpy', 'rhocalc.analytic') if m in sys.modules]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

@@ -1,4 +1,7 @@
-"""SL2(Z) classification, normal forms, and the invariant path."""
+"""SL2(Z) classification, normal forms, and the invariant path.
+
+The float side of a matrix (kappa, alpha, beta, the op-action and the
+invariant path) lives in rhocalc.analytic and is imported from there."""
 
 from __future__ import annotations
 
@@ -19,10 +22,9 @@ from rhocalc import (
     UnsupportedClassError,
     UpperHalfPoint,
     classify,
-    invariant_path_sigma,
-    moebius_op_action,
     parabolic_normal_form,
 )
+from rhocalc.analytic import _kappa_alpha_beta, invariant_path_sigma, moebius_op_action
 
 
 class TestSL2ZMatrix:
@@ -135,32 +137,33 @@ class TestClassify:
             )
 
     def test_hyperbolic_pin(self):
-        cls = classify(SL2ZMatrix(3, 2, 4, 3))
-        assert isinstance(cls, Hyperbolic)
+        m = SL2ZMatrix(3, 2, 4, 3)
+        assert isinstance(classify(m), Hyperbolic)
+        cls_kappa, cls_alpha, cls_beta = _kappa_alpha_beta(m)
         kappa = (6 + math.sqrt(32)) / 2
-        assert abs(cls.kappa - kappa) < 1e-12
-        assert abs(cls.alpha - (kappa - 3) / 4) < 1e-12
-        assert abs(cls.beta - (1 / kappa - 3) / 4) < 1e-12
+        assert abs(cls_kappa - kappa) < 1e-12
+        assert abs(cls_alpha - (kappa - 3) / 4) < 1e-12
+        assert abs(cls_beta - (1 / kappa - 3) / 4) < 1e-12
 
     def test_hyperbolic_eigenvalue_relations(self):
         rng = random.Random(32)
         for _ in range(100):
             m = random_hyperbolic(rng, 30)
-            cls = classify(m)
-            assert isinstance(cls, Hyperbolic)
-            assert abs(cls.kappa) > 1
-            assert (cls.kappa > 1) == (m.trace > 2)
-            assert abs(cls.kappa * (1 / cls.kappa) - 1) < 1e-12
-            assert abs(cls.kappa + 1 / cls.kappa - m.trace) < 1e-12
-            assert cls.alpha != cls.beta
+            assert isinstance(classify(m), Hyperbolic)
+            kappa, alpha, beta = _kappa_alpha_beta(m)
+            assert abs(kappa) > 1
+            assert (kappa > 1) == (m.trace > 2)
+            assert abs(kappa * (1 / kappa) - 1) < 1e-12
+            assert abs(kappa + 1 / kappa - m.trace) < 1e-12
+            assert alpha != beta
 
     def test_hyperbolic_fixed_points(self):
         # extended Moebius op-action on the real line fixes alpha and beta
         rng = random.Random(33)
         for _ in range(100):
             m = random_hyperbolic(rng, 30)
-            cls = classify(m)
-            for x in (cls.alpha, cls.beta):
+            _, alpha, beta = _kappa_alpha_beta(m)
+            for x in (alpha, beta):
                 denom = m.c * x + m.a
                 assert abs(denom) > 1e-9
                 image = (m.d * x + m.b) / denom
@@ -179,7 +182,8 @@ class TestClassify:
             elif isinstance(c1, Parabolic):
                 assert (c1.epsilon, c1.l) == (c2.epsilon, c2.l)
             elif isinstance(c1, Hyperbolic):
-                assert abs(c1.kappa - c2.kappa) < 1e-9 * abs(c1.kappa)
+                k1, k2 = _kappa_alpha_beta(m)[0], _kappa_alpha_beta(conj)[0]
+                assert abs(k1 - k2) < 1e-9 * abs(k1)
             else:
                 assert c1 == c2
 
