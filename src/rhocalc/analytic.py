@@ -24,6 +24,10 @@ so no intermediate overflows even far along the tail.  Logarithms take
 the principal branch on the plane cut along the negative real axis, and
 every argument is checked to stay off the cut.
 
+An exact input reaches a float as integers, a rational mod 1 as the
+pair (p, q) of :func:`rhocalc.bernoulli._mod1`: each float of it is one
+int division, correctly rounded, so float() of the Fraction to the bit.
+
 numpy, the only dependency, is imported inside the functions that use
 it, so importing this module (and with it the package) does not load
 it.  The one quadrature, the Kronecker integral's, uses the package's
@@ -39,8 +43,8 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
 
 from ._record import Record
-from .bernoulli import RationalLike, _fraction, _reduce_mod1, _require_ints, periodic_bernoulli, sgn
-from .dedekind import CoprimePair, classical_sum, generalized_sum
+from .bernoulli import RationalLike, _fraction, _mod1, _poly_num, _require_ints, periodic_bernoulli, sgn
+from .dedekind import classical_sum, generalized_sum
 from .errors import (
     AdmissibilityError,
     ConvergenceError,
@@ -49,7 +53,7 @@ from .errors import (
     UnsupportedClassError,
 )
 from .moduli import connection_from_nu
-from .sl2z import Hyperbolic, SL2ZMatrix, UpperHalfPoint, classify
+from .sl2z import Hyperbolic, SL2ZMatrix, UpperHalfPoint, _unit, classify
 
 __all__ = [
     "SeriesParams",
@@ -126,41 +130,50 @@ class ComplexValue(Record):
         return complex(self.re, self.im)
 
 
-def _nu_floats(nu: Tuple[RationalLike, RationalLike]) -> Tuple[float, float]:
-    """nu reduced mod Z^2 exactly, then as floats: every float path here
-    depends on nu only mod Z^2, and a huge nu would overflow or lose its
-    fractional part in float."""
-    return float(_reduce_mod1(nu[0])), float(_reduce_mod1(nu[1]))
+def _nu_mod1(nu: Tuple[RationalLike, RationalLike]) -> Tuple[int, int, int, int]:
+    """(p1, q1, p2, q2) with nu = (p1/q1, p2/q2) mod Z^2 in lowest terms:
+    every float path here depends on nu only mod Z^2, and a huge nu would
+    overflow or lose its fractional part in float."""
+    return (*_mod1(nu[0]), *_mod1(nu[1]))
+
+
+def _pn_float(n: int, p: int, q: int) -> float:
+    """float(periodic_bernoulli(n, p/q)) for 0 <= p < q, by one division."""
+    if n % 2 and p == 0:
+        return 0.0
+    num, den = _poly_num(n, p, q)
+    return num / den
 
 
 def _sigma1_near_zero(sigma: UpperHalfPoint, nu):
-    """(sigma - k, (nu1, nu2 - k nu1)) for k = round(sigma1), which leave
-    F_nu and E_nu unchanged: F_nu(sigma + k) = F_{(nu1, nu2 - k nu1)}(sigma).
-    The lattice windows and q_sigma lose the fraction of a large sigma1;
-    sigma1 - k is exact in float, and nu moves exactly."""
+    """(sigma - k, nu') for k = round(sigma1), nu' = (nu1, nu2 - k nu1) mod
+    Z^2 as _nu_mod1 gives it but with nu2' over q1 q2: F_nu(sigma + k) =
+    F_{nu'}(sigma), and so for E_nu.  The lattice windows and q_sigma lose
+    the fraction of a large sigma1; sigma1 - k is exact in float."""
+    p1, q1, p2, q2 = nu = _nu_mod1(nu)
     k = round(sigma.sigma1)
     if k == 0:
         return sigma, nu
-    return UpperHalfPoint(sigma.sigma1 - k, sigma.sigma2), (nu[0], _fraction(nu[1]) - k * _fraction(nu[0]))
+    q = q1 * q2
+    return UpperHalfPoint(sigma.sigma1 - k, sigma.sigma2), (p1, q1, (p2 * q1 - k * p1 * q2) % q, q)
 
 
-def _qz(sigma: complex, nu1: Fraction, nu2: RationalLike) -> Tuple[complex, complex, complex, complex]:
-    """(q_sigma, q_z, q_sigma/q_z, 1 - q_z) with q_z = e^{2 pi i z} for nu1
-    in [0, 1).  q_sigma/q_z is e^{2 pi i (sigma - z)}, taken directly, so it
-    stays finite when q_z underflows to 0 at a large nu1 Im(sigma).  Raises
-    DomainError when a nonzero nu1 is too close to 0 for q_z to differ from
-    1 in double precision (the nu1 != 0 branch divides by 1 - q_z and takes
-    Log(1 - q_z)), or too close to 1 to differ from 1.0 (the series would
-    be summed for nu1 = 1, which is nu1 = 0)."""
-    nu1f = float(nu1)
-    nu2 = _reduce_mod1(nu2)
+def _qz(sigma: complex, p1: int, q1: int, p2: int, q2: int) -> Tuple[complex, complex, complex, complex]:
+    """(q_sigma, q_z, q_sigma/q_z, 1 - q_z) with q_z = e^{2 pi i z} for nu
+    as _sigma1_near_zero gives it.  q_sigma/q_z is e^{2 pi i (sigma - z)},
+    taken directly, so it stays finite when q_z underflows to 0 at a large
+    nu1 Im(sigma).  Raises DomainError when a nonzero nu1 is too close to 0
+    for q_z to differ from 1 in double precision (the nu1 != 0 branch
+    divides by 1 - q_z and takes Log(1 - q_z)), or too close to 1 to differ
+    from 1.0 (the series would be summed for nu1 = 1, which is nu1 = 0)."""
+    nu1f = p1 / q1
     # nu2 mod Z nearest 0, so that z keeps the digits of a nu2 near Z
-    nu2f = float(nu2 - 1 if 2 * nu2.numerator > nu2.denominator else nu2)
+    nu2f = (p2 - q2 if 2 * p2 > q2 else p2) / q2
     z = nu1f * sigma - nu2f
     q_sigma, q_z = cmath.exp(2j * math.pi * sigma), cmath.exp(2j * math.pi * z)
-    ratio = cmath.exp(2j * math.pi * (float(1 - nu1) * sigma + nu2f))
-    if nu1 != 0 and (q_z == 1 or nu1f == 1.0):
-        raise DomainError(f"nu1 = {nu1} is nonzero but rounds to 0 or 1 in double precision")
+    ratio = cmath.exp(2j * math.pi * ((q1 - p1) / q1 * sigma + nu2f))
+    if p1 and (q_z == 1 or nu1f == 1.0):
+        raise DomainError(f"nu1 = {p1}/{q1} is nonzero but rounds to 0 or 1 in double precision")
     # 1 - q_z = -expm1(2 pi i z) from the parts of z: no cancellation at a
     # small |z|, and no overflow since Im z >= 0
     a, b = -_TWO_PI * z.imag, math.pi * z.real
@@ -171,9 +184,13 @@ def _qz(sigma: complex, nu1: Fraction, nu2: RationalLike) -> Tuple[complex, comp
 
 
 def moebius_op_action(M: SL2ZMatrix, sigma: UpperHalfPoint) -> UpperHalfPoint:
-    """M^op sigma = (d sigma + b) / (c sigma + a)."""
+    """M^op sigma = (d sigma + b) / (c sigma + a).  Raises DomainError when
+    an entry is beyond double range."""
     z = sigma.as_complex()
-    w = (M.d * z + M.b) / (M.c * z + M.a)
+    try:
+        w = (M.d * z + M.b) / (M.c * z + M.a)
+    except OverflowError:  # an int too large to convert to float
+        raise DomainError("the op-action's matrix entries exceed double range") from None
     return UpperHalfPoint(w.real, w.imag)
 
 
@@ -287,12 +304,12 @@ def e_series_with_count(
     and it moves to the tests with the next change to the benchmark."""
     if method not in ("cotangent", "double-sum"):
         raise DomainError("method must be 'cotangent' or 'double-sum'")
-    nu1 = _reduce_mod1(nu[0])
-    q_sigma, q_z, ratio, one_minus_qz = _qz(sigma.as_complex(), nu1, nu[1])
+    p1, q1, p2, q2 = _nu_mod1(nu)
+    q_sigma, q_z, ratio, one_minus_qz = _qz(sigma.as_complex(), p1, q1, p2, q2)
     if method == "cotangent":
         # inner geometric sums resummed; S1 = sum q_z^n / n = -Log(1 - q_z)
         total, terms = _q_series(_s2_term, q_sigma, q_z, ratio, params, "e_series cotangent sum")
-        if nu1 != 0:
+        if p1:
             total -= cmath.log(one_minus_qz)
         return ComplexValue.from_complex(total), terms
 
@@ -300,7 +317,7 @@ def e_series_with_count(
     cut = params.tail_tolerance * 0.1
     total = 0.0 + 0.0j
     terms = 0
-    if nu1 != 0:
+    if p1:
         abs_qz = abs(q_z)
         qn = q_z
         n = 1
@@ -353,15 +370,15 @@ def e_series(
 
 def _e_series_dsigma(
     sigma: UpperHalfPoint,
-    nu: Tuple[RationalLike, RationalLike],
+    nu: Tuple[int, int, int, int],
     params: SeriesParams,
 ) -> Tuple[complex, int]:
     """Term-wise d/dsigma of E_nu = S2 - Log(1 - q_z), with the number of
-    S2 terms; every term an explicit exponential."""
-    nu1 = _reduce_mod1(nu[0])
-    nu1f = float(nu1)
-    q_sigma, q_z, ratio, one_minus_qz = _qz(sigma.as_complex(), nu1, nu[1])
-    total = 2j * math.pi * nu1f * q_z / one_minus_qz if nu1 != 0 else 0j
+    S2 terms, for nu as _nu_mod1 gives it; every term an explicit
+    exponential."""
+    nu1f = nu[0] / nu[1]
+    q_sigma, q_z, ratio, one_minus_qz = _qz(sigma.as_complex(), *nu)
+    total = 2j * math.pi * nu1f * q_z / one_minus_qz if nu[0] else 0j
 
     def term(n, qzn, rn, qsn):
         # (q_z q_sigma)^n and rn grow in sigma at the rates (1 + nu1) n and (1 - nu1) n
@@ -502,8 +519,8 @@ def _f_at(kernel, sigma: UpperHalfPoint, u: float, nu, params: SeriesParams) -> 
 
     if u <= 0:
         raise DomainError("f_series requires u > 0")
-    sigma, nu = _sigma1_near_zero(sigma, nu)
-    value = kernel(sigma, u, *_nu_floats(nu), params)(np.array([u], dtype=float))
+    sigma, (p1, q1, p2, q2) = _sigma1_near_zero(sigma, nu)
+    value = kernel(sigma, u, p1 / q1, p2 / q2, params)(np.array([u], dtype=float))
     return ComplexValue.from_complex(complex(value[0]))
 
 
@@ -581,8 +598,8 @@ def kronecker_integral_info(
     from ._quadrature import gauss_kronrod
 
     switch = params.poisson_switch_u
-    sigma, nu = _sigma1_near_zero(sigma, nu)
-    nu1f, nu2f = _nu_floats(nu)
+    sigma, (p1, q1, p2, q2) = _sigma1_near_zero(sigma, nu)
+    nu1f, nu2f = p1 / q1, p2 / q2
     rate = (math.pi**2 / sigma.sigma2) * _min_lattice_dist2(sigma, nu1f, nu2f)
     direct = _direct_kernel(sigma, switch, nu1f, nu2f, params)
     scale = abs(complex(direct(np.array([switch]))[0])) + 1.0
@@ -629,10 +646,8 @@ def kronecker_closed(
     """P_2(nu_1) + (i/pi) d/dsigma E_nu(sigma); for nu in Z^2 the constant
     term becomes 1/6 - 1/(2 pi sigma2)."""
     sigma, nu = _sigma1_near_zero(sigma, nu)
-    nu1 = _reduce_mod1(nu[0])
-    integral_nu = nu1 == 0 and _fraction(nu[1]).denominator == 1
-    base = float(periodic_bernoulli(2, nu1))
-    if integral_nu:
+    base = _pn_float(2, nu[0], nu[1])
+    if nu[0] == 0 == nu[2]:
         base -= 1.0 / (_TWO_PI * sigma.sigma2)
     deriv, _ = _e_series_dsigma(sigma, nu, params)
     value = base + (1j / math.pi) * deriv
@@ -661,15 +676,14 @@ def log_eta_gen(
     mod Z: pi i phi + pi i sigma P_2(g) + Log(1 - q_z) - S2 with
     z = g sigma + h, phi = -P_1(h) if g = 0 and 0 otherwise, and the
     principal Log(1 - q_z) = -sum q_z^n / n."""
-    g, h = _fraction(g), _fraction(h)
-    if g.denominator == 1 and h.denominator == 1:
+    (pg, qg), (ph, qh) = _mod1(g), _mod1(h)
+    if pg == 0 == ph:
         raise DomainError("log_eta_gen is undefined at lattice points (g, h) in Z^2")
-    g = _reduce_mod1(g)
     sc = sigma.as_complex()
-    q_sigma, q_z, ratio, one_minus_qz = _qz(sc, g, -h)
+    q_sigma, q_z, ratio, one_minus_qz = _qz(sc, pg, qg, -ph % qh, qh)
     s2, _ = _q_series(_s2_term, q_sigma, q_z, ratio, params, "log_eta_gen")
-    phi = -float(periodic_bernoulli(1, h)) if g == 0 else 0.0
-    total = 1j * math.pi * phi + 1j * math.pi * sc * float(periodic_bernoulli(2, g))
+    phi = -_pn_float(1, ph, qh) if pg == 0 else 0.0
+    total = 1j * math.pi * phi + 1j * math.pi * sc * _pn_float(2, pg, qg)
     return ComplexValue.from_complex(total + cmath.log(one_minus_qz) - s2)
 
 
@@ -743,6 +757,7 @@ class PeriodicFunctionTable(Record):
     values: Tuple[complex, ...]
 
     def __init__(self, c: int, values: Tuple[complex, ...]) -> None:
+        _require_ints("PeriodicFunctionTable", c)
         if c == 0:
             raise DomainError("PeriodicFunctionTable requires c != 0")
         vals = tuple(complex(v) for v in values)
@@ -782,16 +797,16 @@ def p1_closed_fourier(
         p = 0 (mod c):  sgn(c) * P_1(x')
         otherwise:      sgn(c)/2 * (i cot(pi d p / c) - [x' not in Z]) * xi^{d floor(x') p}
     """
-    pair = CoprimePair(a, c)
-    _require_ints("p1_closed_fourier", p)
-    x, y = _fraction(x), _fraction(y)
-    xp = a * x + c * y
+    _require_ints("p1_closed_fourier", a, c, p)
+    m, _, d = _unit("p1_closed_fourier", a, c)
+    (xn, xd), (yn, yd) = _fraction(x).as_integer_ratio(), _fraction(y).as_integer_ratio()
+    n, den = a * xn * yd + c * yn * xd, xd * yd  # x' = n/den
     sign = 1.0 if c > 0 else -1.0
-    if p % abs(c) == 0:
-        return complex(sign * float(periodic_bernoulli(1, xp)))
-    delta = 0.0 if xp.denominator == 1 else 1.0
-    cot = 1.0 / math.tan(math.pi * pair.d * p / c)
-    phase = cmath.exp(2j * math.pi * pair.d * math.floor(xp) * p / c)
+    if p % m == 0:
+        return complex(sign * _pn_float(1, n % den, den))
+    delta = 1.0 if n % den else 0.0
+    cot = 1.0 / math.tan(math.pi * d * p / c)
+    phase = cmath.exp(2j * math.pi * d * (n // den) * p / c)
     return sign * 0.5 * (1j * cot - delta) * phase
 
 
@@ -811,9 +826,9 @@ def torus_spectrum(
     Raises DomainError when an eigenvalue is not finite."""
     if max_lattice_norm < 0:
         raise DomainError("max_lattice_norm must be nonnegative")
-    sigma, nu = _sigma1_near_zero(sigma, nu)
+    sigma, (p1, q1, p2, q2) = _sigma1_near_zero(sigma, nu)
     s1, s2 = sigma.sigma1, sigma.sigma2
-    nu1f, nu2f = _nu_floats(nu)
+    nu1f, nu2f = p1 / q1, p2 / q2
     raw: List[float] = []
     for n1 in range(-max_lattice_norm, max_lattice_norm + 1):
         m1 = n1 - nu1f
@@ -849,7 +864,7 @@ def rho_form_hyp_numeric(
     conn = connection_from_nu(M, nu)
     if conn.restriction_trivial:
         raise AdmissibilityError("rho_form_hyp_numeric requires nu not in Z^2")
-    p2 = float(periodic_bernoulli(2, conn.nu[0]))
+    p2 = _pn_float(2, *_mod1(conn.nu[0]))
 
     def primitive(t: float) -> float:
         point = invariant_path_sigma(M, t)

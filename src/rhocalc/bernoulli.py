@@ -8,7 +8,9 @@ rational input holds in the whole exact layer, :func:`_fraction`'s: a
 Fraction or an int that is not a bool; a float, bool, string or
 anything else raises DomainError.  Integer data (a modulus, a matrix
 entry, a degree) follows :func:`_require_ints`: an int that is not a bool;
-a flag is a bool.
+a flag is a bool.  A rational mod 1 is the pair (p, q) of :func:`_mod1`,
+x - floor(x) = p/q in lowest terms; a caller builds a Fraction from it
+only where a record needs one, and the float layer divides p by q.
 
 Conventions.  Bernoulli numbers use B_1 = -1/2, so
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, floor, lcm
+from math import comb, lcm
 from typing import Tuple, Union
 
 from .errors import DomainError
@@ -65,10 +67,12 @@ def _require_ints(what: str, *values: object) -> None:
             raise DomainError(f"{what} requires int arguments, got {v!r}")
 
 
-def _reduce_mod1(x: RationalLike) -> Fraction:
-    """x - floor(x) as an exact Fraction in [0, 1)."""
+def _mod1(x: RationalLike) -> Tuple[int, int]:
+    """(p, q) with x - floor(x) = p/q in lowest terms, so 0 <= p < q, for x
+    under :func:`_fraction`'s rule."""
     x = _fraction(x)
-    return x - floor(x)
+    q = x.denominator
+    return x.numerator % q, q
 
 
 @lru_cache(maxsize=None)
@@ -129,8 +133,7 @@ def periodic_bernoulli(n: int, x: RationalLike) -> Fraction:
     """
     if n < 1:
         raise DomainError("periodic_bernoulli requires n >= 1")
-    x = _fraction(x)
-    p, q = x.numerator % x.denominator, x.denominator  # x - floor(x) = p/q
+    p, q = _mod1(x)
     if n % 2 == 1 and p == 0:
         return Fraction(0)
     return Fraction(*_poly_num(n, p, q))

@@ -494,16 +494,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=_parse_sigma, required=True)
     p.add_argument("--nu", type=_parse_rational_pair, required=True)
     _add_series(p)
+    # random_sl2z draws about --max-entry candidates per matrix: capped at 10^4
     for name in ("eta-transform", "eta-transform-gen"):
         p = _leaf(ver_sub, name, _cmd_verify_eta_transform)
         p.add_argument("--count", type=_bounded_int(0), default=100)
-        p.add_argument("--max-entry", type=_bounded_int(1), default=20)
+        p.add_argument("--max-entry", type=_bounded_int(1, 10**4), default=20)
         p.add_argument("--seed", type=int, default=20260822)
         _add_series(p)
     p = _leaf(ver_sub, "two-path", _cmd_verify_two_path)
     p.add_argument("--count", type=_bounded_int(0), default=500)
     # the smallest hyperbolic matrices, such as [[2, 1], [1, 1]], need entries up to 2
-    p.add_argument("--max-entry", type=_bounded_int(2), default=30)
+    p.add_argument("--max-entry", type=_bounded_int(2, 10**4), default=30)
     p.add_argument("--seed", type=int, default=20260822)
     _leaf(ver_sub, "parabolic-circle", _cmd_verify_parabolic_circle)
 

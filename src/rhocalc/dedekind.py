@@ -23,6 +23,8 @@ Notation.  P_1 is the sawtooth from :mod:`rhocalc.bernoulli`,
     s_{x,y}(a, c) = sum_{k=0}^{|c|-1} P_1(a (k+x)/c + y) P_1((k+x)/c)
 
 and d denotes the inverse of a modulo c, least nonnegative residue.
+Every sum, exact or float, checks c != 0 and gcd(a, c) = 1 in one place,
+:func:`rhocalc.sl2z._unit`, which also gives |c|, a mod |c| and d.
 """
 
 from __future__ import annotations
@@ -32,35 +34,17 @@ from functools import lru_cache
 from math import gcd
 from typing import Tuple
 
-from ._record import Record
 from .bernoulli import RationalLike, _fraction, _require_ints
 from .errors import DomainError
 from .moduli import _admissible_m
-from .sl2z import SL2ZMatrix, _inverse_mod
+from .sl2z import SL2ZMatrix, _unit
 
 __all__ = [
-    "CoprimePair",
     "classical_sum",
     "generalized_sum",
     "cotangent_sum",
     "sum_difference_closed",
 ]
-
-
-class CoprimePair(Record):
-    """A pair (a, c) with c != 0 and gcd(a, c) = 1; carries d = a^{-1} mod c."""
-
-    a: int
-    c: int
-    d: int
-
-    def __init__(self, a: int, c: int) -> None:
-        _require_ints("CoprimePair", a, c)
-        if c == 0:
-            raise DomainError("CoprimePair requires c != 0")
-        if gcd(a, c) != 1:
-            raise DomainError("CoprimePair requires gcd(a, c) = 1")
-        self.__dict__.update(a=a, c=c, d=_inverse_mod(a, c))
 
 
 def _p1_int(n: int, den: int) -> Tuple[int, bool]:
@@ -84,14 +68,9 @@ def _classical_num(a: int, c: int) -> Tuple[int, int]:
     with h' = h^{-1} mod m in [0, m) and e = 3 for an odd number of
     quotients, 1 for an even one.
     """
-    if c == 0:
-        raise DomainError("classical_sum requires a nonzero modulus c")
-    if gcd(a, c) != 1:
-        raise DomainError("classical_sum requires gcd(a, c) = 1")
-    m = abs(c)
+    m, h, t = _unit("classical_sum", a, c)
     if m == 1:
         return 0, 1
-    h = a % m
     alt, odd, r0, r1 = 0, False, m, h
     while r1:
         q, r = divmod(r0, r1)
@@ -99,7 +78,7 @@ def _classical_num(a: int, c: int) -> Tuple[int, int]:
         odd = not odd
         r0, r1 = r1, r
     # after the loop, odd says whether the number of quotients is odd
-    return m * (alt - (3 if odd else 1)) + h + pow(h, -1, m), 12 * m
+    return m * (alt - (3 if odd else 1)) + h + t, 12 * m
 
 
 def classical_sum(a: int, c: int) -> Fraction:
@@ -148,21 +127,15 @@ def _generalized_num(x: RationalLike, y: RationalLike, a: int, c: int) -> Tuple[
 
     where B(u) = 6 L^2 P_2(u/L) and S(u) = 2 L P_1(u/L) are integers.
     """
-    if c == 0:
-        raise DomainError("generalized_sum requires a nonzero modulus c")
-    if gcd(a, c) != 1:
-        raise DomainError("generalized_sum requires gcd(a, c) = 1")
-    m = abs(c)
+    m, h, t = _unit("generalized_sum", a, c)
     qx, qy = x.denominator, y.denominator
     den = qx // gcd(qx, qy) * qy
     den2 = den * den
     v = x.numerator * (den // qx) % den            # L * Y
     u = y.numerator * (den // qy)                  # L * X before the shift
     u = ((u if c > 0 else -u) + (a // m) * v) % den
-    h = a % m
     if m == 1:
         return 3 * _p1_int(u, den)[0] * _p1_int(v, den)[0], 12 * den2
-    t = pow(h, -1, m)
     head = h * _p2_num(v, den)
     w = h * v + m * u                              # L * W
     alt, odd, b, r0 = 0, False, h, m
@@ -209,14 +182,14 @@ def cotangent_sum(a: int, c: int) -> float:
     """
     import numpy as np
 
-    pair = CoprimePair(a, c)
-    m = abs(c)
+    _require_ints("cotangent_sum", a, c)
+    m, _, d = _unit("cotangent_sum", a, c)
     if m == 1:
         return 0.0
     base = _cot_table(m)
     # cot(pi d p / c) = cot(pi ((d p) mod |c|) / |c|) by pi-periodicity;
     # (d p) mod |c| is never 0 since gcd(d, c) = 1 and 0 < p < |c|
-    idx = (pair.d * np.arange(1, m, dtype=np.int64)) % m
+    idx = (d * np.arange(1, m, dtype=np.int64)) % m
     return float(np.dot(base[idx - 1], base) / (4.0 * m))
 
 

@@ -32,7 +32,7 @@ from math import gcd
 from typing import List, Optional, Tuple
 
 from ._record import Record
-from .bernoulli import RationalLike, _fraction, _reduce_mod1, _require_ints
+from .bernoulli import RationalLike, _fraction, _mod1, _require_ints
 from .errors import AdmissibilityError, DomainError, UnsupportedClassError
 from .sl2z import Identity, Parabolic, SL2ZMatrix, classify
 
@@ -209,12 +209,11 @@ def connection_from_nu(
         nu1, nu2 = nu
     except (TypeError, ValueError):
         raise DomainError(f"connection_from_nu requires nu to be a pair, got {nu!r}") from None
-    nu1, nu2 = _reduce_mod1(nu1), _reduce_mod1(nu2)
-    q1, q2 = nu1.denominator, nu2.denominator
+    (p1, q1), (p2, q2) = _mod1(nu1), _mod1(nu2)
     return TorusFlatConnection(
-        nu=(nu1, nu2),
-        m=_admissible_m(M, nu1.numerator * q2, nu2.numerator * q1, q1 * q2),
-        gauge_lambda=None if gauge_lambda is None else _reduce_mod1(gauge_lambda),
+        nu=(Fraction(p1, q1), Fraction(p2, q2)),
+        m=_admissible_m(M, p1 * q2, p2 * q1, q1 * q2),
+        gauge_lambda=None if gauge_lambda is None else Fraction(*_mod1(gauge_lambda)),
     )
 
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from ._record import Record
-from .bernoulli import RationalLike, _fraction, _reduce_mod1, _require_ints, periodic_bernoulli, sgn
+from .bernoulli import _fraction, _mod1, _require_ints, periodic_bernoulli, sgn
 from .dedekind import _difference_num, _generalized_num
 from .errors import DomainError, UnsupportedClassError
 from .moduli import CircleFlatConnection, TorusFlatConnection, _admissible_m
@@ -47,13 +47,6 @@ __all__ = [
     "rho_finite_order_generic",
     "chern_simons_mod1",
 ]
-
-
-def _p2(x: RationalLike) -> Fraction:
-    return periodic_bernoulli(2, x)
-
-
-_SIXTH = Fraction(1, 6)
 
 
 class RhoBranch(str, Enum):
@@ -127,15 +120,15 @@ def rho_circle(conn: CircleFlatConnection) -> RhoValue:
         return RhoValue(Fraction(0), RhoBranch.CIRCLE_ZERO_DEGREE)
     if conn.is_trivial:
         return RhoValue(Fraction(0), RhoBranch.CIRCLE_TRIVIAL)
-    value = 2 * l * (_p2(conn.q) - _SIXTH) + sgn(l)
-    return RhoValue(value, RhoBranch.CIRCLE_NONTRIVIAL)
+    p, q = _mod1(conn.q)  # P_2(p/q) - 1/6 = p (p - q)/q^2
+    return RhoValue(Fraction(2 * l * p * (p - q), q * q) + sgn(l), RhoBranch.CIRCLE_NONTRIVIAL)
 
 
 def eta_truncated_circle(conn: CircleFlatConnection) -> Fraction:
     """Eta invariant of the even truncated signature operator: 2 l P_2(k/l)."""
     if conn.degree_l == 0:
         raise DomainError("eta_truncated_circle requires degree l != 0")
-    return 2 * conn.degree_l * _p2(conn.q)
+    return 2 * conn.degree_l * periodic_bernoulli(2, conn.q)
 
 
 def dai_correction_circle(degree_l: int, connection_trivial: bool) -> int:
@@ -192,7 +185,7 @@ def rho_torus(M: SL2ZMatrix, conn: TorusFlatConnection) -> RhoValue:
     * hyperbolic: the assembly of the module docstring over the closed
       form :func:`~rhocalc.dedekind.sum_difference_closed`.
     """
-    p1, q1, _, _ = _admissible_nu(M, conn, "rho_torus")
+    p1, q1, p2, q2 = _admissible_nu(M, conn, "rho_torus")
     cls = classify(M)
     if isinstance(cls, Identity):
         raise UnsupportedClassError("rho_torus is undefined for M = +-Id")
@@ -216,9 +209,11 @@ def rho_torus(M: SL2ZMatrix, conn: TorusFlatConnection) -> RhoValue:
     if isinstance(cls, Parabolic):
         _require_twisted(conn, "parabolic rho_torus")
         # nu' = g^t nu mod Z^2 in the coordinates of the normal form
-        # eps*[[1, l], [0, 1]] = g^{-1} M g
-        nu1p = _reduce_mod1(cls.conjugator.transpose_apply(conn.nu)[0])
-        value = 2 * cls.l * (_p2(nu1p) - _SIXTH)
+        # eps*[[1, l], [0, 1]] = g^{-1} M g; nu1' = p/q over q = q1 q2, and
+        # P_2(p/q) - 1/6 = p (p - q)/q^2 on [0, 1)
+        g, q = cls.conjugator, q1 * q2
+        p = (g.a * p1 * q2 + g.c * p2 * q1) % q
+        value = Fraction(2 * cls.l * p * (p - q), q * q)
         if cls.epsilon == 1:
             value += sgn(cls.l)
         return RhoValue(value, RhoBranch.PARABOLIC)

@@ -48,9 +48,21 @@ _ELLIPTIC_THETA = {1: Fraction(1, 6), 0: Fraction(1, 4), -1: Fraction(1, 3)}
 def _inverse_mod(a: int, c: int) -> int:
     """Least nonnegative d with a*d = 1 (mod |c|)."""
     m = abs(c)
-    if m == 1:
-        return 0
-    return pow(a % m, -1, m)
+    return pow(a % m, -1, m)  # 0 for |c| = 1
+
+
+def _unit(what: str, a: int, c: int) -> Tuple[int, int, int]:
+    """(|c|, a mod |c|, a^{-1} mod |c|), least nonnegative residues, for
+    int a and c: the one check of a unit mod c.  Raises DomainError,
+    naming `what`, unless c != 0 and gcd(a, c) = 1."""
+    if c == 0:
+        raise DomainError(f"{what} requires a nonzero modulus c")
+    m = abs(c)
+    h = a % m
+    try:
+        return m, h, pow(h, -1, m)
+    except ValueError:  # h is not invertible mod m: gcd(a, c) != 1
+        raise DomainError(f"{what} requires gcd(a, c) = 1") from None
 
 
 class SL2ZMatrix(Record):

@@ -47,13 +47,12 @@ from rhocalc import (
     transform_defect_gen,
 )
 from rhocalc.analytic import (
-    _e_series_dsigma,
     e_series_with_count,
     f_series_direct,
     f_series_poisson,
     kronecker_integral_info,
 )
-from rhocalc.bernoulli import sgn
+from rhocalc.bernoulli import _mod1, sgn
 from rhocalc.cli import ETA_TRANSFORM_TOL, EXIT_NUMERIC, KRONECKER_TOL, run_command
 
 SIGMA_I = UpperHalfPoint(0.0, 1.0)
@@ -292,6 +291,59 @@ E_SERIES_PINS = [
      (-0.24801575985956878+0.23854234977940242j), (-0.24801575985956875+0.2385423497794024j),
      (-0.09645540293784595-0.12644025435166173j), (-0.2624930463487727-0.1534575487446789j)),
 ]
+
+
+def _e_series_dsigma(sigma, nu, params):
+    """analytic._e_series_dsigma at a rational nu, taken mod Z^2 as
+    kronecker_closed takes it."""
+    return analytic._e_series_dsigma(sigma, analytic._nu_mod1(nu), params)
+
+
+def fraction_mod1(x):
+    """x - floor(x) as a Fraction, then float(): the route by which the
+    float layer took a rational before it took integers, kept as the
+    oracle of bernoulli._mod1."""
+    x = F(x)
+    r = x - math.floor(x)
+    return r, float(r)
+
+
+def seeded_rationals(seed: int, count: int):
+    """ints, negative values, numerators past 10^400 and denominators past
+    2^53, the corners of a correctly rounded division."""
+    rng = random.Random(seed)
+    out = [0, 1, -1, 10**400, -(10**400) - 3, F(1, 3), F(-1, 3), F(2**53 + 1, 2**54), F(-(10**400), 2**53 + 3)]
+    for _ in range(count):
+        num = rng.choice((rng.randint(-50, 50), rng.randint(-(2**60), 2**60), rng.randint(-(10**420), 10**420)))
+        den = rng.choice((rng.randint(1, 60), rng.randint(2**53, 2**64), rng.randint(1, 10**410)))
+        out.append(F(num, den))
+    return out
+
+
+class TestExactInputsAsIntegers:
+    def test_mod1_matches_the_fraction_route_bit_for_bit(self):
+        for x in seeded_rationals(23, 400):
+            p, q = _mod1(x)
+            exact, value = fraction_mod1(x)
+            assert (p, q) == (exact.numerator, exact.denominator), x
+            assert (p / q).hex() == value.hex(), x
+
+    def test_periodic_bernoulli_floats_bit_for_bit(self):
+        for x in seeded_rationals(24, 200):
+            for n in (1, 2):
+                assert analytic._pn_float(n, *_mod1(x)).hex() == float(periodic_bernoulli(n, x)).hex(), (n, x)
+
+    def test_sigma1_move_matches_the_fraction_route(self):
+        rng = random.Random(25)
+        xs = seeded_rationals(25, 60)
+        for _ in range(200):
+            nu = (rng.choice(xs), rng.choice(xs))
+            sigma = UpperHalfPoint(rng.choice((0.3, -2.6, 7.5, 1e17)), 1.0)
+            moved, (p1, q1, p2, q2) = analytic._sigma1_near_zero(sigma, nu)
+            k = round(sigma.sigma1)
+            assert moved == UpperHalfPoint(sigma.sigma1 - k, 1.0)
+            assert (p1, q1) == _mod1(nu[0]) and 0 <= p2 < q2
+            assert (p2 / q2).hex() == fraction_mod1(F(nu[1]) - k * F(nu[0]))[1].hex(), nu
 
 
 class TestSeriesParams:
@@ -659,7 +711,8 @@ class TestGaussKronrod:
         u = np.linspace(0.5, 2.0, 31)
         for sp in (SIGMA_I, UpperHalfPoint(0.3, 0.7), UpperHalfPoint(-0.45, 1.9)):
             for nu in [(F(1, 2), F(1, 4)), (F(1, 3), F(2, 3)), (F(0), F(0))]:
-                nu1f, nu2f = analytic._nu_floats(nu)
+                p1, q1, p2, q2 = analytic._nu_mod1(nu)
+                nu1f, nu2f = p1 / q1, p2 / q2
                 direct = analytic._direct_kernel(sp, 0.5, nu1f, nu2f, params)(u)
                 poisson = analytic._poisson_kernel(sp, 2.0, nu1f, nu2f, params)(u)
                 assert np.max(np.abs(direct - poisson)) < ETA_TRANSFORM_TOL, (sp, nu)
@@ -693,7 +746,8 @@ def two_pass_kronecker(sigma, nu, params=None):
 
     params = params or SeriesParams()
     switch = params.poisson_switch_u
-    nu1f, nu2f = analytic._nu_floats(nu)
+    p1, q1, p2, q2 = analytic._nu_mod1(nu)
+    nu1f, nu2f = p1 / q1, p2 / q2
     rate = (math.pi**2 / sigma.sigma2) * analytic._min_lattice_dist2(sigma, nu1f, nu2f)
     scale = abs(f_series(sigma, switch, nu, params).as_complex()) + 1.0
     u_max = switch + max(1.0, math.log(20.0 * math.pi * scale / (rate * params.quad_tolerance)) / rate)

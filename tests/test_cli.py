@@ -70,6 +70,12 @@ class TestParsing:
             # no SL2(Z) matrix has entries <= 0
             ["verify", "eta-transform", "--max-entry", "0"],
             ["verify", "eta-transform-gen", "--max-entry", "0"],
+            # random_sl2z draws about --max-entry candidates per matrix: capped at 10^4
+            ["verify", "eta-transform", "--max-entry", "10001"],
+            ["verify", "eta-transform", "--count", "5", "--max-entry", "10000000"],
+            ["verify", "eta-transform-gen", "--max-entry", "10001"],
+            ["verify", "two-path", "--max-entry", "10001"],
+            ["verify", "two-path", "--max-entry", str(10**300)],
             ["verify", "eta-transform", "--count", "-5"],
             ["verify", "eta-transform-gen", "--count", "-5"],
             ["verify", "two-path", "--count", "-5"],
@@ -88,6 +94,21 @@ class TestParsing:
         with pytest.raises(SystemExit) as exc:
             run_command(argv)
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("suite", ["eta-transform", "eta-transform-gen", "two-path"])
+    def test_max_entry_cap_exits_before_sampling(self, capsys, monkeypatch, suite):
+        import rhocalc.cli
+
+        def no_draw(*args):
+            raise AssertionError("a matrix was drawn")
+
+        monkeypatch.setattr(rhocalc.cli, "random_sl2z", no_draw)
+        monkeypatch.setattr(rhocalc.cli, "random_hyperbolic", no_draw)
+        with pytest.raises(SystemExit) as exc:
+            run_command(["verify", suite, "--max-entry", "10001"])
+        assert exc.value.code == EXIT_USAGE
+        assert "must be at most 10000" in capsys.readouterr().err
+        assert run_command(["verify", suite, "--count", "0", "--max-entry", "10000"]) == EXIT_OK
 
     @pytest.mark.parametrize("flag", ["--tail-tol", "--quad-tol"])
     @pytest.mark.parametrize("value", ["0", "-1e-3"])

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction as F
 from math import gcd
 
@@ -25,7 +26,6 @@ import pytest
 from conftest import random_hyperbolic, random_sl2z
 from dedekind_batch import dedekind_batch_exact
 from rhocalc import (
-    CoprimePair,
     DomainError,
     SL2ZMatrix,
     classical_sum,
@@ -38,6 +38,7 @@ from rhocalc import (
 )
 from rhocalc.analytic import PeriodicFunctionTable, finite_fourier_transform, p1_closed_fourier
 from rhocalc.bernoulli import sgn
+from rhocalc.sl2z import _unit
 
 
 def oracle_classical(a: int, c: int) -> F:
@@ -112,17 +113,23 @@ def random_coprime(rng: random.Random, bound: int):
             return a, c
 
 
-class TestCoprimePair:
+class TestUnit:
+    """sl2z._unit, the one check of a unit a mod c behind every Dedekind sum."""
+
     def test_inverse_residue(self):
-        p = CoprimePair(3, 4)
-        assert (p.a * p.d) % abs(p.c) == 1 % abs(p.c)
-        assert 0 <= p.d < abs(p.c)
+        rng = random.Random(13)
+        pairs = [(3, 4), (2, -7), (0, 1), (5, -1), (-3, 10)]
+        pairs += [random_coprime(rng, 60) for _ in range(100)]
+        pairs += [random_coprime(rng, 10**40) for _ in range(100)]
+        for a, c in pairs:
+            m, h, d = _unit("test", a, c)
+            assert m == abs(c) and 0 <= h < m and (h - a) % m == 0
+            assert 0 <= d < m and (a * d - 1) % m == 0
 
     def test_rejects_bad_input(self):
-        with pytest.raises(DomainError):
-            CoprimePair(2, 4)
-        with pytest.raises(DomainError):
-            CoprimePair(1, 0)
+        for a, c, message in [(2, 4, "gcd(a, c) = 1"), (0, 3, "gcd(a, c) = 1"), (1, 0, "a nonzero modulus c")]:
+            with pytest.raises(DomainError, match=rf"^what requires {re.escape(message)}$"):
+                _unit("what", a, c)
 
 
 class TestClassicalSum:
@@ -145,7 +152,7 @@ class TestClassicalSum:
             a, c = random_coprime(rng, 60)
             s = classical_sum(a, c)
             assert s == classical_sum(a, abs(c))
-            d = CoprimePair(a, c).d
+            d = pow(a, -1, abs(c))
             assert s == classical_sum(d, c)
 
     def test_oddness_in_a(self):
@@ -447,7 +454,7 @@ class TestFiniteFourier:
         rng = random.Random(19)
         for c in (7, -9, 11):
             a = 4 if gcd(4, c) == 1 else 5
-            d = CoprimePair(a, c).d
+            d = pow(a, -1, abs(c))
             vals = tuple(
                 complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(abs(c))
             )
@@ -510,12 +517,12 @@ class TestP1ClosedFourier:
         # the closed form only uses d through P_1-periodic expressions, so
         # replacing d by d + c must not change the value
         x, y, a, c = F(1, 2), F(1, 3), 3, 7
-        pair = CoprimePair(a, c)
+        d = pow(a, -1, abs(c))
         for p in range(1, abs(c)):
             v = p1_closed_fourier(x, y, a, c, p)
-            d2 = pair.d + abs(c)
+            d2 = d + abs(c)
             cot = 1.0 / math.tan(math.pi * d2 * p / c)
-            cot1 = 1.0 / math.tan(math.pi * pair.d * p / c)
+            cot1 = 1.0 / math.tan(math.pi * d * p / c)
             assert abs(cot - cot1) < 1e-9
             assert v == v  # value well-defined (no NaN)
 

@@ -20,7 +20,6 @@ import pytest
 from rhocalc import (
     CircleFlatConnection,
     ConvergenceError,
-    CoprimePair,
     DomainError,
     EigenphaseData,
     PeriodicFunctionTable,
@@ -40,20 +39,25 @@ from rhocalc import (
     eta_untwisted_numeric,
     generalized_sum,
     log_eta_gen,
+    moebius_op_action,
+    p1_closed_fourier,
     periodic_bernoulli,
     rho_hyperbolic_prep,
     sum_difference_closed,
     torus_spectrum,
+    transform_defect,
     transform_defect_gen,
     transport_nu_from_normal_form,
 )
 from rhocalc._quadrature import gauss_kronrod
 from rhocalc.analytic import e_series_with_count
+from rhocalc.sl2z import _unit
 
 SIGMA_I = UpperHalfPoint(0.0, 1.0)
 S = SL2ZMatrix(0, -1, 1, 0)  # elliptic
 T = SL2ZMatrix(1, 1, 0, 1)  # parabolic, c = 0
 HYP = SL2ZMatrix(3, 2, 4, 3)
+HUGE = SL2ZMatrix(10**400, 10**400 - 1, 1, 1)  # beyond double range
 
 
 def _double_sum(sigma2: float, max_terms: int):
@@ -70,6 +74,11 @@ DOCUMENTED_BRANCHES = [
     pytest.param(lambda: transform_defect_gen(HYP, 1, 0, SIGMA_I), DomainError, "not in Z", id="transform_defect_gen-lattice-point"),
     pytest.param(lambda: torus_spectrum(SIGMA_I, (F(1, 2), 0), -1), DomainError, "nonnegative", id="torus_spectrum-negative-norm"),
     pytest.param(lambda: eta_untwisted_numeric(T), UnsupportedClassError, "hyperbolic", id="eta_untwisted_numeric-parabolic"),
+    pytest.param(lambda: moebius_op_action(HUGE, UpperHalfPoint(0.1, 1.0)), DomainError, "exceed double range", id="moebius_op_action-huge-entry"),
+    pytest.param(lambda: transform_defect(HUGE, SIGMA_I), DomainError, "exceed double range", id="transform_defect-huge-entry"),
+    pytest.param(lambda: transform_defect_gen(HUGE, F(1, 2), 0, SIGMA_I), DomainError, "exceed double range", id="transform_defect_gen-huge-entry"),
+    pytest.param(lambda: p1_closed_fourier(0, 0, 1, 0, 1), DomainError, "nonzero modulus", id="p1_closed_fourier-zero-c"),
+    pytest.param(lambda: p1_closed_fourier(0, 0, 2, 4, 1), DomainError, "gcd", id="p1_closed_fourier-not-coprime"),
     # _quadrature
     pytest.param(
         lambda: gauss_kronrod(lambda u: np.full(u.shape, np.nan), 0.0, 1.0, 1e-9, 1e-12),
@@ -83,6 +92,8 @@ DOCUMENTED_BRANCHES = [
     pytest.param(lambda: PeriodicFunctionTable(0, ()), DomainError, "c != 0", id="PeriodicFunctionTable-zero-c"),
     pytest.param(lambda: PeriodicFunctionTable(3, (1, 2)), DomainError, "exactly", id="PeriodicFunctionTable-wrong-length"),
     pytest.param(lambda: classical_sum(1, 0), DomainError, "nonzero modulus", id="classical_sum-zero-c"),
+    pytest.param(lambda: cotangent_sum(1, 0), DomainError, "nonzero modulus", id="cotangent_sum-zero-c"),
+    pytest.param(lambda: cotangent_sum(2, 4), DomainError, "gcd", id="cotangent_sum-not-coprime"),
     pytest.param(lambda: generalized_sum(F(1, 2), 0, 1, 0), DomainError, "nonzero modulus", id="generalized_sum-zero-c"),
     pytest.param(lambda: generalized_sum(F(1, 2), 0, 2, 4), DomainError, "gcd", id="generalized_sum-not-coprime"),
     pytest.param(lambda: sum_difference_closed(0, 0, T), DomainError, "c != 0", id="sum_difference_closed-zero-c"),
@@ -143,7 +154,12 @@ NOT_INT = [
     pytest.param(lambda: generalized_sum(F(1, 2), 0, 3.0, 7), id="generalized_sum-float-a"),
     pytest.param(lambda: generalized_sum(F(1, 2), 0, 3, True), id="generalized_sum-bool-c"),
     pytest.param(lambda: cotangent_sum(2.0, 7), id="cotangent_sum-float-a"),
-    pytest.param(lambda: CoprimePair(True, 1), id="CoprimePair-bool-a"),
+    pytest.param(lambda: cotangent_sum(2, True), id="cotangent_sum-bool-c"),
+    pytest.param(lambda: p1_closed_fourier(0, 0, True, 1, 0), id="p1_closed_fourier-bool-a"),
+    pytest.param(lambda: p1_closed_fourier(0, 0, 2, 7.0, 1), id="p1_closed_fourier-float-c"),
+    pytest.param(lambda: p1_closed_fourier(0, 0, 2, 7, 1.0), id="p1_closed_fourier-float-p"),
+    pytest.param(lambda: PeriodicFunctionTable(2.0, (1, 2j)), id="PeriodicFunctionTable-float-c"),
+    pytest.param(lambda: PeriodicFunctionTable(True, (1,)), id="PeriodicFunctionTable-bool-c"),
     pytest.param(lambda: dai_correction_circle(1.5, True), id="dai_correction_circle-float-l"),
     pytest.param(lambda: circle_moduli_summary(1.5, 2), id="circle_moduli_summary-float-genus"),
     pytest.param(lambda: circle_moduli_summary(1, 2.0), id="circle_moduli_summary-float-l"),
@@ -199,7 +215,7 @@ def test_ints_and_fractions_still_accepted():
     assert EigenphaseData([0], [F(1, 2)], [], 1).plus_phases == (F(0),)
     assert CircleFlatConnection(3, 1).q == F(1, 3)
     assert classical_sum(2, 7) == F(1, 14)
-    assert CoprimePair(2, -7).d == 4
+    assert _unit("test", 2, -7) == (7, 2, 4)
     assert dai_correction_circle(-3, True) == 1
     assert dai_correction_circle(3, False) == 0
     assert CircleFlatConnection(3, 3, True).is_trivial is True

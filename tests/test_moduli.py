@@ -38,7 +38,6 @@ from rhocalc import (
     parabolic_normal_form,
     transport_nu_from_normal_form,
 )
-from rhocalc.bernoulli import _reduce_mod1
 from rhocalc.moduli import MAX_CLASSES, _numerators
 
 
@@ -53,7 +52,7 @@ def transport_nu_to_normal_form(M: SL2ZMatrix, nu):
     """
     eps, l, conj = parabolic_normal_form(M)
     nup = conj.transpose_apply(nu)
-    return eps, l, (_reduce_mod1(nup[0]), _reduce_mod1(nup[1]))
+    return eps, l, (nup[0] % 1, nup[1] % 1)
 
 
 def det2(A):

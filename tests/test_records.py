@@ -22,7 +22,6 @@ from rhocalc import (
     CircleFlatConnection,
     CircleModuliSummary,
     ComplexValue,
-    CoprimePair,
     EigenphaseData,
     Elliptic,
     Hyperbolic,
@@ -90,7 +89,6 @@ CASES = {
         lambda: CircleModuliSummary(3, 2),
         "CircleModuliSummary(torus_rank=2, torsion_order=3)",
     ),
-    "CoprimePair": (lambda: CoprimePair(3, 7), lambda: CoprimePair(3, -7), "CoprimePair(a=3, c=7, d=5)"),
     "PeriodicFunctionTable": (
         lambda: PeriodicFunctionTable(2, (1, 2j)),
         lambda: PeriodicFunctionTable(-2, (1, 2j)),
@@ -151,7 +149,6 @@ def test_distinct_classes_with_equal_fields_differ():
     "make,field,changed",
     [
         (lambda: TorusFlatConnection((F(1, 3), F(2, 3)), (0, 1)), "restriction_trivial", True),
-        (lambda: CoprimePair(3, 7), "d", 4),
     ],
 )
 def test_derived_fields_take_part_in_equality(make, field, changed):
