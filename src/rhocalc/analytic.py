@@ -27,6 +27,9 @@ every argument is checked to stay off the cut.
 An exact input reaches a float as integers, a rational mod 1 as the
 pair (p, q) of :func:`rhocalc.bernoulli._mod1`: each float of it is one
 int division, correctly rounded, so float() of the Fraction to the bit.
+e_series, the F_nu series, the Kronecker pair and torus_spectrum first
+move sigma1 by k = round(sigma1) and nu2 by -k nu1, exactly, in
+`_sigma1_near_zero`; log eta and log eta_{g,h} do not.
 
 numpy, the only dependency, is imported inside the functions that use
 it, so importing this module (and with it the package) does not load
@@ -130,13 +133,6 @@ class ComplexValue(Record):
         return complex(self.re, self.im)
 
 
-def _nu_mod1(nu: Tuple[RationalLike, RationalLike]) -> Tuple[int, int, int, int]:
-    """(p1, q1, p2, q2) with nu = (p1/q1, p2/q2) mod Z^2 in lowest terms:
-    every float path here depends on nu only mod Z^2, and a huge nu would
-    overflow or lose its fractional part in float."""
-    return (*_mod1(nu[0]), *_mod1(nu[1]))
-
-
 def _pn_float(n: int, p: int, q: int) -> float:
     """float(periodic_bernoulli(n, p/q)) for 0 <= p < q, by one division."""
     if n % 2 and p == 0:
@@ -146,11 +142,14 @@ def _pn_float(n: int, p: int, q: int) -> float:
 
 
 def _sigma1_near_zero(sigma: UpperHalfPoint, nu):
-    """(sigma - k, nu') for k = round(sigma1), nu' = (nu1, nu2 - k nu1) mod
-    Z^2 as _nu_mod1 gives it but with nu2' over q1 q2: F_nu(sigma + k) =
-    F_{nu'}(sigma), and so for E_nu.  The lattice windows and q_sigma lose
-    the fraction of a large sigma1; sigma1 - k is exact in float."""
-    p1, q1, p2, q2 = nu = _nu_mod1(nu)
+    """(sigma - k, nu') for k = round(sigma1) and nu' = (p1/q1, p2/q2) =
+    (nu1, nu2 - k nu1) mod Z^2, in lowest terms when k = 0 and with nu2'
+    over q1 q2 otherwise: F_nu(sigma + k) = F_{nu'}(sigma), and so for
+    E_nu.  e_series, f_series*, kronecker_integral_info, kronecker_closed
+    and torus_spectrum start here: a huge nu would overflow or lose its
+    fraction in float, and a large sigma1 would in the lattice windows and
+    q_sigma, while sigma1 - k is exact."""
+    p1, q1, p2, q2 = nu = (*_mod1(nu[0]), *_mod1(nu[1]))
     k = round(sigma.sigma1)
     if k == 0:
         return sigma, nu
@@ -304,7 +303,7 @@ def e_series_with_count(
     and it moves to the tests with the next change to the benchmark."""
     if method not in ("cotangent", "double-sum"):
         raise DomainError("method must be 'cotangent' or 'double-sum'")
-    p1, q1, p2, q2 = _nu_mod1(nu)
+    sigma, (p1, q1, p2, q2) = _sigma1_near_zero(sigma, nu)
     q_sigma, q_z, ratio, one_minus_qz = _qz(sigma.as_complex(), p1, q1, p2, q2)
     if method == "cotangent":
         # inner geometric sums resummed; S1 = sum q_z^n / n = -Log(1 - q_z)
@@ -374,7 +373,7 @@ def _e_series_dsigma(
     params: SeriesParams,
 ) -> Tuple[complex, int]:
     """Term-wise d/dsigma of E_nu = S2 - Log(1 - q_z), with the number of
-    S2 terms, for nu as _nu_mod1 gives it; every term an explicit
+    S2 terms, for nu as _sigma1_near_zero gives it; every term an explicit
     exponential."""
     nu1f = nu[0] / nu[1]
     q_sigma, q_z, ratio, one_minus_qz = _qz(sigma.as_complex(), *nu)

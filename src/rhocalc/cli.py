@@ -8,9 +8,10 @@ round-trip decimal, so JSON output is byte-stable across runs.
 Exit codes: 0 success, 2 domain or admissibility error (a non-finite
 float among the inputs or the results included), 3 numeric
 non-convergence or a verification suite missing its tolerance, 64 usage.
-The environment variable RHO_CALC_TOL overrides the default quadrature
-tolerance, and inputs then echoes it; explicit flags win over the
-environment.
+Series controls exist only where a series reads them: --tail-tol and
+--max-terms on the three float suites; --quad-tol, --poisson-switch and
+the environment variable RHO_CALC_TOL (the default quadrature tolerance,
+echoed in inputs; --quad-tol wins over it) on `verify kronecker` alone.
 """
 
 from __future__ import annotations
@@ -198,23 +199,19 @@ def _emit(doc: Dict[str, object], as_json: bool) -> None:
 
 
 def _series_params(args: argparse.Namespace) -> SeriesParams:
-    """The series controls of args; a RHO_CALC_TOL that stands in for an
-    unset --quad-tol is put on args, so that inputs echoes it."""
+    """The series controls of args; on verify kronecker, a RHO_CALC_TOL
+    that stands in for an unset --quad-tol is put on args for inputs."""
     from .analytic import SeriesParams
 
-    quad_tol = args.quad_tol
-    env = os.environ.get("RHO_CALC_TOL")
-    if quad_tol is None and env is not None:
-        try:
-            quad_tol = args.RHO_CALC_TOL = float(env)
-        except ValueError:
-            raise DomainError(f"RHO_CALC_TOL must be a positive real, got {env!r}") from None
-    kwargs = {
-        "quad_tolerance": quad_tol,
-        "tail_tolerance": args.tail_tol,
-        "max_terms": args.max_terms,
-        "poisson_switch_u": args.poisson_switch,
-    }
+    kwargs = {"tail_tolerance": args.tail_tol, "max_terms": args.max_terms}
+    if "quad_tol" in args:  # verify kronecker, the one quadrature suite
+        quad_tol, env = args.quad_tol, os.environ.get("RHO_CALC_TOL")
+        if quad_tol is None and env is not None:
+            try:
+                quad_tol = args.RHO_CALC_TOL = float(env)
+            except ValueError:
+                raise DomainError(f"RHO_CALC_TOL must be a positive real, got {env!r}") from None
+        kwargs.update(quad_tolerance=quad_tol, poisson_switch_u=args.poisson_switch)
     return SeriesParams(**{k: v for k, v in kwargs.items() if v is not None})
 
 
@@ -437,11 +434,9 @@ def _leaf(group, name: str, func: Callable[[argparse.Namespace], _Outcome], **kw
 
 
 def _add_series(parser: argparse.ArgumentParser) -> None:
-    """The series controls that _series_params reads."""
+    """The series controls of every float suite, which _series_params reads."""
     parser.add_argument("--tail-tol", type=float, default=None, help="series tail tolerance")
     parser.add_argument("--max-terms", type=int, default=None, help="series term cap")
-    parser.add_argument("--quad-tol", type=float, default=None, help="quadrature tolerance")
-    parser.add_argument("--poisson-switch", type=float, default=None, help="u below which the Poisson form is used")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -494,16 +489,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=_parse_sigma, required=True)
     p.add_argument("--nu", type=_parse_rational_pair, required=True)
     _add_series(p)
-    # random_sl2z draws about --max-entry candidates per matrix: capped at 10^4
-    for name in ("eta-transform", "eta-transform-gen"):
+    p.add_argument("--quad-tol", type=float, default=None, help="quadrature tolerance")
+    p.add_argument("--poisson-switch", type=float, default=None, help="u below which the Poisson form is used")
+    # --max-entry N is capped where log eta at M^op sigma meets its tail
+    # bound in 10^6 terms: in eta-transform Im(M^op sigma) >= 2/(17 N^2),
+    # 6.6e5 terms at N = 150; in eta-transform-gen g' = a g - c h can have
+    # denominator 132 and decay 132x slower, so 30 is empirical (50 fails)
+    for name, cap in (("eta-transform", 150), ("eta-transform-gen", 30)):
         p = _leaf(ver_sub, name, _cmd_verify_eta_transform)
         p.add_argument("--count", type=_bounded_int(0), default=100)
-        p.add_argument("--max-entry", type=_bounded_int(1, 10**4), default=20)
+        p.add_argument("--max-entry", type=_bounded_int(1, cap), default=20)
         p.add_argument("--seed", type=int, default=20260822)
         _add_series(p)
     p = _leaf(ver_sub, "two-path", _cmd_verify_two_path)
     p.add_argument("--count", type=_bounded_int(0), default=500)
-    # the smallest hyperbolic matrices, such as [[2, 1], [1, 1]], need entries up to 2
+    # random_sl2z draws about --max-entry candidates per matrix: capped at
+    # 10^4; the smallest hyperbolic matrices, such as [[2, 1], [1, 1]], need 2
     p.add_argument("--max-entry", type=_bounded_int(2, 10**4), default=30)
     p.add_argument("--seed", type=int, default=20260822)
     _leaf(ver_sub, "parabolic-circle", _cmd_verify_parabolic_circle)

@@ -244,7 +244,7 @@ def _difference_num(p: int, q: int, m1: int, M: SL2ZMatrix) -> Tuple[int, int]:
 
     d = a^{-1} mod |c| and the partial sawtooth sum of each residue r are
     read from M's own cache, so the classes of one M share them."""
-    cabs, d = M._trace_c[1], M._inverse_a
+    cabs, _, d = M._unit_a
     r = m1 % cabs
     # every term over the common denominator 4 q^2 |c| (x = p/q): on [0, 1)
     # P_2(x) - 1/6 = x (x - 1), and d k/|c| is integral only at k = |c|

@@ -178,8 +178,11 @@ def rho_torus(M: SL2ZMatrix, conn: TorusFlatConnection) -> RhoValue:
 
     * elliptic, nu not integral: (2 - 4 theta) sgn(c);
     * elliptic, trivial restriction with gauge phase lambda:
-      0, sgn(c) or 2 sgn(c) according as dist(lambda, Z) >, =, < theta
-      (exact rational comparison standing in for Re(u) vs Re(kappa));
+      0, sgn(c) or 2 sgn(c) according as dist(lambda, Z) <, =, > theta
+      (exact rational comparison standing in for Re(u) vs Re(kappa)), so
+      the trivial connection, lambda = 0, has rho 0; the base-cover
+      identity fixes both strict sides, and leaves sgn(c) at equality
+      unconstrained;
     * parabolic: transported to the normal form eps*[[1, l], [0, 1]],
       then 2l(P_2(nu_1) - 1/6) plus sgn(l) for eps = +1;
     * hyperbolic: the assembly of the module docstring over the closed
@@ -199,7 +202,7 @@ def rho_torus(M: SL2ZMatrix, conn: TorusFlatConnection) -> RhoValue:
                 "elliptic trivial-restriction rho requires the gauge phase lambda"
             )
         dist = min(lam, 1 - lam)
-        if dist > cls.theta:
+        if dist < cls.theta:
             value = Fraction(0)
         elif dist == cls.theta:
             value = Fraction(sc)

@@ -45,12 +45,6 @@ __all__ = [
 _ELLIPTIC_THETA = {1: Fraction(1, 6), 0: Fraction(1, 4), -1: Fraction(1, 3)}
 
 
-def _inverse_mod(a: int, c: int) -> int:
-    """Least nonnegative d with a*d = 1 (mod |c|)."""
-    m = abs(c)
-    return pow(a % m, -1, m)  # 0 for |c| = 1
-
-
 def _unit(what: str, a: int, c: int) -> Tuple[int, int, int]:
     """(|c|, a mod |c|, a^{-1} mod |c|), least nonnegative residues, for
     int a and c: the one check of a unit mod c.  Raises DomainError,
@@ -116,9 +110,9 @@ class SL2ZMatrix(Record):
         return tr, abs(c), (c > 0) - (c < 0), (c * tr > 0) - (c * tr < 0)
 
     @cached_property
-    def _inverse_a(self) -> int:
-        """a^{-1} mod |c|, least nonnegative; needs c != 0."""
-        return _inverse_mod(self.a, self.c)
+    def _unit_a(self) -> Tuple[int, int, int]:
+        """(|c|, a mod |c|, a^{-1} mod |c|) as _unit gives it; needs c != 0."""
+        return _unit("SL2ZMatrix._unit_a", self.a, self.c)
 
     @cached_property
     def _classical(self) -> Tuple[int, int]:

@@ -296,7 +296,7 @@ E_SERIES_PINS = [
 def _e_series_dsigma(sigma, nu, params):
     """analytic._e_series_dsigma at a rational nu, taken mod Z^2 as
     kronecker_closed takes it."""
-    return analytic._e_series_dsigma(sigma, analytic._nu_mod1(nu), params)
+    return analytic._e_series_dsigma(sigma, (*_mod1(nu[0]), *_mod1(nu[1])), params)
 
 
 def fraction_mod1(x):
@@ -448,6 +448,17 @@ class TestESeries:
         params = SeriesParams(max_terms=3)
         with pytest.raises(ConvergenceError):
             series(UpperHalfPoint(0.0, 0.05), (F(1, 2), F(1, 3)), params)
+
+    @pytest.mark.parametrize("method", ["cotangent", "double-sum"])
+    def test_large_sigma1_keeps_its_fraction(self, method):
+        # E_nu(sigma + k) = E_{(nu1, nu2 - k nu1)}(sigma): sigma1 = k + 1/4 is
+        # moved to 1/4 in integers before q_sigma is taken, so at k = 10^15
+        # the value is that at 1/4 to the bit, not one off by 1e-2
+        nu = (F(1, 3), F(1, 5))
+        for k in (10**6, 10**10, 10**12, 10**15):
+            far = e_series_with_count(UpperHalfPoint(k + 0.25, 1.0), nu, method=method)
+            near = e_series_with_count(UpperHalfPoint(0.25, 1.0), (nu[0], nu[1] - k * nu[0]), method=method)
+            assert far == near, k
 
     def test_pinned_values(self):
         assert len(E_SERIES_PINS) == 16
@@ -711,7 +722,7 @@ class TestGaussKronrod:
         u = np.linspace(0.5, 2.0, 31)
         for sp in (SIGMA_I, UpperHalfPoint(0.3, 0.7), UpperHalfPoint(-0.45, 1.9)):
             for nu in [(F(1, 2), F(1, 4)), (F(1, 3), F(2, 3)), (F(0), F(0))]:
-                p1, q1, p2, q2 = analytic._nu_mod1(nu)
+                (p1, q1), (p2, q2) = map(_mod1, nu)
                 nu1f, nu2f = p1 / q1, p2 / q2
                 direct = analytic._direct_kernel(sp, 0.5, nu1f, nu2f, params)(u)
                 poisson = analytic._poisson_kernel(sp, 2.0, nu1f, nu2f, params)(u)
@@ -746,7 +757,7 @@ def two_pass_kronecker(sigma, nu, params=None):
 
     params = params or SeriesParams()
     switch = params.poisson_switch_u
-    p1, q1, p2, q2 = analytic._nu_mod1(nu)
+    (p1, q1), (p2, q2) = map(_mod1, nu)
     nu1f, nu2f = p1 / q1, p2 / q2
     rate = (math.pi**2 / sigma.sigma2) * analytic._min_lattice_dist2(sigma, nu1f, nu2f)
     scale = abs(f_series(sigma, switch, nu, params).as_complex()) + 1.0

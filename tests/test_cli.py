@@ -13,11 +13,13 @@ import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import textwrap
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -70,10 +72,15 @@ class TestParsing:
             # no SL2(Z) matrix has entries <= 0
             ["verify", "eta-transform", "--max-entry", "0"],
             ["verify", "eta-transform-gen", "--max-entry", "0"],
-            # random_sl2z draws about --max-entry candidates per matrix: capped at 10^4
-            ["verify", "eta-transform", "--max-entry", "10001"],
+            # the eta suites cap --max-entry at 150 and 30, where their series
+            # can pass: above, the log-eta series runs past max_terms (exit 3)
+            ["verify", "eta-transform", "--count", "20", "--max-entry", "1000"],
+            ["verify", "eta-transform", "--count", "20", "--max-entry", "10000"],
+            ["verify", "eta-transform-gen", "--count", "20", "--max-entry", "1000"],
+            ["verify", "eta-transform", "--max-entry", "151"],
             ["verify", "eta-transform", "--count", "5", "--max-entry", "10000000"],
-            ["verify", "eta-transform-gen", "--max-entry", "10001"],
+            ["verify", "eta-transform-gen", "--max-entry", "31"],
+            # random_sl2z draws about --max-entry candidates per matrix: capped at 10^4
             ["verify", "two-path", "--max-entry", "10001"],
             ["verify", "two-path", "--max-entry", str(10**300)],
             ["verify", "eta-transform", "--count", "-5"],
@@ -84,6 +91,10 @@ class TestParsing:
             ["spectrum", "torus", "--sigma", "0,1", "--nu", "0,0", "--max-norm", "301"],
             # the series controls exist only on the suites that read them
             ["rho", "circle", "--degree", "1", "--chern", "0", "--tail-tol", "1e-3"],
+            ["verify", "eta-transform", "--count", "2", "--quad-tol", "1e-9"],
+            ["verify", "eta-transform", "--count", "2", "--poisson-switch", "1"],
+            ["verify", "eta-transform-gen", "--count", "2", "--quad-tol", "nan"],
+            ["verify", "eta-transform-gen", "--count", "2", "--poisson-switch", "1"],
             # exactly one of --nu and --enumerate; lambda belongs to one class
             ["rho", "torus", "--matrix", "3,2,4,3"],
             ["rho", "torus", "--matrix", "3,2,4,3", "--enumerate", "--nu", "1/2,1/2"],
@@ -99,16 +110,18 @@ class TestParsing:
     def test_max_entry_cap_exits_before_sampling(self, capsys, monkeypatch, suite):
         import rhocalc.cli
 
+        cap = {"eta-transform": 150, "eta-transform-gen": 30, "two-path": 10**4}[suite]
+
         def no_draw(*args):
             raise AssertionError("a matrix was drawn")
 
         monkeypatch.setattr(rhocalc.cli, "random_sl2z", no_draw)
         monkeypatch.setattr(rhocalc.cli, "random_hyperbolic", no_draw)
         with pytest.raises(SystemExit) as exc:
-            run_command(["verify", suite, "--max-entry", "10001"])
+            run_command(["verify", suite, "--max-entry", str(cap + 1)])
         assert exc.value.code == EXIT_USAGE
-        assert "must be at most 10000" in capsys.readouterr().err
-        assert run_command(["verify", suite, "--count", "0", "--max-entry", "10000"]) == EXIT_OK
+        assert f"must be at most {cap}" in capsys.readouterr().err
+        assert run_command(["verify", suite, "--count", "0", "--max-entry", str(cap)]) == EXIT_OK
 
     @pytest.mark.parametrize("flag", ["--tail-tol", "--quad-tol"])
     @pytest.mark.parametrize("value", ["0", "-1e-3"])
@@ -178,8 +191,10 @@ class TestParsing:
         assert doc["inputs"]["gauge_lambda"] == "-1/3"
 
 
-SERIES_ARGV = ["--tail-tol", "1e-14", "--max-terms", "1000000", "--quad-tol", "1e-9", "--poisson-switch", "1"]
-SERIES_INPUTS = {"tail_tol": 1e-14, "max_terms": 1000000, "quad_tol": 1e-9, "poisson_switch": 1.0}
+SERIES_ARGV = ["--tail-tol", "1e-14", "--max-terms", "1000000"]
+SERIES_INPUTS = {"tail_tol": 1e-14, "max_terms": 1000000}
+QUAD_ARGV = [*SERIES_ARGV, "--quad-tol", "1e-9", "--poisson-switch", "1"]
+QUAD_INPUTS = {**SERIES_INPUTS, "quad_tol": 1e-9, "poisson_switch": 1.0}
 SUITE_INPUTS = {"count": 2, "max_entry": 20, "seed": 20260822}
 
 # per subcommand: a valid argv that sets or defaults every argument, and
@@ -200,8 +215,8 @@ INPUTS_CASES = {
     "moduli circle": (["--genus", "2", "--degree", "3"], {"genus": 2, "degree": 3}),
     "spectrum torus": (["--sigma", "0,1", "--nu", "0,0"], {"sigma": "0.0,1.0", "nu": "0/1,0/1", "max_norm": 3}),
     "verify kronecker": (
-        ["--sigma", "0,1", "--nu", "1/2,1/2", *SERIES_ARGV],
-        {"sigma": "0.0,1.0", "nu": "1/2,1/2", **SERIES_INPUTS},
+        ["--sigma", "0,1", "--nu", "1/2,1/2", *QUAD_ARGV],
+        {"sigma": "0.0,1.0", "nu": "1/2,1/2", **QUAD_INPUTS},
     ),
     "verify eta-transform": (["--count", "2", *SERIES_ARGV], {**SUITE_INPUTS, **SERIES_INPUTS}),
     "verify eta-transform-gen": (["--count", "2", *SERIES_ARGV], {**SUITE_INPUTS, **SERIES_INPUTS}),
@@ -454,6 +469,13 @@ class TestVerify:
         by_name = {r["name"]: r for r in doc["results"]}
         assert by_name["mismatches"]["exact"] == "0/1"
 
+    @pytest.mark.parametrize("suite", ["eta-transform", "eta-transform-gen"])
+    def test_eta_suites_do_not_read_the_quadrature_tolerance(self, monkeypatch, capsys, suite):
+        # no quadrature runs there, so RHO_CALC_TOL, even malformed, is not read
+        monkeypatch.setenv("RHO_CALC_TOL", "banana")
+        code, doc, _ = run_json(capsys, ["verify", suite, "--count", "2"])
+        assert code == EXIT_OK
+        assert doc["inputs"] == {"subcommand": f"verify {suite}", **SUITE_INPUTS}
 
     def test_failed_suite_exits_3_with_its_document(self, monkeypatch, capsys):
         # a planted disagreement between the two paths fails the suite
@@ -795,6 +817,29 @@ class TestSubprocessSmoke:
         assert proc.returncode == EXIT_DOMAIN, proc.stderr
         assert proc.stdout == "" and "Traceback" not in proc.stderr
         assert "99999999 classes" in proc.stderr
+
+
+def readme_commands():
+    """The lines of the sh block under README.md's "## Command line", as argv."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+
+
+class TestReadme:
+    def test_command_line_block_runs(self, capsys):
+        # a flag that is gone, or a value above a cap, fails here
+        commands = readme_commands()
+        assert len(commands) >= 14
+        for argv in commands:
+            assert argv[0] == "rhocalc", argv
+            try:
+                code, doc, _ = run_json(capsys, argv[1:])
+            except SystemExit as exc:
+                pytest.fail(f"{' '.join(argv)}: usage error {exc.code}: {capsys.readouterr().err}")
+            assert code == EXIT_OK, argv
+            assert doc["schema_version"] == SCHEMA_VERSION
+            assert doc["inputs"]["subcommand"] == " ".join(argv[1:3]), argv
 
 
 class TestParserHelp:

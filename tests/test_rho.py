@@ -45,7 +45,19 @@ from rhocalc import (
     transport_nu_from_normal_form,
 )
 from rhocalc.bernoulli import sgn
+from rhocalc.sl2z import Elliptic
 from test_moduli import oracle_enumerate, oracle_matrices
+
+
+#: the elliptic matrices of trace 1, 0 and -1, each followed by its inverse
+ELLIPTIC = [
+    SL2ZMatrix(0, -1, 1, 1),
+    SL2ZMatrix(1, 1, -1, 0),
+    SL2ZMatrix(0, -1, 1, 0),
+    SL2ZMatrix(0, 1, -1, 0),
+    SL2ZMatrix(-1, -1, 1, 0),
+    SL2ZMatrix(0, 1, -1, -1),
+]
 
 
 def _p1(x):
@@ -137,6 +149,50 @@ class TestDaiCorrectionCircle:
             dai_correction_circle(0, True)
 
 
+class TestCircleSplit:
+    """rho_circle(alpha) = (eta_truncated + dai)(alpha) - (eta_truncated + dai)(trivial),
+    the trivial connection of the same degree l: rho = eta_alpha - eta_trivial
+    with each eta split into the truncated eta and the topological term.
+    rho_circle's inline rule p (p - q)/q^2 and eta_truncated_circle's
+    periodic_bernoulli share no code, so the two sides are separate routes."""
+
+    @staticmethod
+    def split(conn: CircleFlatConnection) -> F:
+        l = conn.degree_l
+
+        def eta_dai(c):
+            return eta_truncated_circle(c) + dai_correction_circle(l, c.is_trivial)
+
+        return eta_dai(conn) - eta_dai(CircleFlatConnection(l, 0, is_trivial=True))
+
+    @staticmethod
+    def connections(l: int, ks):
+        """The connections of degree l and Chern numbers ks, with each flag
+        where it is allowed: trivial only for l | k."""
+        for k in ks:
+            yield CircleFlatConnection(l, k)
+            if k % l == 0:
+                yield CircleFlatConnection(l, k, is_trivial=True)
+
+    def test_small_degrees(self):
+        checked = 0
+        for l in range(-40, 41):
+            if l == 0:
+                continue
+            for conn in self.connections(l, range(-2 * abs(l), 2 * abs(l) + 1)):
+                assert rho_circle(conn).value == self.split(conn), (conn.degree_l, conn.chern_k, conn.is_trivial)
+                checked += 1
+        assert checked == 7040
+
+    def test_huge_degrees(self):
+        rng = random.Random(63)
+        for _ in range(300):
+            l = rng.choice((1, -1)) * rng.randrange(10**39, 10**41)
+            ks = [rng.randrange(-2 * abs(l), 2 * abs(l) + 1), rng.randint(-2, 2) * l, rng.randint(-2, 2) * l + 1]
+            for conn in self.connections(l, ks):
+                assert rho_circle(conn).value == self.split(conn), (l, conn.chern_k, conn.is_trivial)
+
+
 class TestRhoTorusElliptic:
     @pytest.mark.parametrize(
         "mat,theta",
@@ -166,24 +222,72 @@ class TestRhoTorusElliptic:
     def test_trivial_restriction_branches(self):
         mat = SL2ZMatrix(0, -1, 1, 0)  # theta = 1/4
         conn = connection_from_nu(mat, (F(0), F(0)), gauge_lambda=F(1, 3))
-        # dist(1/3, Z) = 1/3 > 1/4: rho = 0
-        assert rho_torus(mat, conn).value == 0
+        # dist(1/3, Z) = 1/3 > 1/4: 2 sgn(c)
+        assert rho_torus(mat, conn).value == 2
         conn = connection_from_nu(mat, (F(0), F(0)), gauge_lambda=F(1, 4))
         # dist = theta: sgn(c)
         assert rho_torus(mat, conn).value == 1
         conn = connection_from_nu(mat, (F(0), F(0)), gauge_lambda=F(1, 5))
-        # dist = 1/5 < 1/4: 2 sgn(c)
-        assert rho_torus(mat, conn).value == 2
+        # dist = 1/5 < 1/4: rho = 0
+        assert rho_torus(mat, conn).value == 0
 
     def test_lambda_outside_unit_interval(self):
-        # lambda = 5/2 once reached the comparison unreduced and gave
-        # 2 sgn(c); its class is lambda = 1/2, with dist 1/2 > theta = 1/4
+        # lambda = 5/2 is reduced before the comparison: its class is
+        # lambda = 1/2, with dist 1/2 > theta = 1/4
         mat = SL2ZMatrix(0, -1, 1, 0)
         with pytest.raises(DomainError):
             TorusFlatConnection((F(0), F(0)), (0, 0), F(5, 2))
         conn = connection_from_nu(mat, (F(0), F(0)), gauge_lambda=F(5, 2))
         assert conn.gauge_lambda == F(1, 2)
-        assert rho_torus(mat, conn).value == 0
+        assert rho_torus(mat, conn).value == 2
+
+    @staticmethod
+    def elliptic_matrices(seed: int):
+        """The six elliptic matrices of trace 1, 0 and -1, each with its
+        inverse, and 20 conjugates of them by seeded words in T and S."""
+        rng = random.Random(seed)
+        return ELLIPTIC + [TestTransferLaw.word_conjugate(rng, rng.choice(ELLIPTIC)) for _ in range(20)]
+
+    def test_trivial_connection_has_rho_zero(self):
+        # rho = eta_alpha - eta_trivial vanishes at alpha = trivial: nu = 0, lambda = 0
+        mats = self.elliptic_matrices(61)
+        for mat in mats:
+            for lam in (F(0), F(1), F(-3)):
+                conn = connection_from_nu(mat, (F(0), F(0)), gauge_lambda=lam)
+                assert rho_torus(mat, conn).value == 0, mat
+        assert max(len(str(abs(m.c))) for m in mats) > 30
+
+    def test_base_cover_identity(self):
+        """rho(M^k, nu) = k rho(M, nu) - sum_{j=1}^{k-1} rho(M, 0, lambda = j/k)
+        for a twisted class nu of M and M^k elliptic.
+
+        The k-fold cover along the base circle is the mapping torus of M^k,
+        and the pulled-back connection of nu is the class nu of M^k.  Eta
+        invariants add up over the characters of the deck group Z/k
+        (Atiyah-Patodi-Singer II, 1975): the connection of nu with lambda
+        = j/k, whose rho does not depend on lambda, and the trivial
+        restrictions lambda = j/k.  The j = 0 term of the second sum is the
+        trivial connection, whose rho is 0.  A dist(lambda, Z) = theta term
+        never occurs, since then M^k = Id.
+        """
+        checked, digits = 0, 0
+        for mat in self.elliptic_matrices(62):
+            twisted = [c for c in enumerate_torus_connections(mat).isolated if not c.restriction_trivial]
+            power = mat
+            for k in range(2, 13):
+                power = power @ mat
+                if not isinstance(classify(power), Elliptic):
+                    continue
+                trivial = sum(
+                    (rho_torus(mat, connection_from_nu(mat, (F(0), F(0)), gauge_lambda=F(j, k))).value for j in range(1, k)),
+                    F(0),
+                )
+                for conn in twisted:
+                    cover = rho_torus(power, connection_from_nu(power, conn.nu)).value
+                    assert cover == k * rho_torus(mat, conn).value - trivial, (mat, k, conn.nu)
+                    checked += 1
+            digits = max(digits, len(str(abs(mat.c))))
+        assert checked > 100 and digits > 30
 
     def test_trivial_restriction_requires_lambda(self):
         mat = SL2ZMatrix(0, -1, 1, 0)
@@ -770,13 +874,15 @@ class TestPerMatrixCache:
 
         counts = {}
         for home, name in (
-            (rhocalc.sl2z, "_inverse_mod"),
+            (rhocalc.sl2z, "_unit"),
             (rhocalc.dedekind, "_classical_num"),
             (rhocalc.sl2z, "parabolic_normal_form"),
         ):
 
             def counting(*args, name=name, real=getattr(home, name)):
-                counts[name] = counts.get(name, 0) + 1
+                # _unit also checks the unit of each sum: count M's own call
+                if name != "_unit" or args[0] == "SL2ZMatrix._unit_a":
+                    counts[name] = counts.get(name, 0) + 1
                 return real(*args)
 
             # every module that holds the name, so no route escapes the count
@@ -815,7 +921,7 @@ class TestPerMatrixCache:
             assert all(n == 1 for n in counts.values()), (mat, counts)
             assert len(floor_sums) <= min(abs(mat.c), len(conns)), mat
             seen.update(counts)
-        assert seen == {"_inverse_mod", "_classical_num", "parabolic_normal_form"}
+        assert seen == {"_unit", "_classical_num", "parabolic_normal_form"}
 
 
 #: the exact layer's math names: integer functions only
