@@ -69,7 +69,9 @@ def _require_ints(what: str, *values: object) -> None:
 
 def _mod1(x: RationalLike) -> Tuple[int, int]:
     """(p, q) with x - floor(x) = p/q in lowest terms, so 0 <= p < q, for x
-    under :func:`_fraction`'s rule."""
+    under :func:`_fraction`'s rule; (0, 1) for an int, with no Fraction built."""
+    if type(x) is int:
+        return 0, 1
     x = _fraction(x)
     q = x.denominator
     return x.numerator % q, q
@@ -144,6 +146,8 @@ def hurwitz_zeta_nonpos(n: int, q: RationalLike) -> Fraction:
 
     Requires n >= 0 and 0 < q <= 1, the range on which the analytic
     continuation in the first argument is taken with the standard branch.
+    No package code calls it; it stays public for acceptance criterion 12,
+    the special values, which checks it against bernoulli_poly.
     """
     if n < 0:
         raise DomainError("hurwitz_zeta_nonpos requires n >= 0")
@@ -154,7 +158,9 @@ def hurwitz_zeta_nonpos(n: int, q: RationalLike) -> Fraction:
 
 
 def periodic_eta_zero(q: RationalLike) -> Fraction:
-    """Value at s = 0 of the periodic eta series for parameter q: 2 P_1(q)."""
+    """Value at s = 0 of the periodic eta series for parameter q: 2 P_1(q).
+    No package code calls it; it stays public for acceptance criterion 12,
+    the special values."""
     return 2 * periodic_bernoulli(1, q)
 
 
@@ -163,6 +169,8 @@ def periodic_zeta_at(s0: int, q: RationalLike) -> Fraction:
 
     At s0 = 0 the value is 0 for q not an integer and -1 for integer q;
     at s0 = -1 it is -P_2(q).  Other evaluation points are not supported.
+    No package code calls it; it stays public for acceptance criterion 12,
+    the special values.
     """
     q = _fraction(q)
     if s0 == 0:

@@ -182,7 +182,9 @@ class CircleModuliSummary(Record):
 
 def is_bundle_trivial(M: SL2ZMatrix, m: Tuple[int, int]) -> bool:
     """Is m in the image of (Id - M^t) acting on Z^2?  The rule and its
-    proof are in the module docstring."""
+    proof are in the module docstring.  No package code calls it; it stays
+    public because it answers for any integer m, where a
+    TorusFlatConnection answers only for its own class."""
     p, q, r, s = 1 - M.a, -M.c, -M.b, 1 - M.d
     m1, m2 = m
     x1, x2 = p * m2 - r * m1, q * m2 - s * m1
@@ -285,7 +287,9 @@ def transport_nu_from_normal_form(
 ) -> Tuple[Fraction, Fraction]:
     """Transport nu' from the normal-form coordinates of parabolic M back to
     M's: with g the conjugator (g^{-1} M g = N the normal form), constant
-    1-forms pull back through the transpose, so nu = g^{-t} nu' mod Z^2."""
+    1-forms pull back through the transpose, so nu = g^{-t} nu' mod Z^2.
+    No package code calls it; it stays public for acceptance criterion 7,
+    which draws parabolic classes in normal-form coordinates."""
     cls = classify(M)
     if not isinstance(cls, Parabolic):
         raise UnsupportedClassError("transport_nu_from_normal_form requires a parabolic M != +-Id")

@@ -76,7 +76,9 @@ class EigenphaseData(Record):
     plus_phases / minus_phases are the phases (in [0,1)) of the unitarized
     pullback on the two chirality halves of the twisted harmonic 1-forms;
     untwisted_plus_phases are the phases of the plain pullback on the
-    untwisted half; rank_k is the rank of the flat bundle.
+    untwisted half; rank_k is the rank of the flat bundle.  No package
+    code builds one; it stays public as the input of
+    rho_finite_order_generic, for acceptance criterion 13.
     """
 
     plus_phases: Tuple[Fraction, ...]
@@ -268,6 +270,9 @@ def rho_finite_order_generic(data: EigenphaseData) -> Fraction:
 
     2 sum(theta+) - #{theta+ != 0} - 2 sum(theta-) + #{theta- != 0}
     - 4k sum(theta0) + 2k #{theta0 != 0},  all phases in [0, 1).
+
+    No package code calls it; it stays public for acceptance criterion 13,
+    which checks it against rho_torus on the elliptic classes.
     """
     k = data.rank_k
     value = 2 * sum(data.plus_phases, Fraction(0))

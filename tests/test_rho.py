@@ -990,3 +990,31 @@ def test_each_exemption_is_float_code_the_benchmark_reads(module, name):
     workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     assert text in workloads.read_text().splitlines()[line - 1]
     assert all_float_uses(dict(top_level_definitions(module))[name]) != []
+
+
+def unused_imports(path):
+    """The names that a top-level import of the module at `path` binds and
+    that nothing in the module reads; imports under a top-level `if` (the
+    TYPE_CHECKING block) count.  `from __future__` and star imports, the
+    package's re-exports, bind no name to check."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = {}
+    for top in tree.body:
+        for node in [top, *(top.body + top.orelse if isinstance(top, ast.If) else [])]:
+            if isinstance(node, ast.Import):
+                bound.update({(a.asname or a.name.split(".")[0]): node.lineno for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update({(a.asname or a.name): node.lineno for a in node.names if a.name != "*"})
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in sorted(bound.items()) if name not in read]
+
+
+def package_modules():
+    import rhocalc
+
+    return sorted(Path(rhocalc.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", package_modules(), ids=lambda path: path.stem)
+def test_every_import_is_read(path):
+    assert unused_imports(path) == []
