@@ -167,11 +167,15 @@ def _qz(sigma: UpperHalfPoint, nu):
     summed for nu1 = 1, which is nu1 = 0)."""
     moved, nu = _sigma1_near_zero(sigma, nu)
     (p1, q1, p2, q2), sc = nu, moved.as_complex()
+    q_sigma = cmath.exp(2j * math.pi * sc)
+    if not (p1 or p2):
+        # nu in Z^2: q_z = 1 and q_sigma/q_z = q_sigma; no caller reads 1 - q_z
+        return nu, q_sigma, 1 + 0j, q_sigma, 0j
     nu1f = p1 / q1
     # nu2 mod Z nearest 0, so that z keeps the digits of a nu2 near Z
     nu2f = (p2 - q2 if 2 * p2 > q2 else p2) / q2
     z = nu1f * sc - nu2f
-    q_sigma, q_z = cmath.exp(2j * math.pi * sc), cmath.exp(2j * math.pi * z)
+    q_z = cmath.exp(2j * math.pi * z)
     ratio = cmath.exp(2j * math.pi * ((q1 - p1) / q1 * sc + nu2f))
     if p1 and (q_z == 1 or nu1f == 1.0):
         raise DomainError(f"nu1 = {p1}/{q1} is nonzero but rounds to 0 or 1 in double precision")
@@ -186,13 +190,19 @@ def _qz(sigma: UpperHalfPoint, nu):
 
 def moebius_op_action(M: SL2ZMatrix, sigma: UpperHalfPoint) -> UpperHalfPoint:
     """M^op sigma = (d sigma + b) / (c sigma + a).  Raises DomainError when
-    an entry is beyond double range."""
+    an entry is beyond double range.
+
+    The imaginary part is sigma2 / |c sigma + a|^2, not that of the
+    quotient: at entries past about 10^8 the quotient's imaginary part is
+    lost to cancellation and may come out <= 0."""
     z = sigma.as_complex()
     try:
-        w = (M.d * z + M.b) / (M.c * z + M.a)
+        den = M.c * z + M.a
+        w = (M.d * z + M.b) / den
     except OverflowError:  # an int too large to convert to float
         raise DomainError("the op-action's matrix entries exceed double range") from None
-    return UpperHalfPoint(w.real, w.imag)
+    r = abs(den)
+    return UpperHalfPoint(w.real, sigma.sigma2 / r / r)
 
 
 def _kappa_alpha_beta(M: SL2ZMatrix) -> Tuple[float, float, float]:

@@ -128,11 +128,11 @@ def _generalized_num(x: RationalLike, y: RationalLike, a: int, c: int) -> Tuple[
     where B(u) = 6 L^2 P_2(u/L) and S(u) = 2 L P_1(u/L) are integers.
     """
     m, h, t = _unit("generalized_sum", a, c)
-    qx, qy = x.denominator, y.denominator
+    (px, qx), (py, qy) = x.as_integer_ratio(), y.as_integer_ratio()
     den = qx // gcd(qx, qy) * qy
     den2 = den * den
-    v = x.numerator * (den // qx) % den            # L * Y
-    u = y.numerator * (den // qy)                  # L * X before the shift
+    v = px * (den // qx) % den                     # L * Y
+    u = py * (den // qy)                           # L * X before the shift
     u = ((u if c > 0 else -u) + (a // m) * v) % den
     if m == 1:
         return 3 * _p1_int(u, den)[0] * _p1_int(v, den)[0], 12 * den2
@@ -229,12 +229,12 @@ def sum_difference_closed(x: RationalLike, y: RationalLike, M: SL2ZMatrix) -> Fr
         + [x not in Z] * (1 - [m/|c| not in Z])/4
     """
     x, y = _fraction(x), _fraction(y)
-    p, q = x.numerator, x.denominator
+    (p, q), (py, qy) = x.as_integer_ratio(), y.as_integer_ratio()
     if M.c == 0:
         raise DomainError("sum_difference_closed requires c != 0")
     if not 0 <= p < q:
         raise DomainError("sum_difference_closed requires x in [0, 1)")
-    m1, _ = _admissible_m(M, p * y.denominator, y.numerator * q, q * y.denominator)
+    m1, _ = _admissible_m(M, p * qy, py * q, q * qy)
     return Fraction(*_difference_num(p, q, m1, M))
 
 

@@ -50,10 +50,14 @@ __all__ = [
 ]
 
 #: the most classes, or trace-2 families, enumerate_torus_connections lists;
-#: the cost grows linearly in the count: at this many, `moduli torus --json`
-#: takes about 2.3 s and 300 MB peak RSS, `rho torus --enumerate --json`
-#: about 2.6 s and 210 MB (2 CPUs, Python 3.11)
+#: the cost grows linearly in the count: at D = 99,999, `moduli torus --json`
+#: takes about 1.6 s and 272 MB peak RSS, `rho torus --enumerate --json`
+#: about 2.0 s and 178 MB (2 CPUs, Python 3.11)
 MAX_CLASSES = 10**5
+
+#: records built where M is known are stored without __init__'s checks
+_new = object.__new__
+_LAMBDA_ON_TWISTED = "gauge phase lambda is only defined when nu is integral"
 
 
 def _admissible_m(M: SL2ZMatrix, n1: int, n2: int, den: int) -> Tuple[int, int]:
@@ -81,8 +85,15 @@ class TorusFlatConnection(Record):
     as any pair; they are stored as Fractions and tuples.  Derived:
     restriction_trivial, set from nu (nu = 0).  The constructor checks
     what it can without M.  Whether m = (Id - M^t) nu is checked where M
-    is known: by connection_from_nu, which computes m, and on entry to
-    rho_torus, rho_hyperbolic_prep and chern_simons_mod1.
+    is known: by connection_from_nu and the enumeration, which compute m,
+    and on entry to rho_torus, rho_hyperbolic_prep and chern_simons_mod1.
+    A record that connection_from_nu or the enumeration built keeps the
+    matrix object it was checked against, outside the fields, so
+    equality, hash and repr do not see it; the entry checks skip the
+    integer test when they are given that very object.  That is safe
+    because records and matrices are immutable and the test is identity,
+    not equality: a hand-built record, or any other matrix object, even
+    an equal one, is checked in full.
     """
 
     nu: Tuple[Fraction, Fraction]
@@ -116,8 +127,23 @@ class TorusFlatConnection(Record):
             if not 0 <= gauge_lambda < 1:
                 raise DomainError(f"TorusFlatConnection requires lambda in [0, 1), got {gauge_lambda}")
             if not trivial:
-                raise DomainError("gauge phase lambda is only defined when nu is integral")
-        self.__dict__.update(nu=(nu1, nu2), m=m, gauge_lambda=gauge_lambda, restriction_trivial=trivial)
+                raise DomainError(_LAMBDA_ON_TWISTED)
+        self._store((nu1, nu2), m, gauge_lambda, trivial, None)
+
+    def _store(
+        self,
+        nu: Tuple[Fraction, Fraction],
+        m: Tuple[int, int],
+        gauge_lambda: Optional[Fraction],
+        trivial: bool,
+        checked_against: Optional[SL2ZMatrix],
+    ) -> "TorusFlatConnection":
+        """Write the fields, already checked, and the matrix object that
+        m = (Id - M^t) nu was checked against (None if none was)."""
+        self.__dict__.update(
+            nu=nu, m=m, gauge_lambda=gauge_lambda, restriction_trivial=trivial, _checked_against=checked_against
+        )
+        return self
 
 
 class CircleFlatConnection(Record):
@@ -213,11 +239,13 @@ def connection_from_nu(
     except (TypeError, ValueError):
         raise DomainError(f"connection_from_nu requires nu to be a pair, got {nu!r}") from None
     (p1, q1), (p2, q2) = _mod1(nu1), _mod1(nu2)
-    return TorusFlatConnection(
-        nu=(Fraction(p1, q1), Fraction(p2, q2)),
-        m=_admissible_m(M, p1 * q2, p2 * q1, q1 * q2),
-        gauge_lambda=None if gauge_lambda is None else Fraction(*_mod1(gauge_lambda)),
-    )
+    m = _admissible_m(M, p1 * q2, p2 * q1, q1 * q2)
+    trivial = not (p1 or p2)
+    if gauge_lambda is not None:
+        gauge_lambda = Fraction(*_mod1(gauge_lambda))
+        if not trivial:
+            raise DomainError(_LAMBDA_ON_TWISTED)
+    return _new(TorusFlatConnection)._store((Fraction(p1, q1), Fraction(p2, q2)), m, gauge_lambda, trivial, M)
 
 
 def _numerators(M: SL2ZMatrix, D: int) -> List[Tuple[int, int]]:
@@ -260,14 +288,25 @@ def enumerate_torus_connections(M: SL2ZMatrix) -> TorusModuliSet:
         l, den = count, 2 * count
         families = []
         for j in range(l):
-            # nu' = (j/l, 1/2) = (2j, l)/den moved back to M's coordinates
+            # nu' = (j/l, 1/2) = (2j, l)/den moved back to M's coordinates;
+            # nu2' = 1/2, so the class is twisted
             n1, n2 = _from_normal_form(cls.conjugator, 2 * j, l, den)
-            rep = TorusFlatConnection((Fraction(n1, den), Fraction(n2, den)), _admissible_m(M, n1, n2, den))
+            rep = _new(TorusFlatConnection)._store(
+                (Fraction(n1, den), Fraction(n2, den)), _admissible_m(M, n1, n2, den), None, False, M
+            )
             families.append(ParabolicFamily(Fraction(j, l), rep))
         return TorusModuliSet(isolated=(), families=tuple(families))
+    # each class is checked once, here, and stored as it is; its numerators
+    # lie in [0, D), and the classes share one Fraction per numerator, built
+    # after the numerators (built before them, they raised the peak RSS of
+    # `rho torus --enumerate --json` at D = 99,999 by about 1 MB)
+    numerators = _numerators(M, count)
+    nus = [Fraction(n, count) for n in range(count)]
     conns = tuple(
-        TorusFlatConnection((Fraction(n1, count), Fraction(n2, count)), _admissible_m(M, n1, n2, count))
-        for n1, n2 in _numerators(M, count)
+        _new(TorusFlatConnection)._store(
+            (nus[n1], nus[n2]), _admissible_m(M, n1, n2, count), None, not (n1 or n2), M
+        )
+        for n1, n2 in numerators
     )
     return TorusModuliSet(isolated=conns, families=())
 

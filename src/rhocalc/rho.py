@@ -158,10 +158,11 @@ def _admissible_nu(
     M: SL2ZMatrix, conn: TorusFlatConnection, what: str
 ) -> Tuple[int, int, int, int]:
     """(p1, q1, p2, q2) with nu = (p1/q1, p2/q2), after checking that
-    m = (Id - M^t) nu; raises DomainError otherwise."""
+    m = (Id - M^t) nu; raises DomainError otherwise.  A record that was
+    checked against this very matrix object is not checked again."""
     nu1, nu2 = conn.nu
-    p1, q1, p2, q2 = nu1.numerator, nu1.denominator, nu2.numerator, nu2.denominator
-    if _admissible_m(M, p1 * q2, p2 * q1, q1 * q2) != conn.m:
+    (p1, q1), (p2, q2) = nu1.as_integer_ratio(), nu2.as_integer_ratio()
+    if conn._checked_against is not M and _admissible_m(M, p1 * q2, p2 * q1, q1 * q2) != conn.m:
         raise DomainError(f"{what} requires m = (Id - M^t) nu")
     return p1, q1, p2, q2
 

@@ -1053,6 +1053,13 @@ class TestTransformDefects:
             assert abs(d.as_complex()) < 1e-8, (m, g, h, sp)
             checked += 1
 
+    def test_large_entries_fail_to_converge(self):
+        # M^op sigma has Im ~ 5e-17, where the log eta series cannot
+        # converge; the op-action once raised DomainError for it
+        m = SL2ZMatrix(71595709, 69489656, 88584882, 85979077)
+        with pytest.raises(ConvergenceError):
+            transform_defect(m, UpperHalfPoint(0.22492719103973569, 0.545894086172836))
+
     def test_zero_c_rejected(self):
         with pytest.raises(DomainError):
             transform_defect(SL2ZMatrix(1, 3, 0, 1), SIGMA_I)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -595,6 +596,30 @@ class TestByteStability:
             _, _, first = run_json(capsys, argv)
             _, _, second = run_json(capsys, argv)
             assert first == second, argv
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ["rho", "torus", "--matrix", "1,-999,1,-998", "--enumerate", "--json"],
+                "27b8f63fbc48505eb215b3d1df77272046b5ef5d3b7659a5984398afceddb7b1",
+            ),
+            (
+                ["rho", "torus", "--matrix", "1,-999,1,-998", "--enumerate"],
+                "cc7f21c4d950c1b52ba50723b5d34324f3c25ac3cc45adc251c83cfa136e3371",
+            ),
+            (
+                ["moduli", "torus", "--matrix", "1,-999,1,-998", "--json"],
+                "e7b1666a249108dd6b8096ea6f844d9c32b33e0114d337ea5e53ce0c31685317",
+            ),
+        ],
+        ids=["rho-json", "rho-text", "moduli-json"],
+    )
+    def test_many_class_output_is_pinned(self, capsys, argv, digest):
+        # 999 classes, sha256 of stdout as the enumeration that built
+        # every record through the public constructor printed it
+        assert run_command(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_documents_are_indent_2_sorted_json(self, capsys):
         # the C-encoder writer gives the bytes of json.dumps(indent=2, sort_keys=True)

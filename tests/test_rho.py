@@ -840,6 +840,10 @@ class TestPerMatrixCache:
             classes = enumerate_torus_connections(mat).isolated
             assert classes == enumerate_torus_connections(SL2ZMatrix(*entries)).isolated
             for conn in classes:
+                # the stored record against the one the constructor builds
+                public = TorusFlatConnection(conn.nu, conn.m)
+                assert conn == public and public == conn and len({conn, public}) == 1
+                assert hash(conn) == hash(public) and repr(conn) == repr(public)
                 if conn.restriction_trivial:
                     continue
                 nu1, nu2 = conn.nu
@@ -922,6 +926,83 @@ class TestPerMatrixCache:
             assert len(floor_sums) <= min(abs(mat.c), len(conns)), mat
             seen.update(counts)
         assert seen == {"_unit", "_classical_num", "parabolic_normal_form"}
+
+
+ROUTES = (rho_torus, rho_hyperbolic_prep, chern_simons_mod1)
+
+
+@pytest.fixture
+def admissibility_checks(monkeypatch):
+    """The (n1, n2, den) of every call to moduli._admissible_m, the one
+    admissibility routine, from whichever module makes it."""
+    import rhocalc.moduli
+    import rhocalc.rho
+
+    calls = []
+    real = rhocalc.moduli._admissible_m
+
+    def counting(M, n1, n2, den):
+        calls.append((n1, n2, den))
+        return real(M, n1, n2, den)
+
+    for module in (rhocalc.moduli, rhocalc.rho):
+        monkeypatch.setattr(module, "_admissible_m", counting)
+    return calls
+
+
+class TestCheckedOnce:
+    """A record built by connection_from_nu or the enumeration keeps the
+    matrix object it was checked against, and the entry checks of rho
+    skip the integer test for that object only."""
+
+    def test_each_class_is_checked_once(self, admissibility_checks):
+        rng = random.Random(24)
+        mats = TestPerMatrixCache.matrices(25, 20)
+        mats += [random_parabolic(rng, 9, 12) for _ in range(20)]
+        mats += [SL2ZMatrix(0, -1, 1, 0), SL2ZMatrix(1, -1, 1, 0), SL2ZMatrix(-1, -1, 1, 0)]
+        mats += [SL2ZMatrix(1, -999, 1, -998)]
+        routes_run = 0
+        for mat in mats:
+            admissibility_checks.clear()
+            mod = enumerate_torus_connections(mat)
+            conns = list(mod.isolated) + [f.representative for f in mod.families]
+            hyperbolic = abs(mat.trace) > 2
+            for conn in conns:
+                chern_simons_mod1(mat, conn)
+                if not conn.restriction_trivial:
+                    rho_torus(mat, conn)
+                    routes_run += 2
+                    if hyperbolic:
+                        rho_hyperbolic_prep(mat, conn)
+                        routes_run += 1
+            # the enumeration's own check, one per class, and none after it
+            assert len(admissibility_checks) == len(set(admissibility_checks)) == len(conns), mat
+        assert routes_run > 3000
+
+    def test_an_equal_matrix_is_checked_again(self, admissibility_checks):
+        mat = SL2ZMatrix(-2, 1, 1, -1)
+        conn = connection_from_nu(mat, (F(1, 5), F(3, 5)))
+        hand_built = TorusFlatConnection(conn.nu, conn.m)
+        for route in ROUTES:
+            admissibility_checks.clear()
+            value = route(mat, conn)
+            assert admissibility_checks == []
+            # an equal matrix, and the same class built by hand: each is
+            # checked, and the value does not change
+            assert route(SL2ZMatrix(-2, 1, 1, -1), conn) == value
+            assert route(mat, hand_built) == value
+            assert len(admissibility_checks) == 2
+
+    def test_a_matrix_that_does_not_admit_the_record_raises(self):
+        conn = connection_from_nu(SL2ZMatrix(-2, 1, 1, -1), (F(1, 5), F(3, 5)))
+        # (Id - M^t) nu is not integral for M = [[2, 1], [1, 1]]; it is for
+        # M^2, but not equal to the record's m
+        others = [(SL2ZMatrix(2, 1, 1, 1), "Id - M"), (SL2ZMatrix(5, -3, -3, 2), "requires m = ")]
+        assert connection_from_nu(others[1][0], conn.nu).m != conn.m
+        for other, why in others:
+            for route in ROUTES:
+                with pytest.raises(DomainError, match=why):
+                    route(other, conn)
 
 
 #: the exact layer's math names: integer functions only
@@ -1018,3 +1099,21 @@ def package_modules():
 @pytest.mark.parametrize("path", package_modules(), ids=lambda path: path.stem)
 def test_every_import_is_read(path):
     assert unused_imports(path) == []
+
+
+def fraction_private_uses(path):
+    """Each read of Fraction's private fields ._numerator and ._denominator,
+    and each _normalize= keyword, in the module at `path`: Fraction's
+    internals differ across the Python versions CI runs (3.10-3.12)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute) and node.attr in ("_numerator", "_denominator"):
+            found.append(f".{node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.Call):
+            found += [f"_normalize= (line {node.lineno})" for kw in node.keywords if kw.arg == "_normalize"]
+    return found
+
+
+@pytest.mark.parametrize("path", package_modules(), ids=lambda path: path.stem)
+def test_no_fraction_internals(path):
+    assert fraction_private_uses(path) == []

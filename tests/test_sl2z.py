@@ -267,3 +267,31 @@ class TestMoebiusOpAction:
             lhs = moebius_op_action(m @ n, p)
             rhs = moebius_op_action(n, moebius_op_action(m, p))
             assert abs(lhs.as_complex() - rhs.as_complex()) < 1e-9
+
+    @staticmethod
+    def exact_im(m, p):
+        """sigma2 / |c sigma + a|^2 in rationals, rounded once."""
+        x, y = F(p.sigma1), F(p.sigma2)
+        return float(y / ((m.c * x + m.a) ** 2 + (m.c * y) ** 2))
+
+    def test_imaginary_part_survives_large_entries(self):
+        # the quotient's imaginary part cancels to <= 0 here, and the
+        # op-action once raised "UpperHalfPoint requires sigma2 > 0"
+        m = SL2ZMatrix(71595709, 69489656, 88584882, 85979077)
+        p = UpperHalfPoint(0.22492719103973569, 0.545894086172836)
+        q = moebius_op_action(m, p)
+        want = self.exact_im(m, p)
+        assert q.sigma2 > 0
+        assert abs(q.sigma2 - want) <= 1e-15 * want
+        # seeded [[p, r], [q, s]] with p, q of 1 to 30 digits
+        rng = random.Random(38)
+        for digits in (1, 8, 10, 12, 30):
+            for _ in range(40):
+                a, c = rng.randrange(10 ** (digits - 1), 10**digits), rng.randrange(10 ** (digits - 1), 10**digits)
+                if math.gcd(a, c) != 1:
+                    continue
+                d = pow(a, -1, c)
+                m = SL2ZMatrix(a, (a * d - 1) // c, c, d)
+                p = UpperHalfPoint(rng.uniform(-1, 1), rng.uniform(0.05, 3))
+                want = self.exact_im(m, p)
+                assert abs(moebius_op_action(m, p).sigma2 - want) <= 1e-15 * want, (m, p)
