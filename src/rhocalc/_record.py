@@ -14,8 +14,8 @@ The base derives the rest from the annotations:
 Building these methods costs nothing at import, where ``dataclasses``
 generates and compiles source for every class.  Records keep a
 ``__dict__``, so a ``functools.cached_property`` still caches on them,
-and a private entry stored there beside the fields (the matrix a
-``TorusFlatConnection`` was checked against) is not a field.
+and a private entry stored there beside the fields is not a field (see
+``moduli._admissible_nu`` for the one such entry).
 """
 
 from __future__ import annotations

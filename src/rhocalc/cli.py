@@ -27,7 +27,7 @@ from itertools import chain
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import dedekind, moduli, rho
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _past_str_limit
 from .sl2z import SL2ZMatrix, UpperHalfPoint, random_hyperbolic, random_sl2z
 
 if TYPE_CHECKING:
@@ -109,7 +109,10 @@ def _text(value: object) -> object:
     """Canonical text of a parsed value: "p/q" for a rational, comma-joined
     entries for a matrix or a pair; other values pass through."""
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        try:
+            return f"{value.numerator}/{value.denominator}"
+        except ValueError:
+            raise DomainError(f"an exact value has {_past_str_limit()}") from None
     if isinstance(value, tuple):
         return ",".join(str(_text(v)) for v in value)
     return value

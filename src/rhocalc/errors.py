@@ -7,6 +7,8 @@ converging) are kept distinct so the CLI can map them to exit codes.
 
 from __future__ import annotations
 
+import sys
+
 __all__ = [
     "RhoCalcError",
     "DomainError",
@@ -42,3 +44,8 @@ class ConvergenceError(RhoCalcError, RuntimeError):
 
 class QuadratureError(ConvergenceError):
     """Adaptive quadrature failed; carries diagnostic detail in args."""
+
+
+def _past_str_limit() -> str:
+    """The words an error message uses for a number that str() refuses."""
+    return f"more than {sys.get_int_max_str_digits()} digits, the limit of Python's int-to-str conversion"

@@ -33,7 +33,7 @@ from typing import List, Optional, Tuple
 
 from ._record import Record
 from .bernoulli import RationalLike, _fraction, _mod1, _require_ints
-from .errors import AdmissibilityError, DomainError, UnsupportedClassError
+from .errors import AdmissibilityError, DomainError, UnsupportedClassError, _past_str_limit
 from .sl2z import Identity, Parabolic, SL2ZMatrix, classify
 
 __all__ = [
@@ -55,10 +55,6 @@ __all__ = [
 #: about 2.0 s and 178 MB (2 CPUs, Python 3.11)
 MAX_CLASSES = 10**5
 
-#: records built where M is known are stored without __init__'s checks
-_new = object.__new__
-_LAMBDA_ON_TWISTED = "gauge phase lambda is only defined when nu is integral"
-
 
 def _admissible_m(M: SL2ZMatrix, n1: int, n2: int, den: int) -> Tuple[int, int]:
     """m = (Id - M^t) nu for nu = (n1, n2)/den, den > 0, in integers.
@@ -68,12 +64,34 @@ def _admissible_m(M: SL2ZMatrix, n1: int, n2: int, den: int) -> Tuple[int, int]:
     m1, r1 = divmod((1 - M.a) * n1 - M.c * n2, den)
     m2, r2 = divmod((1 - M.d) * n2 - M.b * n1, den)
     if r1 or r2:
-        raise AdmissibilityError(
-            "connection requires (Id - M^t) nu in Z^2; got "
-            f"({Fraction(m1 * den + r1, den)}, {Fraction(m2 * den + r2, den)}) "
-            f"for nu = ({Fraction(n1, den)}, {Fraction(n2, den)})"
-        )
+        try:
+            got = (
+                f"({Fraction(m1 * den + r1, den)}, {Fraction(m2 * den + r2, den)}) "
+                f"for nu = ({Fraction(n1, den)}, {Fraction(n2, den)})"
+            )
+        except ValueError:
+            got = f"an entry of {_past_str_limit()}"
+        raise AdmissibilityError(f"connection requires (Id - M^t) nu in Z^2; got {got}")
     return m1, m2
+
+
+def _admissible_nu(M: SL2ZMatrix, conn: TorusFlatConnection, what: str) -> Tuple[int, int, int, int]:
+    """(p1, q1, p2, q2) with nu = (p1/q1, p2/q2), after checking that
+    m = (Id - M^t) nu; raises DomainError otherwise.
+
+    The checked-once rule: a record that connection_from_nu or the
+    enumeration built keeps the matrix object it was checked against, and
+    this check skips the integer test when it is given that very object.
+    That is safe because records and matrices are immutable and the test
+    is identity, not equality: a hand-built record, or any other matrix
+    object, even an equal one, is checked in full.  The matrix is kept
+    outside the record's fields, so equality, hash and repr do not see it.
+    """
+    nu1, nu2 = conn.nu
+    (p1, q1), (p2, q2) = nu1.as_integer_ratio(), nu2.as_integer_ratio()
+    if conn._checked_against is not M and _admissible_m(M, p1 * q2, p2 * q1, q1 * q2) != conn.m:
+        raise DomainError(f"{what} requires m = (Id - M^t) nu")
+    return p1, q1, p2, q2
 
 
 class TorusFlatConnection(Record):
@@ -86,20 +104,16 @@ class TorusFlatConnection(Record):
     restriction_trivial, set from nu (nu = 0).  The constructor checks
     what it can without M.  Whether m = (Id - M^t) nu is checked where M
     is known: by connection_from_nu and the enumeration, which compute m,
-    and on entry to rho_torus, rho_hyperbolic_prep and chern_simons_mod1.
-    A record that connection_from_nu or the enumeration built keeps the
-    matrix object it was checked against, outside the fields, so
-    equality, hash and repr do not see it; the entry checks skip the
-    integer test when they are given that very object.  That is safe
-    because records and matrices are immutable and the test is identity,
-    not equality: a hand-built record, or any other matrix object, even
-    an equal one, is checked in full.
+    and on entry to rho_torus, rho_hyperbolic_prep and chern_simons_mod1,
+    under the checked-once rule of :func:`_admissible_nu`.
     """
 
     nu: Tuple[Fraction, Fraction]
     m: Tuple[int, int]
     gauge_lambda: Optional[Fraction]
     restriction_trivial: bool
+    # not a field: the matrix object m was checked against (see _admissible_nu)
+    _checked_against = None
 
     def __init__(
         self, nu: Tuple[Fraction, Fraction], m: Tuple[int, int], gauge_lambda: Optional[Fraction] = None
@@ -108,14 +122,7 @@ class TorusFlatConnection(Record):
             nu1, nu2 = nu
         except (TypeError, ValueError):
             raise DomainError(f"TorusFlatConnection requires nu to be a pair, got {nu!r}") from None
-        # the Fractions that connection_from_nu and the enumeration build
-        # skip the conversion; everything else goes through _fraction's rule
-        if type(nu1) is not Fraction:
-            nu1 = _fraction(nu1)
-        if type(nu2) is not Fraction:
-            nu2 = _fraction(nu2)
-        if type(m) is not tuple:
-            m = tuple(m)
+        nu1, nu2, m = _fraction(nu1), _fraction(nu2), tuple(m)
         if len(m) != 2 or type(m[0]) is not int or type(m[1]) is not int:
             raise DomainError(f"TorusFlatConnection requires m to be a pair of ints, got {m!r}")
         # 0 <= nu_i < 1 in integers: Fraction comparisons cost more
@@ -127,23 +134,18 @@ class TorusFlatConnection(Record):
             if not 0 <= gauge_lambda < 1:
                 raise DomainError(f"TorusFlatConnection requires lambda in [0, 1), got {gauge_lambda}")
             if not trivial:
-                raise DomainError(_LAMBDA_ON_TWISTED)
-        self._store((nu1, nu2), m, gauge_lambda, trivial, None)
+                raise DomainError("gauge phase lambda is only defined when nu is integral")
+        self.__dict__.update(nu=(nu1, nu2), m=m, gauge_lambda=gauge_lambda, restriction_trivial=trivial)
 
-    def _store(
-        self,
-        nu: Tuple[Fraction, Fraction],
-        m: Tuple[int, int],
-        gauge_lambda: Optional[Fraction],
-        trivial: bool,
-        checked_against: Optional[SL2ZMatrix],
-    ) -> "TorusFlatConnection":
-        """Write the fields, already checked, and the matrix object that
-        m = (Id - M^t) nu was checked against (None if none was)."""
-        self.__dict__.update(
-            nu=nu, m=m, gauge_lambda=gauge_lambda, restriction_trivial=trivial, _checked_against=checked_against
-        )
-        return self
+
+def _checked(M: SL2ZMatrix, nu: Tuple[Fraction, Fraction], n1: int, n2: int, den: int) -> TorusFlatConnection:
+    """The class nu = (n1, n2)/den in [0, 1)^2 of M, without lambda, stored
+    without __init__'s checks: m is computed and checked here, so the
+    record is marked as checked against M."""
+    m = _admissible_m(M, n1, n2, den)
+    conn = object.__new__(TorusFlatConnection)
+    conn.__dict__.update(nu=nu, m=m, gauge_lambda=None, restriction_trivial=not (n1 or n2), _checked_against=M)
+    return conn
 
 
 class CircleFlatConnection(Record):
@@ -240,12 +242,11 @@ def connection_from_nu(
         raise DomainError(f"connection_from_nu requires nu to be a pair, got {nu!r}") from None
     (p1, q1), (p2, q2) = _mod1(nu1), _mod1(nu2)
     m = _admissible_m(M, p1 * q2, p2 * q1, q1 * q2)
-    trivial = not (p1 or p2)
     if gauge_lambda is not None:
         gauge_lambda = Fraction(*_mod1(gauge_lambda))
-        if not trivial:
-            raise DomainError(_LAMBDA_ON_TWISTED)
-    return _new(TorusFlatConnection)._store((Fraction(p1, q1), Fraction(p2, q2)), m, gauge_lambda, trivial, M)
+    conn = TorusFlatConnection((Fraction(p1, q1), Fraction(p2, q2)), m, gauge_lambda)
+    conn.__dict__["_checked_against"] = M
+    return conn
 
 
 def _numerators(M: SL2ZMatrix, D: int) -> List[Tuple[int, int]]:
@@ -291,9 +292,7 @@ def enumerate_torus_connections(M: SL2ZMatrix) -> TorusModuliSet:
             # nu' = (j/l, 1/2) = (2j, l)/den moved back to M's coordinates;
             # nu2' = 1/2, so the class is twisted
             n1, n2 = _from_normal_form(cls.conjugator, 2 * j, l, den)
-            rep = _new(TorusFlatConnection)._store(
-                (Fraction(n1, den), Fraction(n2, den)), _admissible_m(M, n1, n2, den), None, False, M
-            )
+            rep = _checked(M, (Fraction(n1, den), Fraction(n2, den)), n1, n2, den)
             families.append(ParabolicFamily(Fraction(j, l), rep))
         return TorusModuliSet(isolated=(), families=tuple(families))
     # each class is checked once, here, and stored as it is; its numerators
@@ -302,12 +301,7 @@ def enumerate_torus_connections(M: SL2ZMatrix) -> TorusModuliSet:
     # `rho torus --enumerate --json` at D = 99,999 by about 1 MB)
     numerators = _numerators(M, count)
     nus = [Fraction(n, count) for n in range(count)]
-    conns = tuple(
-        _new(TorusFlatConnection)._store(
-            (nus[n1], nus[n2]), _admissible_m(M, n1, n2, count), None, not (n1 or n2), M
-        )
-        for n1, n2 in numerators
-    )
+    conns = tuple(_checked(M, (nus[n1], nus[n2]), n1, n2, count) for n1, n2 in numerators)
     return TorusModuliSet(isolated=conns, families=())
 
 

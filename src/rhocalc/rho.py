@@ -31,7 +31,7 @@ from ._record import Record
 from .bernoulli import _fraction, _mod1, _require_ints, periodic_bernoulli, sgn
 from .dedekind import _difference_num, _generalized_num
 from .errors import DomainError, UnsupportedClassError
-from .moduli import CircleFlatConnection, TorusFlatConnection, _admissible_m
+from .moduli import CircleFlatConnection, TorusFlatConnection, _admissible_nu
 from .sl2z import Elliptic, Hyperbolic, Identity, Parabolic, SL2ZMatrix, classify
 
 __all__ = [
@@ -152,19 +152,6 @@ def _rho_hyperbolic(M: SL2ZMatrix, p: int, q: int, num: int, den: int) -> Fracti
     qqc = q * q * cabs  # P_2(p/q) - 1/6 = p(p - q)/q^2
     top = (2 * tr * p * (p - q) * den - 4 * num * qqc) * sc + sct * qqc * den
     return Fraction(top, qqc * den)
-
-
-def _admissible_nu(
-    M: SL2ZMatrix, conn: TorusFlatConnection, what: str
-) -> Tuple[int, int, int, int]:
-    """(p1, q1, p2, q2) with nu = (p1/q1, p2/q2), after checking that
-    m = (Id - M^t) nu; raises DomainError otherwise.  A record that was
-    checked against this very matrix object is not checked again."""
-    nu1, nu2 = conn.nu
-    (p1, q1), (p2, q2) = nu1.as_integer_ratio(), nu2.as_integer_ratio()
-    if conn._checked_against is not M and _admissible_m(M, p1 * q2, p2 * q1, q1 * q2) != conn.m:
-        raise DomainError(f"{what} requires m = (Id - M^t) nu")
-    return p1, q1, p2, q2
 
 
 def _require_twisted(conn: TorusFlatConnection, what: str) -> None:

@@ -49,6 +49,18 @@ def run_json(capsys, argv):
     return code, json.loads(out), out
 
 
+#: inputs within Python's int-to-str limit whose exact result, or whose
+#: admissibility error, holds a number past it; C has 4,299 digits
+C = 10**4298
+PAST_STR_LIMIT = {
+    "rho-circle-result": ["rho", "circle", "--degree", str(C), "--chern", "1"],
+    "dedekind-classic-result": ["dedekind", "classic", "--a", "3", "--c", str(C)],
+    "rho-torus-admissibility-message": [
+        "rho", "torus", "--matrix", f"3,2,{C},{(1 + 2 * C) // 3}", "--nu", f"1/{'7' * 2000},1/{'3' * 2001}",
+    ],
+}
+
+
 class TestParsing:
     def test_usage_error_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
@@ -60,10 +72,21 @@ class TestParsing:
             run_command(["rho", "torus"])
         assert exc.value.code == EXIT_USAGE
 
-    def test_usage_error_malformed_rational(self):
+    def test_usage_error_malformed_rational(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_command(["rho", "circle", "--degree", "x", "--chern", "3"])
         assert exc.value.code == EXIT_USAGE
+        capsys.readouterr()
+        # --gauge-lambda and --x are the rational flags
+        for argv in (
+            ["rho", "torus", "--matrix", "0,-1,1,0", "--nu", "0,0", "--gauge-lambda", "1/0"],
+            ["dedekind", "general", "--x", "banana", "--y", "0", "--a", "1", "--c", "1"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                run_command(argv)
+            assert exc.value.code == EXIT_USAGE
+            out, err = capsys.readouterr()
+            assert out == "" and "not a rational" in err, argv
 
     @pytest.mark.parametrize(
         "argv",
@@ -153,6 +176,13 @@ class TestParsing:
     def test_non_finite_and_oversized_inputs_exit_cleanly(self, capsys, argv, code):
         assert run_command(argv) == code
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", PAST_STR_LIMIT.values(), ids=list(PAST_STR_LIMIT))
+    def test_values_past_the_int_to_str_limit_exit_2(self, capsys, argv):
+        assert run_command(argv) == EXIT_DOMAIN
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert f"more than {sys.get_int_max_str_digits()} digits" in err
 
     @pytest.mark.parametrize("nu", ["1/2,0", "1/3,1/2", "99/100,0"])
     def test_q_z_that_underflows_to_zero_ends_cleanly(self, capsys, nu):

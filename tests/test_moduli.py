@@ -241,6 +241,18 @@ class TestConnectionFromNu:
         with pytest.raises(DomainError):
             connection_from_nu(SL2ZMatrix(3, 2, 4, 3), (F(1, 2), F(1, 2)), gauge_lambda=F(1, 3))
 
+    def test_lambda_on_a_twisted_class_is_refused_by_the_one_door(self):
+        # connection_from_nu builds its record through TorusFlatConnection
+        message = "gauge phase lambda is only defined when nu is integral"
+        with pytest.raises(DomainError, match=message):
+            connection_from_nu(SL2ZMatrix(3, 2, 4, 3), (F(1, 2), F(1, 2)), gauge_lambda=F(1, 3))
+        with pytest.raises(DomainError, match=message):
+            TorusFlatConnection((F(1, 2), F(1, 2)), (-3, -2), F(1, 3))
+
+    def test_admissibility_is_checked_before_lambda(self):
+        with pytest.raises(AdmissibilityError):
+            connection_from_nu(SL2ZMatrix(3, 2, 4, 3), (F(1, 3), F(1, 3)), gauge_lambda=F(1, 3))
+
     @pytest.mark.parametrize(
         "nu,lam",
         [
