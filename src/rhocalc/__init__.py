@@ -6,7 +6,9 @@ verification of the underlying Kronecker-limit and Dedekind-eta
 transformation identities.
 
 Each module's ``__all__`` is the one list of its public names; the
-package re-exports them all.
+package re-exports them all.  The float layer's list is the package's
+``_ANALYTIC_NAMES``, which ``rhocalc.analytic`` takes as its ``__all__``:
+the package binds those names lazily, before it loads the module.
 """
 
 from . import bernoulli, dedekind, errors, moduli, rho, sl2z
@@ -25,8 +27,12 @@ _ANALYTIC_NAMES = (
     "SeriesParams",
     "ComplexValue",
     "e_series",
+    "e_series_with_count",
     "f_series",
+    "f_series_direct",
+    "f_series_poisson",
     "kronecker_integral",
+    "kronecker_integral_info",
     "kronecker_closed",
     "log_eta",
     "log_eta_gen",

@@ -44,6 +44,7 @@ import cmath
 import math
 from typing import Callable, Dict, List, Tuple
 
+from . import _ANALYTIC_NAMES
 from ._record import Record
 from .bernoulli import RationalLike, _fraction, _mod1, _poly_num, _require_ints, sgn
 from .dedekind import _generalized_num
@@ -57,30 +58,9 @@ from .errors import (
 from .moduli import connection_from_nu
 from .sl2z import Hyperbolic, SL2ZMatrix, UpperHalfPoint, _unit, classify
 
-__all__ = [
-    "SeriesParams",
-    "ComplexValue",
-    "e_series",
-    "e_series_with_count",
-    "f_series",
-    "f_series_direct",
-    "f_series_poisson",
-    "kronecker_integral",
-    "kronecker_integral_info",
-    "kronecker_closed",
-    "log_eta",
-    "log_eta_gen",
-    "transform_defect",
-    "transform_defect_gen",
-    "torus_spectrum",
-    "rho_form_hyp_numeric",
-    "eta_untwisted_numeric",
-    "moebius_op_action",
-    "invariant_path_sigma",
-    "PeriodicFunctionTable",
-    "finite_fourier_transform",
-    "p1_closed_fourier",
-]
+# the one list of this module's public names lives in the package, which
+# binds them lazily (PEP 562) before it ever loads this module
+__all__ = _ANALYTIC_NAMES
 
 _TWO_PI = 2.0 * math.pi
 
@@ -100,6 +80,7 @@ class SeriesParams(Record):
         quad_tolerance: float = 1e-9,
         poisson_switch_u: float = 1.0,
     ) -> None:
+        _require_ints("SeriesParams.max_terms", max_terms)
         self.__dict__.update(
             tail_tolerance=tail_tolerance,
             max_terms=max_terms,
@@ -841,6 +822,7 @@ def torus_spectrum(
     is first moved to [-1/2, 1/2] as in _sigma1_near_zero, which relabels
     n2 -> n2 - k n1; the window is taken after the move.
     Raises DomainError when an eigenvalue is not finite."""
+    _require_ints("torus_spectrum", max_lattice_norm)
     if max_lattice_norm < 0:
         raise DomainError("max_lattice_norm must be nonnegative")
     sigma, (p1, q1, p2, q2) = _sigma1_near_zero(sigma, nu)

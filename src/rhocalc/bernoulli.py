@@ -77,13 +77,15 @@ def _mod1(x: RationalLike) -> Tuple[int, int]:
     return x.numerator % q, q
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def bernoulli_number(n: int) -> Fraction:
     """Bernoulli number B_n (B_1 = -1/2) as an exact Fraction.
 
     Uses the recursion sum_{k=0}^{n} C(n+1, k) B_k = 0 coming from the
-    generating function t/(e^t - 1); values are memoized.
+    generating function t/(e^t - 1); values are memoized, keyed by type
+    as well, so a cached B_1 never answers for True.
     """
+    _require_ints("bernoulli_number", n)
     if n < 0:
         raise DomainError("bernoulli_number requires n >= 0")
     if n == 0:
@@ -121,6 +123,7 @@ def bernoulli_poly(n: int, x: RationalLike) -> Fraction:
 
     B_n(x) = sum_{k=0}^{n} C(n, k) B_k x^{n-k}.
     """
+    _require_ints("bernoulli_poly", n)
     if n < 0:
         raise DomainError("bernoulli_poly requires n >= 0")
     x = _fraction(x)
@@ -133,6 +136,7 @@ def periodic_bernoulli(n: int, x: RationalLike) -> Fraction:
     For odd n the value at integer x is 0 (for n = 1 this is the sawtooth
     midpoint convention; for odd n >= 3 it agrees with B_n(0) = 0 anyway).
     """
+    _require_ints("periodic_bernoulli", n)
     if n < 1:
         raise DomainError("periodic_bernoulli requires n >= 1")
     p, q = _mod1(x)
@@ -149,6 +153,7 @@ def hurwitz_zeta_nonpos(n: int, q: RationalLike) -> Fraction:
     No package code calls it; it stays public for acceptance criterion 12,
     the special values, which checks it against bernoulli_poly.
     """
+    _require_ints("hurwitz_zeta_nonpos", n)
     if n < 0:
         raise DomainError("hurwitz_zeta_nonpos requires n >= 0")
     q = _fraction(q)
@@ -172,6 +177,7 @@ def periodic_zeta_at(s0: int, q: RationalLike) -> Fraction:
     No package code calls it; it stays public for acceptance criterion 12,
     the special values.
     """
+    _require_ints("periodic_zeta_at", s0)
     q = _fraction(q)
     if s0 == 0:
         return Fraction(-1) if q.denominator == 1 else Fraction(0)

@@ -362,7 +362,7 @@ def _cmd_verify_eta_transform(args: argparse.Namespace) -> _Outcome:
     general = args.target == "eta-transform-gen"
     rng = random.Random(args.seed)
     worst = 0.0
-    for _ in range(args.count):
+    for draw in range(args.count):
         while True:
             M = random_sl2z(rng, args.max_entry)
             if M.c != 0:
@@ -373,10 +373,17 @@ def _cmd_verify_eta_transform(args: argparse.Namespace) -> _Outcome:
             if g.denominator != 1 or h.denominator != 1:
                 break
         sigma = UpperHalfPoint(rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0))
-        if general:
-            defect = analytic.transform_defect_gen(M, g, h, sigma, params)
-        else:
-            defect = analytic.transform_defect(M, sigma, params)
+        try:
+            if general:
+                defect = analytic.transform_defect_gen(M, g, h, sigma, params)
+            else:
+                defect = analytic.transform_defect(M, sigma, params)
+        except ConvergenceError as exc:
+            # name the draw, so that it can be replayed
+            where = f"draw {draw}: M = {_text((M.a, M.b, M.c, M.d))}, sigma = {sigma.sigma1!r},{sigma.sigma2!r}"
+            if general:
+                where += f", g = {_text(g)}, h = {_text(h)}"
+            raise ConvergenceError(f"{where}: {exc}") from None
         worst = max(worst, abs(defect.as_complex()))
     results = [
         _entry("count", exact=Fraction(args.count)),

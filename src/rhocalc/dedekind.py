@@ -158,6 +158,13 @@ def _generalized_num(x: RationalLike, y: RationalLike, a: int, c: int) -> Tuple[
     return head + t * _p2_num(w, den) + m * alt, 12 * m * den2
 
 
+#: the largest |c| cotangent_sum takes: at its peak it holds four float64
+#: or int64 arrays of |c| - 1 entries, 32 bytes per residue (32 MB at
+#: 10^6, of which the cached 8 MB table stays), and its index product
+#: d p < |c|^2 stays far below 2^63, which |c| past 3.04e9 would overflow
+MAX_COT_MODULUS = 10**6
+
+
 @lru_cache(maxsize=1)
 def _cot_table(m: int):
     """cot(pi p / m) for p = 1, ..., m - 1, as a read-only float64 array:
@@ -178,12 +185,14 @@ def cotangent_sum(a: int, c: int) -> float:
     sign flips for c < 0 cancel, so the positive modulus is used.  Both
     factors are read from one table of cot(pi p / |c|), and the table of
     the last modulus is cached, so a sweep over the units mod |c| builds
-    it once.
+    it once.  A modulus past MAX_COT_MODULUS raises DomainError.
     """
     import numpy as np
 
     _require_ints("cotangent_sum", a, c)
     m, _, d = _unit("cotangent_sum", a, c)
+    if m > MAX_COT_MODULUS:
+        raise DomainError(f"cotangent_sum requires |c| <= {MAX_COT_MODULUS}")
     if m == 1:
         return 0.0
     base = _cot_table(m)

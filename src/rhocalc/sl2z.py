@@ -25,6 +25,7 @@ from math import gcd
 from typing import Dict, Tuple, Union
 
 from ._record import Record
+from .bernoulli import _require_ints
 from .errors import DomainError, UnsupportedClassError
 
 __all__ = [
@@ -249,6 +250,7 @@ def random_sl2z(rng: random.Random, bound: int) -> SL2ZMatrix:
     Rejection sampling: draw a, b, c and solve a d - b c = 1 for d.  The
     draw order is fixed, so a seeded rng always yields the same matrices.
     """
+    _require_ints("random_sl2z", bound)
     if bound < 1:
         raise DomainError("random_sl2z requires bound >= 1")
     while True:

@@ -14,6 +14,7 @@ import io
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -38,9 +39,9 @@ from rhocalc.cli import (
     main,
     run_command,
 )
-from rhocalc.errors import DomainError
+from rhocalc.errors import ConvergenceError, DomainError
 from rhocalc.rho import RhoValue
-from rhocalc.sl2z import random_hyperbolic, random_sl2z
+from rhocalc.sl2z import SL2ZMatrix, UpperHalfPoint, random_hyperbolic, random_sl2z
 
 
 def run_json(capsys, argv):
@@ -499,6 +500,27 @@ class TestVerify:
         assert code == EXIT_OK
         by_name = {r["name"]: r for r in doc["results"]}
         assert by_name["mismatches"]["exact"] == "0/1"
+
+    @pytest.mark.parametrize("suite", ["eta-transform", "eta-transform-gen"])
+    def test_a_non_converging_draw_is_named_so_it_replays(self, capsys, suite):
+        code = run_command(["verify", suite, "--count", "3", "--max-terms", "20"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_NUMERIC and out == ""
+        found = re.fullmatch(
+            r"error: draw (\d+): M = (\S+), sigma = (\S+)(?:, g = (\S+), h = (\S+))?: (.*)\n", err
+        )
+        assert found, err
+        draw, matrix, sigma, g, h, message = found.groups()
+        assert int(draw) < 3 and (g is not None) == (suite == "eta-transform-gen")
+        M = SL2ZMatrix(*map(int, matrix.split(",")))
+        sp = UpperHalfPoint(*map(float, sigma.split(",")))
+        params = rhocalc.SeriesParams(max_terms=20)
+        with pytest.raises(ConvergenceError) as exc:
+            if g is None:
+                rhocalc.transform_defect(M, sp, params)
+            else:
+                rhocalc.transform_defect_gen(M, F(g), F(h), sp, params)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("suite", ["eta-transform", "eta-transform-gen"])
     def test_eta_suites_do_not_read_the_quadrature_tolerance(self, monkeypatch, capsys, suite):

@@ -12,6 +12,7 @@ is computed.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -28,6 +29,7 @@ from rhocalc import (
     SL2ZMatrix,
     UnsupportedClassError,
     UpperHalfPoint,
+    bernoulli_number,
     bernoulli_poly,
     circle_moduli_summary,
     classical_sum,
@@ -38,10 +40,14 @@ from rhocalc import (
     enumerate_torus_connections,
     eta_untwisted_numeric,
     generalized_sum,
+    hurwitz_zeta_nonpos,
     log_eta_gen,
     moebius_op_action,
     p1_closed_fourier,
     periodic_bernoulli,
+    periodic_zeta_at,
+    random_hyperbolic,
+    random_sl2z,
     rho_hyperbolic_prep,
     sum_difference_closed,
     torus_spectrum,
@@ -94,6 +100,7 @@ DOCUMENTED_BRANCHES = [
     pytest.param(lambda: classical_sum(1, 0), DomainError, "nonzero modulus", id="classical_sum-zero-c"),
     pytest.param(lambda: cotangent_sum(1, 0), DomainError, "nonzero modulus", id="cotangent_sum-zero-c"),
     pytest.param(lambda: cotangent_sum(2, 4), DomainError, "gcd", id="cotangent_sum-not-coprime"),
+    pytest.param(lambda: cotangent_sum(1, 10**19 + 1), DomainError, "<= 1000000", id="cotangent_sum-huge-c"),
     pytest.param(lambda: generalized_sum(F(1, 2), 0, 1, 0), DomainError, "nonzero modulus", id="generalized_sum-zero-c"),
     pytest.param(lambda: generalized_sum(F(1, 2), 0, 2, 4), DomainError, "gcd", id="generalized_sum-not-coprime"),
     pytest.param(lambda: sum_difference_closed(0, 0, T), DomainError, "c != 0", id="sum_difference_closed-zero-c"),
@@ -163,6 +170,21 @@ NOT_INT = [
     pytest.param(lambda: dai_correction_circle(1.5, True), id="dai_correction_circle-float-l"),
     pytest.param(lambda: circle_moduli_summary(1.5, 2), id="circle_moduli_summary-float-genus"),
     pytest.param(lambda: circle_moduli_summary(1, 2.0), id="circle_moduli_summary-float-l"),
+    # B_1 cached first, by keyword, where an untyped cache key of True equals that of 1
+    pytest.param(lambda: (bernoulli_number(n=1), bernoulli_number(n=True)), id="bernoulli_number-bool-n"),
+    pytest.param(lambda: bernoulli_number(2.5), id="bernoulli_number-float-n"),
+    pytest.param(lambda: bernoulli_poly(2.0, F(1, 3)), id="bernoulli_poly-float-n"),
+    pytest.param(lambda: periodic_bernoulli(True, F(1, 3)), id="periodic_bernoulli-bool-n"),
+    pytest.param(lambda: periodic_bernoulli(2.5, F(1, 3)), id="periodic_bernoulli-float-n"),
+    pytest.param(lambda: hurwitz_zeta_nonpos(1.5, F(1, 2)), id="hurwitz_zeta_nonpos-float-n"),
+    pytest.param(lambda: periodic_zeta_at(-1.0, F(1, 3)), id="periodic_zeta_at-float-s0"),
+    pytest.param(lambda: periodic_zeta_at(False, F(1, 3)), id="periodic_zeta_at-bool-s0"),
+    pytest.param(lambda: torus_spectrum(SIGMA_I, (F(1, 2), 0), 1.5), id="torus_spectrum-float-norm"),
+    pytest.param(lambda: torus_spectrum(SIGMA_I, (F(1, 2), 0), True), id="torus_spectrum-bool-norm"),
+    pytest.param(lambda: random_sl2z(random.Random(0), 2.5), id="random_sl2z-float-bound"),
+    pytest.param(lambda: random_sl2z(random.Random(0), True), id="random_sl2z-bool-bound"),
+    pytest.param(lambda: random_hyperbolic(random.Random(0), 2.5), id="random_hyperbolic-float-bound"),
+    pytest.param(lambda: SeriesParams(max_terms=2.5), id="SeriesParams-float-max_terms"),
 ]
 
 
